@@ -28,7 +28,6 @@ __all__ = [
     "tensor_product",
     "enveloping",
     "column_span_basis",
-    "same_column_span",
 ]
 
 
@@ -67,6 +66,11 @@ class Algebra:
     ``basis_path_lengths`` marks a basis adapted to the radical filtration
     (length 0 spans a complement of the radical); tensor constructions keep
     it so those algebras retain an exact radical without the trace form.
+
+    ``memo`` caches values derived from the structure constants, which are
+    immutable by convention, so an entry never goes stale.  Keys:
+    "radical", "content_hash", "opposite" (set here), "standard_modules"
+    and "gen_coords" (set by the modules and homology layers).
     """
 
     def __init__(
@@ -89,8 +93,7 @@ class Algebra:
         self.presentation = presentation
         self.basis_path_lengths = list(basis_path_lengths) if basis_path_lengths is not None else None
         self.basis_paths: Optional[list[tuple]] = None  # set by build_from_quiver
-        self._opposite: Optional[Algebra] = None
-        self._radical: Optional[PrimeMatrix] = None
+        self.memo: dict = {}  # before _validate, which calls radical()
         if self.mult.shape != (self.dim, self.dim, self.dim):
             raise InputError("structure constant tensor has wrong shape")
         if validate:
@@ -130,15 +133,15 @@ class Algebra:
         basis vectors; otherwise the radical of the trace form trace(L_x L_y),
         which is exact for p > dim.
         """
-        if self._radical is not None:
-            return self._radical
+        if "radical" in self.memo:
+            return self.memo["radical"]
         if self.basis_path_lengths is not None:
             idx = [i for i, l in enumerate(self.basis_path_lengths) if l > 0]
             basis = np.zeros((self.dim, len(idx)), dtype=np.int64)
             for k, i in enumerate(idx):
                 basis[i, k] = 1
-            self._radical = PrimeMatrix(self.field, basis)
-            return self._radical
+            self.memo["radical"] = PrimeMatrix(self.field, basis)
+            return self.memo["radical"]
         if self.field.p <= self.dim:
             raise UnsupportedFieldError(
                 f"table-mode radical needs p > dim, got p={self.field.p}, dim={self.dim}"
@@ -146,10 +149,12 @@ class Algebra:
         p = self.field.p
         left = self.regular_action()  # left[a] = L_{e_a}
         gram = np.einsum("aij,bji->ab", left, left) % p
-        self._radical = nullspace(PrimeMatrix(self.field, gram))
-        return self._radical
+        self.memo["radical"] = nullspace(PrimeMatrix(self.field, gram))
+        return self.memo["radical"]
 
     def content_hash(self) -> str:
+        if "content_hash" in self.memo:
+            return self.memo["content_hash"]
         h = hashlib.sha256()
         h.update(b"algebra")
         h.update(self.field.p.to_bytes(8, "little"))
@@ -158,7 +163,8 @@ class Algebra:
         h.update(self.unit.tobytes())
         for e in self.idempotents:
             h.update(e.tobytes())
-        return h.hexdigest()
+        self.memo["content_hash"] = h.hexdigest()
+        return self.memo["content_hash"]
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.dim}, p={self.field.p}, idempotents={len(self.idempotents)})"
@@ -431,8 +437,8 @@ def one_dimensional_algebra(field: PrimeField) -> Algebra:
 def opposite(a: Algebra) -> Algebra:
     """Same basis, reversed multiplication.  Involutive: opposite twice
     returns the original object."""
-    if a._opposite is not None:
-        return a._opposite
+    if "opposite" in a.memo:
+        return a.memo["opposite"]
     op = Algebra(
         a.field,
         list(a.labels),
@@ -443,8 +449,8 @@ def opposite(a: Algebra) -> Algebra:
         basis_path_lengths=a.basis_path_lengths,
         validate=False,
     )
-    op._opposite = a
-    a._opposite = op
+    op.memo["opposite"] = a
+    a.memo["opposite"] = op
     return op
 
 
@@ -483,12 +489,6 @@ def column_span_basis(m: PrimeMatrix) -> PrimeMatrix:
     """Deterministic basis of the column space: the pivot columns of m."""
     _, _, pivots = rref(m)
     return m.take_cols(pivots)
-
-
-def same_column_span(m1: PrimeMatrix, m2: PrimeMatrix) -> bool:
-    r1, k1, _ = rref(m1.transpose())
-    r2, k2, _ = rref(m2.transpose())
-    return k1 == k2 and bool(np.array_equal(r1.a[:k1], r2.a[:k2]))
 
 
 # ---------------------------------------------------------------------------

@@ -308,14 +308,12 @@ def bar_ext_oracle(
 # Mueller correspondence
 
 
-def muller_check(
-    lam: Algebra, dm: DecomposedModule, cutoff: int, seed: int = 0
-) -> CheckReport:
+def muller_check(lam: Algebra, dm: DecomposedModule, cutoff: int) -> CheckReport:
     """Dominant dimension of End(m) against the first self-extension degree."""
     if not gen_cogen(dm.module):
         raise InputError("muller check needs a generator-cogenerator")
     inputs = {"algebra": lam.content_hash()[:16], "module": dm.module.content_hash()[:16]}
-    endo = endomorphism_algebra(dm, seed=seed)
+    endo = endomorphism_algebra(dm)
     table = ext_dims(dm.module, dm.module, max(cutoff - 2, 1))
     e = None
     for i in range(1, max(cutoff - 2, 0) + 1):
@@ -357,7 +355,7 @@ def wg_lemma_check(
     if not gen_cogen(dm.module):
         raise InputError("check needs a generator-cogenerator")
     inputs = {"algebra": lam.content_hash()[:16], "module": dm.module.content_hash()[:16]}
-    endo = endomorphism_algebra(dm, seed=seed)
+    endo = endomorphism_algebra(dm)
     b = endo.algebra
     std_b = standard_modules(b)
     lhs = ext_dims(std_b.coregular, std_b.regular, cutoff).dims

@@ -228,7 +228,7 @@ def cmd_endo(args) -> int:
 
     def compute():
         dm = catalog.resolve_expression(loaded, args.module)
-        endo = endomorphism_algebra(dm, seed=args.seed, trials=args.trials)
+        endo = endomorphism_algebra(dm)
         res = _header(args, "endo", loaded) + [
             ("module", args.module),
             ("endo_dim", str(endo.algebra.dim)),
@@ -237,7 +237,7 @@ def cmd_endo(args) -> int:
         ]
         return res, 0
 
-    results, code = _with_cache(args, "endo", loaded, {"m": args.module, "trials": str(args.trials)}, compute)
+    results, code = _with_cache(args, "endo", loaded, {"m": args.module}, compute)
     d = dict(results)
     _emit(results, [f"endomorphism algebra: dim {d['endo_dim']}, {d['endo_idempotents']} idempotents"], args.machine)
     return code
@@ -291,7 +291,7 @@ def _run_verify(args, loaded: catalog.LoadedAlgebra):
     a = loaded.algebra
     if check == "muller":
         dm = catalog.resolve_expression(loaded, args.module)
-        return muller_check(a, dm, args.cutoff, seed=args.seed)
+        return muller_check(a, dm, args.cutoff)
     if check == "wg-lemma":
         dm = catalog.resolve_expression(loaded, args.module)
         return wg_lemma_check(a, dm, args.cutoff, seed=args.seed)

@@ -272,6 +272,6 @@ def run_entry_checks(
     out.append(("bar-oracle", _bar_sweep(loaded)))
     for expr in entry.muller_exprs:
         dm = catalog.resolve_expression(loaded, expr)
-        out.append((f"muller:{expr}", muller_check(a, dm, cutoff, seed=seed).verdict))
+        out.append((f"muller:{expr}", muller_check(a, dm, cutoff).verdict))
         out.append((f"wg-lemma:{expr}", wg_lemma_check(a, dm, cutoff, seed=seed).verdict))
     return out

@@ -20,9 +20,9 @@ import numpy as np
 from .algebra import Extension, opposite, tensor_product
 from .linalg import PrimeMatrix, solve
 from .modules import (
+    HomSpace,
     IsoVerdict,
     ModuleRep,
-    hom_space_full,
     is_isomorphic,
     module_over_tensor,
     regular_module,
@@ -67,7 +67,7 @@ def _frobenius_iso(ext: Extension, seed: int, trials: int) -> IsoVerdict:
     a_bimod = module_over_tensor(e_alg, A.dim, left_a, right_b)
     # Hom_B(A, B) with (a.f.b)(x) = f(xa) b
     restr = restrict_to_sub(ext)
-    h = hom_space_full(restr, regular_module(B))
+    h = HomSpace(restr, regular_module(B))
     dim_h = h.dim
     left_on_h = np.zeros((A.dim, dim_h, dim_h), dtype=np.int64)
     right_on_h = np.zeros((B.dim, dim_h, dim_h), dtype=np.int64)

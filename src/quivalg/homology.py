@@ -23,10 +23,11 @@ from .modules import (
     ModuleRep,
     Morphism,
     _endo_radical_dim,
+    _require_local_end,
+    _splits_off,
     direct_sum,
     dualize,
     endo_structure_constants,
-    hom_space_full,
     is_isomorphic,
     kernel,
     projective_cover,
@@ -126,8 +127,6 @@ class DomDimEvidence:
         """Whether the evidence guarantees dominant dimension >= n."""
         if self.kind == "infinity":
             return True
-        if self.kind == "at-least":
-            return self.value >= n
         return self.value >= n
 
 
@@ -138,9 +137,7 @@ class DomDimEvidence:
 def minimal_resolution(m: ModuleRep, kind: str, depth: int) -> Resolution:
     if depth < 0:
         raise InputError("resolution depth must be nonnegative")
-    cache = getattr(m, "_res_cache", None)
-    if cache is None:
-        cache = m._res_cache = {}
+    cache = m.memo.setdefault("resolutions", {})
     hit = cache.get(kind)
     if hit is not None and len(hit.terms) >= depth + 1:
         return Resolution(
@@ -206,16 +203,15 @@ def _yoneda_data(a: Algebra, n: ModuleRep):
     cell_basis = []
     for e in a.idempotents:
         cell_basis.append(column_span_basis(PrimeMatrix(field, n.act(e))))
-    gen_coords = getattr(a, "_gen_coords", None)
-    if gen_coords is None:
+    if "gen_coords" not in a.memo:
         gen_coords = []
         for v, e in enumerate(a.idempotents):
             g = solve(std.proj_bases[v], PrimeMatrix(field, e.reshape(-1, 1)))
             if g is None:
                 raise InternalCheckError("projective generator not in its basis")
             gen_coords.append(g.a[:, 0])
-        a._gen_coords = gen_coords
-    return std, cell_basis, gen_coords
+        a.memo["gen_coords"] = gen_coords
+    return std, cell_basis, a.memo["gen_coords"]
 
 
 def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
@@ -354,7 +350,7 @@ def nakayama(m: ModuleRep, seed: int = 0, trials: int = 24) -> NakayamaResult:
     tens = tensor_over_algebra(d_right, m, left=(a, left_action))
     route1 = tens.module
     # Hom(m, A) as a right A-module, then dualize
-    h = hom_space_full(m, std.regular)
+    h = HomSpace(m, std.regular)
     op = opposite(a)
     act = np.zeros((a.dim, h.dim, h.dim), dtype=np.int64)
     for b in range(a.dim):
@@ -425,11 +421,11 @@ def min_add_approximation(m: ModuleRep, x: ModuleRep) -> ApproxResult:
     if m.dim == 0 or x.dim == 0:
         z = zero_module(alg)
         return ApproxResult(Morphism(z, x, field.zeros(x.dim, 0)), 0)
-    h = hom_space_full(m, x)
+    h = HomSpace(m, x)
     if h.dim == 0:
         z = zero_module(alg)
         return ApproxResult(Morphism(z, x, field.zeros(x.dim, 0)), 0)
-    end = hom_space_full(m, m)
+    end = HomSpace(m, m)
     _, rad = _endo_radical_dim(end)
     sub_cols = []
     for s in range(rad.cols):
@@ -494,28 +490,31 @@ class EndoAlgebra:
     end_action: np.ndarray
 
 
-def endomorphism_algebra(dm: DecomposedModule, seed: int = 0, trials: int = 24) -> EndoAlgebra:
+def endomorphism_algebra(dm: DecomposedModule, seed: int = 0) -> EndoAlgebra:
+    """End(m) of a decomposed module, checked to be basic and elementary.
+
+    Both checks are exact; ``seed`` is unused and kept for callers that
+    pass one.
+    """
     m = dm.module
     alg = m.algebra
     field = alg.field
     if m.dim == 0:
         raise InputError("endomorphism algebra of the zero module is not basic")
-    # basic: no two summands isomorphic; elementary: each End(summand) local
+    # elementary: each End(summand) local
     for i, s in enumerate(dm.summands):
-        es = hom_space_full(s, s)
-        rad_dim, _ = _endo_radical_dim(es)
-        if rad_dim != es.dim - 1:
-            raise InputError(
-                f"summand {i} does not have a local endomorphism algebra"
-            )
-    for i in range(len(dm.summands)):
+        _require_local_end(s, f"summand {i} does not have a local endomorphism algebra")
+    # basic: no two summands isomorphic.  Indecomposables of equal dimension
+    # are isomorphic iff one splits off the other.
+    for i, si in enumerate(dm.summands):
         for j in range(i + 1, len(dm.summands)):
-            if is_isomorphic(dm.summands[i], dm.summands[j], seed=seed, trials=trials).isomorphic:
+            sj = dm.summands[j]
+            if si.dim == sj.dim and _splits_off(si, sj):
                 raise InputError(
                     f"endomorphism algebra is not basic: summands {i} and {j} "
                     "are isomorphic"
                 )
-    h = hom_space_full(m, m)
+    h = HomSpace(m, m)
     mult = endo_structure_constants(h)
     unit = h.coords(field.identity(m.dim))
     idem = []
@@ -527,12 +526,15 @@ def endomorphism_algebra(dm: DecomposedModule, seed: int = 0, trials: int = 24) 
     return EndoAlgebra(algebra, h, end_action)
 
 
-def minimal_gen_cogen(a: Algebra, seed: int = 0, trials: int = 24) -> DecomposedModule:
+def minimal_gen_cogen(a: Algebra, seed: int = 0) -> DecomposedModule:
     """The generator-cogenerator with one copy of each P(i) and each I(j)
-    not already isomorphic to an included summand."""
+    not already isomorphic to an included summand.
+
+    An indecomposable I(j) is isomorphic to some P(i) exactly when it is
+    projective, and the I(j) are pairwise non-isomorphic, so the test is
+    exact; ``seed`` is unused and kept for callers that pass one.
+    """
     std = standard_modules(a)
     summands = list(std.projectives)
-    for inj in std.injectives:
-        if not any(is_isomorphic(inj, s, seed=seed, trials=trials).isomorphic for s in summands):
-            summands.append(inj)
+    summands.extend(inj for inj in std.injectives if not is_projective(inj))
     return DecomposedModule.from_summands(summands)

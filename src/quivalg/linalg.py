@@ -144,7 +144,8 @@ class PrimeMatrix:
         return not self.a.any()
 
     def rank(self) -> int:
-        return matrix_rank(self.a, self.field.p)
+        """Rank by forward elimination only (cheaper than full rref)."""
+        return len(_eliminate(self.a % self.field.p, self.field.p, full=False))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -168,15 +169,15 @@ class PrimeMatrix:
         return f"PrimeMatrix(p={self.field.p}, {self.a.tolist()})"
 
 
-def rref(m: PrimeMatrix) -> tuple[PrimeMatrix, int, list[int]]:
-    """Reduced row-echelon form; returns (rref, rank, pivot column list).
+def _eliminate(a: np.ndarray, p: int, full: bool) -> list[int]:
+    """Row-reduce ``a`` in place mod p; returns the pivot columns.
 
-    Updates touch only rows with a nonzero entry in the pivot column and
-    only columns from the pivot rightward (everything to the left of the
-    pivot is already zero in the rows involved).
+    Each pivot row is scaled to a leading 1.  With ``full`` every other row
+    with a nonzero entry in the pivot column is cleared (reduced echelon
+    form); without it only the rows below, which suffices for the rank.
+    Updates touch only columns from the pivot rightward (everything to the
+    left of the pivot is already zero in the rows involved).
     """
-    p = m.field.p
-    a = m.a.copy()
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -190,40 +191,25 @@ def rref(m: PrimeMatrix) -> tuple[PrimeMatrix, int, list[int]]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c]
-        touched = np.nonzero(col)[0]
-        touched = touched[touched != r]
+        if full:
+            touched = np.nonzero(a[:, c])[0]
+            touched = touched[touched != r]
+        else:
+            touched = r + 1 + np.nonzero(a[r + 1 :, c])[0]
         if touched.size:
             a[np.ix_(touched, range(c, cols))] = (
-                a[np.ix_(touched, range(c, cols))] - np.outer(col[touched], a[r, c:])
+                a[np.ix_(touched, range(c, cols))] - np.outer(a[touched, c], a[r, c:])
             ) % p
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def rref(m: PrimeMatrix) -> tuple[PrimeMatrix, int, list[int]]:
+    """Reduced row-echelon form; returns (rref, rank, pivot column list)."""
+    a = m.a.copy()
+    pivots = _eliminate(a, m.field.p, full=True)
     return PrimeMatrix(m.field, a), len(pivots), pivots
-
-
-def matrix_rank(a: np.ndarray, p: int) -> int:
-    """Rank by forward elimination only (cheaper than full rref)."""
-    a = (np.asarray(a, dtype=np.int64) % p).copy()
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
-        below = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            a[np.ix_(below, range(c, cols))] = (
-                a[np.ix_(below, range(c, cols))] - np.outer(a[below, c], a[r, c:])
-            ) % p
-        r += 1
-    return r
 
 
 def solve(a: PrimeMatrix, b: PrimeMatrix) -> Optional[PrimeMatrix]:

@@ -29,8 +29,6 @@ __all__ = [
     "direct_sum",
     "submodule",
     "quotient_module",
-    "hom_space",
-    "hom_space_full",
     "kernel",
     "image",
     "cokernel",
@@ -54,25 +52,26 @@ __all__ = [
 
 
 class ModuleRep:
-    """Left module over a basic algebra, given by action matrices."""
+    """Left module over a basic algebra, given by action matrices.
 
-    def __init__(self, algebra: Algebra, action: np.ndarray, validate: bool = False):
+    ``memo`` caches values derived from the action, which is immutable by
+    convention.  Its one key, "resolutions", is set by the homology layer:
+    the deepest minimal resolution computed so far, per kind.
+    """
+
+    def __init__(self, algebra: Algebra, action: np.ndarray):
         self.algebra = algebra
         action = np.asarray(action, dtype=np.int64) % algebra.field.p
         if action.ndim != 3 or action.shape[0] != algebra.dim or action.shape[1] != action.shape[2]:
             raise InputError("action tensor has wrong shape")
         self.action = action
         self.dim = action.shape[1]
-        if validate:
-            self.check()
+        self.memo: dict = {}
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Matrix of the action of the algebra element with coordinates x."""
         p = self.algebra.field.p
         return np.einsum("a,aij->ij", np.asarray(x, dtype=np.int64) % p, self.action) % p
-
-    def act_mat(self, x: np.ndarray) -> PrimeMatrix:
-        return PrimeMatrix(self.algebra.field, self.act(x))
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -126,22 +125,12 @@ class Morphism:
                     f"{self.source.algebra.labels[a]}"
                 )
 
-    def compose(self, other: "Morphism") -> "Morphism":
-        """self after other."""
-        if other.target is not self.source and other.target.dim != self.source.dim:
-            raise InputError("morphisms not composable")
-        return Morphism(other.source, self.target, self.map @ other.map)
-
     def is_iso(self) -> bool:
         return self.source.dim == self.target.dim and self.map.is_invertible()
 
     @staticmethod
     def identity(m: ModuleRep) -> "Morphism":
         return Morphism(m, m, m.algebra.field.identity(m.dim))
-
-    @staticmethod
-    def zero(source: ModuleRep, target: ModuleRep) -> "Morphism":
-        return Morphism(source, target, source.algebra.field.zeros(target.dim, source.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +305,6 @@ class HomSpace:
         return PrimeMatrix(self.matrix.field, vec.reshape(self.target.dim, self.source.dim))
 
 
-def hom_space_full(m: ModuleRep, n: ModuleRep) -> HomSpace:
-    return HomSpace(m, n)
-
-
-def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
-    return HomSpace(m, n).morphisms()
-
-
 # ---------------------------------------------------------------------------
 # kernels, images, cokernels, duality
 
@@ -416,9 +397,8 @@ class StandardModules:
 
 
 def standard_modules(a: Algebra) -> StandardModules:
-    cached = getattr(a, "_std_cache", None)
-    if cached is not None:
-        return cached
+    if "standard_modules" in a.memo:
+        return a.memo["standard_modules"]
     reg = regular_module(a)
     projectives, proj_bases, simples = [], [], []
     for e in a.idempotents:
@@ -438,7 +418,7 @@ def standard_modules(a: Algebra) -> StandardModules:
     injectives = [dualize(pi_op) for pi_op in op_std_proj]
     coregular = dualize(reg_op)
     std = StandardModules(reg, coregular, projectives, proj_bases, simples, injectives)
-    a._std_cache = std
+    a.memo["standard_modules"] = std
     return std
 
 
@@ -530,27 +510,34 @@ def _endo_radical_dim(hs: HomSpace) -> tuple[int, PrimeMatrix]:
     return rad.cols, rad
 
 
-def summand_test(p_mod: ModuleRep, m: ModuleRep) -> bool:
-    """True iff p (with local endomorphism algebra) splits off m.
+def _require_local_end(m: ModuleRep, what: str) -> None:
+    """Raise InputError, prefixed by ``what``, unless End(m) is local: its
+    radical has codimension one.  Needs p > dim End(m)."""
+    end = HomSpace(m, m)
+    rad_dim, _ = _endo_radical_dim(end)
+    if rad_dim != end.dim - 1:
+        raise InputError(f"{what}: dim End = {end.dim}, dim rad End = {rad_dim}")
 
-    Tests whether some composite p -> m -> p of hom-basis elements is
-    invertible; the span of those composites is a two-sided ideal of the
-    local algebra End(p), so it either meets the units or lies in the
-    radical.
-    """
+
+def summand_test(p_mod: ModuleRep, m: ModuleRep) -> bool:
+    """True iff p (with local endomorphism algebra) splits off m."""
     if p_mod.dim == 0:
         raise InputError("summand test needs a nonzero module with local endomorphisms")
-    end_p = hom_space_full(p_mod, p_mod)
-    rad_dim, _ = _endo_radical_dim(end_p)
-    if rad_dim != end_p.dim - 1:
-        raise InputError(
-            "endomorphism algebra is not local (decompose the module first): "
-            f"dim End = {end_p.dim}, dim rad End = {rad_dim}"
-        )
+    _require_local_end(p_mod, "endomorphism algebra is not local (decompose the module first)")
+    return _splits_off(p_mod, m)
+
+
+def _splits_off(p_mod: ModuleRep, m: ModuleRep) -> bool:
+    """Whether some composite p -> m -> p of hom-basis elements is invertible.
+
+    For p with local End(p) the span of those composites is a two-sided
+    ideal of End(p), so it either meets the units or lies in the radical:
+    the test is exact, and true iff p is a direct summand of m.
+    """
     if m.dim == 0:
         return False
-    to_m = hom_space_full(p_mod, m)
-    from_m = hom_space_full(m, p_mod)
+    to_m = HomSpace(p_mod, m)
+    from_m = HomSpace(m, p_mod)
     for i in range(from_m.dim):
         g = from_m.basis_map(i)
         for j in range(to_m.dim):
@@ -586,8 +573,8 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 24) -
         return IsoVerdict(False, True, 0, seed, "0")
     if m.dim == 0:
         return IsoVerdict(True, True, 0, seed, "0")
-    h_mn = hom_space_full(m, n)
-    h_nm = hom_space_full(n, m)
+    h_mn = HomSpace(m, n)
+    h_nm = HomSpace(n, m)
     if h_mn.dim != h_nm.dim or h_mn.dim == 0:
         return IsoVerdict(False, True, 0, seed, "0")
     rng = random.Random(seed)
@@ -598,7 +585,7 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 24) -
             return IsoVerdict(True, True, t, seed, "0")
     # isomorphic modules have Hom(m, n) of the same dimension as End(m),
     # so a mismatch upgrades the negative to a certificate
-    if h_mn.dim != hom_space_full(m, m).dim:
+    if h_mn.dim != HomSpace(m, m).dim:
         return IsoVerdict(False, True, trials, seed, "0")
     return IsoVerdict(False, False, trials, seed, f"({m.dim}/{p})^{trials}")
 

@@ -15,6 +15,7 @@ asserted by criterion 3b.
 
 import itertools
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ from quivalg.homology import (
 )
 from quivalg.linalg import PrimeMatrix, nullspace, rref
 from quivalg.modules import (
+    HomSpace,
     dualize,
-    hom_space_full,
     standard_modules,
 )
 
@@ -352,11 +353,11 @@ def test_criterion_9_property_suites(loaded_corpus):
         mods = corpus_modules(a, max_dim=6)
         for m in mods:
             for i, p in enumerate(std.projectives):
-                lhs = hom_space_full(p, m).dim
+                lhs = HomSpace(p, m).dim
                 rhs = PrimeMatrix(a.field, m.act(a.idempotents[i])).rank()
                 ok = ok and lhs == rhs
         for m, n in itertools.product(mods[:4], mods[:4]):
-            ok = ok and hom_space_full(m, n).dim == hom_space_full(dualize(n), dualize(m)).dim
+            ok = ok and HomSpace(m, n).dim == HomSpace(dualize(n), dualize(m)).dim
         for m in corpus_modules(a, max_dim=4):
             res = minimal_resolution(m, "projective", 3)
             for j, s in enumerate(std.simples):
@@ -371,6 +372,13 @@ def test_criterion_9_property_suites(loaded_corpus):
     criterion(9, "property suites over the whole corpus", ok, ",".join(checked))
 
 
+GOLDEN_CORPUS_RUN = Path(__file__).parent / "data" / "corpus_run_machine.txt"
+
+
+def _without_engine_line(text):
+    return [line for line in text.splitlines() if not line.startswith("engine = ")]
+
+
 def test_criterion_10_determinism(capsys, tmp_path):
     def corpus_run(extra=()):
         code = cli_main(["corpus", "run", "--machine", *extra])
@@ -382,6 +390,10 @@ def test_criterion_10_determinism(capsys, tmp_path):
     cat = str(tmp_path / "cat")
     _, third = corpus_run(("--catalog", cat))
     ok = first == second == third
+    # the recorded output of an earlier engine; a refactor must reproduce it
+    # (the engine version line may change with the engine)
+    golden = GOLDEN_CORPUS_RUN.read_text(encoding="utf-8")
+    ok = ok and _without_engine_line(first) == _without_engine_line(golden)
     # cached single commands reproduce the RESULTS block byte for byte
     cli_main(["domdim", "aus", "--machine"])
     plain = capsys.readouterr().out
@@ -390,4 +402,4 @@ def test_criterion_10_determinism(capsys, tmp_path):
     cli_main(["domdim", "aus", "--machine", "--catalog", cat])
     hit = capsys.readouterr().out
     ok = ok and plain == miss == hit
-    criterion(10, "byte-identical corpus runs; cache changes no byte", ok)
+    criterion(10, "byte-identical corpus runs, equal to the recorded run; cache changes no byte", ok)

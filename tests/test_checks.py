@@ -38,12 +38,12 @@ def test_bar_oracle_k2_simple(K2):
 
 
 def test_bar_oracle_degree_zero_is_hom(KA2):
-    from quivalg.modules import hom_space_full
+    from quivalg.modules import HomSpace
 
     std = standard_modules(KA2)
     for m in std.projectives + std.simples:
         t = bar_ext_oracle(m, std.regular, 0)
-        assert t.dims[0] == hom_space_full(m, std.regular).dim
+        assert t.dims[0] == HomSpace(m, std.regular).dim
 
 
 def test_bar_oracle_free_module(K2):

@@ -21,15 +21,17 @@ from quivalg.homology import (
     self_orthogonal,
 )
 from quivalg.modules import (
+    HomSpace,
     direct_sum,
     zero_module,
     dualize,
-    hom_space_full,
     is_isomorphic,
     rad_module,
     standard_modules,
     top_multiplicities,
 )
+
+from conftest import quiver
 
 
 def small_corpus_modules(alg, max_dim=6):
@@ -123,7 +125,7 @@ def test_ext_zero_degree_is_hom(corpus_algebras):
     for a in corpus_algebras.values():
         mods = small_corpus_modules(a, max_dim=4)
         for m, n in itertools.product(mods[:4], mods[:4]):
-            assert ext_dims(m, n, 0).dims[0] == hom_space_full(m, n).dim
+            assert ext_dims(m, n, 0).dims[0] == HomSpace(m, n).dim
 
 
 def test_ext_opposite_duality(corpus_algebras):
@@ -332,3 +334,42 @@ def test_minimal_gen_cogen(corpus_algebras):
         for i in range(len(dm.summands)):
             for j in range(i + 1, len(dm.summands)):
                 assert not is_isomorphic(dm.summands[i], dm.summands[j]).isomorphic
+
+
+def test_summand_verdicts_are_exact(monkeypatch, corpus_algebras):
+    # minimal_gen_cogen and the basic check of endomorphism_algebra decide
+    # isomorphism of summands exactly, without the randomized search
+    import quivalg.homology
+    import quivalg.modules
+
+    def no_randomized_test(*args, **kwargs):
+        raise AssertionError("randomized isomorphism test used")
+
+    monkeypatch.setattr(quivalg.modules, "is_isomorphic", no_randomized_test)
+    monkeypatch.setattr(quivalg.homology, "is_isomorphic", no_randomized_test)
+    # (number of summands, dim End) of the minimal generator-cogenerator
+    want = {
+        "k": (1, 1),
+        "k2": (1, 2),
+        "k3": (1, 3),
+        "k4": (1, 4),
+        "ka2": (3, 5),
+        "ka3": (5, 12),
+        "aus": (3, 10),
+        "k2xk2": (1, 4),
+        "ka2xk2": (3, 10),
+    }
+    algebras = dict(corpus_algebras)
+    # the path algebras A_n: 2n-1 summands, dim End = n(3n-1)/2
+    for n in (3, 4):
+        verts = [str(i) for i in range(1, n + 1)]
+        arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+        algebras[f"A{n}"] = quiver(verts, arrows, (), n - 1)
+        want[f"A{n}"] = (2 * n - 1, n * (3 * n - 1) // 2)
+    for name, a in algebras.items():
+        dm = minimal_gen_cogen(a)
+        got = (len(dm.summands), endomorphism_algebra(dm).algebra.dim)
+        assert got == want[name], name
+    std = standard_modules(corpus_algebras["k2"])
+    with pytest.raises(InputError, match="not basic"):
+        endomorphism_algebra(DecomposedModule.from_summands([std.regular, std.regular]))

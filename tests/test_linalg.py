@@ -102,6 +102,7 @@ def test_rank_nullity():
         rows, cols = rng.integers(1, 9, size=2)
         m = PrimeMatrix(F5, rng.integers(0, 5, size=(rows, cols)))
         _, rank, _ = rref(m)
+        assert m.rank() == rank
         assert rank + nullspace(m).cols == cols
         ns = nullspace(m)
         if ns.cols:

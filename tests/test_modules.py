@@ -6,12 +6,11 @@ import pytest
 from quivalg.errors import InputError
 from quivalg.linalg import PrimeMatrix
 from quivalg.modules import (
+    HomSpace,
     Morphism,
     cokernel,
     direct_sum,
     dualize,
-    hom_space,
-    hom_space_full,
     image,
     is_isomorphic,
     kernel,
@@ -75,20 +74,20 @@ def test_module_actions_validate(corpus_algebras):
 def test_hom_dims_k2(K2):
     std = standard_modules(K2)
     A, S = std.regular, std.simples[0]
-    assert len(hom_space(A, S)) == 1
-    assert len(hom_space(S, A)) == 1
-    assert len(hom_space(A, A)) == 2
+    assert len(HomSpace(A, S).morphisms()) == 1
+    assert len(HomSpace(S, A).morphisms()) == 1
+    assert len(HomSpace(A, A).morphisms()) == 2
 
 
 def test_hom_dims_ka2(KA2):
     std = standard_modules(KA2)
-    assert len(hom_space(std.projectives[0], std.simples[0])) == 1
+    assert len(HomSpace(std.projectives[0], std.simples[0]).morphisms()) == 1
 
 
 def test_hom_morphisms_intertwine(corpus_algebras):
     for a in corpus_algebras.values():
         std = standard_modules(a)
-        for f in hom_space(std.regular, std.coregular):
+        for f in HomSpace(std.regular, std.coregular).morphisms():
             f.check()
 
 
@@ -98,14 +97,14 @@ def test_yoneda_identity(corpus_algebras):
         std = standard_modules(a)
         for m in small_corpus_modules(a):
             for i, p in enumerate(std.projectives):
-                lhs = hom_space_full(p, m).dim
+                lhs = HomSpace(p, m).dim
                 rhs = PrimeMatrix(a.field, m.act(a.idempotents[i])).rank()
                 assert lhs == rhs, (name, i)
 
 
 def test_hom_mismatched_algebras(K2, KA2):
     with pytest.raises(InputError):
-        hom_space(standard_modules(K2).regular, standard_modules(KA2).regular)
+        HomSpace(standard_modules(K2).regular, standard_modules(KA2).regular).morphisms()
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def test_cokernel_of_zero_map(K2):
 
 def test_kernel_p1_to_s1_is_s2(KA2):
     std = standard_modules(KA2)
-    f = hom_space(std.projectives[0], std.simples[0])[0]
+    f = HomSpace(std.projectives[0], std.simples[0]).morphisms()[0]
     ker, inc = kernel(f)
     inc.check()
     assert ker.dim == 1
@@ -137,7 +136,7 @@ def test_kernel_p1_to_s1_is_s2(KA2):
 
 def test_image_composition(KA2):
     std = standard_modules(KA2)
-    f = hom_space(std.projectives[0], std.regular)[0]
+    f = HomSpace(std.projectives[0], std.regular).morphisms()[0]
     img, inc = image(f)
     inc.check()
     assert img.dim == PrimeMatrix(FIELD, f.map.a).rank()
@@ -167,8 +166,8 @@ def test_duality_dim_symmetry(corpus_algebras):
     for name, a in corpus_algebras.items():
         mods = small_corpus_modules(a, max_dim=6)
         for m, n in itertools.product(mods[:4], mods[:4]):
-            lhs = hom_space_full(m, n).dim
-            rhs = hom_space_full(dualize(n), dualize(m)).dim
+            lhs = HomSpace(m, n).dim
+            rhs = HomSpace(dualize(n), dualize(m)).dim
             assert lhs == rhs, name
 
 
@@ -192,7 +191,7 @@ def test_tensor_dual_with_simple(K2):
     d_right = dualize(std.regular)
     res = tensor_over_algebra(d_right, std.simples[0])
     # dimension matches the dual-hom route
-    assert res.dim == hom_space_full(std.simples[0], std.regular).dim
+    assert res.dim == HomSpace(std.simples[0], std.regular).dim
 
 
 def test_tensor_with_zero(K2):
@@ -301,8 +300,8 @@ def test_summand_nonlocal_rejected(K2):
 def brute_force_summand(p_mod, m, grid=range(7)):
     """Search for f: p -> m, g: m -> p with g o f invertible, over a small
     coefficient grid in the hom bases."""
-    hf = hom_space_full(p_mod, m)
-    hg = hom_space_full(m, p_mod)
+    hf = HomSpace(p_mod, m)
+    hg = HomSpace(m, p_mod)
     if hf.dim == 0 or hg.dim == 0:
         return False
     for cf in itertools.product(grid, repeat=hf.dim):

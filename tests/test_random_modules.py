@@ -13,10 +13,10 @@ from quivalg.checks import bar_ext_oracle
 from quivalg.homology import ext_dims, nakayama
 from quivalg.linalg import PrimeMatrix
 from quivalg.modules import (
+    HomSpace,
     cokernel,
     direct_sum,
     dualize,
-    hom_space_full,
     image,
     kernel,
     standard_modules,
@@ -32,7 +32,7 @@ def random_modules(alg, rng, count=6, max_dim=8):
         guard += 1
         src, _, _ = direct_sum([pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 2))])
         tgt, _, _ = direct_sum([pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 2))])
-        h = hom_space_full(src, tgt)
+        h = HomSpace(src, tgt)
         if h.dim == 0:
             continue
         coeffs = np.array([rng.randrange(alg.field.p) for _ in range(h.dim)], dtype=np.int64)
@@ -55,13 +55,13 @@ def test_random_module_properties(corpus_algebras):
             m.check()
             # Yoneda identity on a random module
             for i, p in enumerate(std.projectives):
-                assert hom_space_full(p, m).dim == PrimeMatrix(
+                assert HomSpace(p, m).dim == PrimeMatrix(
                     alg.field, m.act(alg.idempotents[i])
                 ).rank(), name
             # duality dimension symmetry against the regular module
             assert (
-                hom_space_full(m, std.regular).dim
-                == hom_space_full(dualize(std.regular), dualize(m)).dim
+                HomSpace(m, std.regular).dim
+                == HomSpace(dualize(std.regular), dualize(m)).dim
             ), name
             # the two Nakayama routes agree
             assert nakayama(m).consistency.isomorphic, name
