@@ -387,7 +387,10 @@ def _build_quiver_module(alg: Algebra, doc: AlgebraDoc, mod: ModuleDoc) -> Modul
 
 def build_doc(doc: AlgebraDoc, field_override: Optional[int] = None) -> LoadedAlgebra:
     p = field_override if field_override is not None else doc.p
-    field = PrimeField(p)
+    try:
+        field = PrimeField(p)
+    except ValueError as e:
+        raise InputError(str(e)) from None
     if doc.mode == "quiver":
         pres = QuiverPresentation(
             tuple(doc.vertices),

@@ -6,19 +6,29 @@ per line, terminated by END) followed by a human summary, suppressed by
 seed; the modulus and seed always appear in the block so randomized
 sub-verdicts are auditable.  Exit codes: 0 computed/pass, 1 check failed,
 2 input error, 3 budget or unsupported field.
+
+Each subcommand is one row of ``COMMANDS``, which declares its arguments.
+The nine algebra commands share one run path, ``_run``: load every algebra
+argument, compute the command's own rows (or read them from the invariant
+cache, keyed by every declared argument, algebras by content hash), prefix
+the common header and emit, with a human summary filled from the RESULTS
+block.  ``tensor``, ``corpus`` and ``cache`` print their own output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from . import catalog, corpus
 from .algebra import tensor_product
 from .checks import (
     DEFAULT_BUDGET,
+    CheckReport,
     bar_ext_oracle,
     diamond,
     kunneth_check,
@@ -30,31 +40,32 @@ from .checks import (
 )
 from .errors import BudgetError, InputError, UnsupportedFieldError
 from .homology import (
+    DecomposedModule,
     dominant_dimension,
     endomorphism_algebra,
     ext_dims,
     gen_cogen,
+    is_injective,
     min_add_approximation,
     nakayama,
     self_orthogonal,
 )
+from .modules import standard_modules
 
-CHECK_IDS = [
-    "muller",
-    "wg-lemma",
-    "remark32",
-    "kunneth",
-    "diamond",
-    "nc-scan",
-    "thick-shadow",
-    "bar-oracle",
-]
+Rows = list[tuple[str, str]]
+
+# arguments that name an algebra: loaded once by ``_run`` and keyed by content
+ALGEBRA_ARGS = ("algebra", "algebra2")
 
 
 def _load_algebra(arg: str, field_override: Optional[int]) -> catalog.LoadedAlgebra:
     if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return catalog.load(fh.read(), field_override)
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"cannot read {arg!r}: {e}") from None
+        return catalog.load(text, field_override)
     stem = arg[:-4] if arg.endswith(".alg") else arg
     names = [e.name for e in corpus.ENTRIES]
     if stem in names:
@@ -62,7 +73,7 @@ def _load_algebra(arg: str, field_override: Optional[int]) -> catalog.LoadedAlge
     raise InputError(f"no such file or corpus entry: {arg!r} (corpus: {', '.join(names)})")
 
 
-def _emit(results: list[tuple[str, str]], human: list[str], machine: bool) -> None:
+def _emit(results: Rows, human: list[str], machine: bool) -> None:
     print("RESULTS")
     for k, v in results:
         print(f"{k} = {v}")
@@ -72,197 +83,155 @@ def _emit(results: list[tuple[str, str]], human: list[str], machine: bool) -> No
             print(line)
 
 
-def _header(args, command: str, loaded: Optional[catalog.LoadedAlgebra]) -> list[tuple[str, str]]:
-    items = [
+def _header(args, command: str, loaded: catalog.LoadedAlgebra) -> Rows:
+    return [
         ("command", command),
         ("engine", catalog.ENGINE_VERSION),
-        ("field", str(loaded.algebra.field.p if loaded else args.field or catalog.DEFAULT_FIELD)),
+        ("field", str(loaded.algebra.field.p)),
         ("seed", str(args.seed)),
         ("cutoff", str(args.cutoff)),
+        ("input_hash", loaded.input_hash),
     ]
-    if loaded is not None:
-        items.append(("input_hash", loaded.input_hash))
-    return items
 
 
-def _with_cache(args, key_name: str, loaded, extra: dict, compute):
-    """Run ``compute`` through the invariant cache when a catalog is set."""
-    use = args.catalog and not args.no_cache
-    if use:
-        key = catalog.record_key(
-            key_name,
-            loaded.input_hash if loaded else "none",
-            args.cutoff,
-            loaded.algebra.field.p if loaded else (args.field or catalog.DEFAULT_FIELD),
-            args.seed,
-            extra,
-        )
-        hit = catalog.cache_get(args.catalog, key)
-        if hit is not None:
-            return [(k, v) for k, v in hit["results"]], hit["exit"]
-    results, code = compute()
-    if use:
-        catalog.cache_put(args.catalog, key, {"results": results, "exit": code})
-    return results, code
+def _module(args, dest: str = "module") -> DecomposedModule:
+    """The module expression in argument ``dest``, over ``args.algebra``."""
+    expr = getattr(args, dest)
+    if expr is None:
+        raise InputError(f"{args.check} needs --{dest}")
+    return catalog.resolve_expression(args.algebra, expr)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# algebra commands: each returns its own RESULTS rows and exit code;
+# ``args.algebra`` (and ``args.algebra2``) are LoadedAlgebra objects here
 
 
-def cmd_inspect(args) -> int:
-    from .homology import is_injective
-    from .modules import standard_modules
-
-    loaded = _load_algebra(args.algebra, args.field)
-    a = loaded.algebra
-    named = catalog.named_modules(loaded)
+def _inspect(args) -> tuple[Rows, int]:
+    a = args.algebra.algebra
+    named = catalog.named_modules(args.algebra)
     self_inj = all(is_injective(p) for p in standard_modules(a).projectives)
-    results = _header(args, "inspect", loaded)
-    results += [
+    return [
         ("dim", str(a.dim)),
         ("idempotents", str(len(a.idempotents))),
         ("radical_dim", str(a.radical().cols)),
         ("self_injective", str(self_inj).lower()),
         ("labels", ",".join(a.labels)),
         ("modules", ",".join(f"{k}:{sum(x.dim for x in v)}" for k, v in sorted(named.items()))),
-    ]
-    _emit(results, [f"algebra of dimension {a.dim} with {len(a.idempotents)} idempotents"], args.machine)
-    return 0
+    ], 0
 
 
-def cmd_domdim(args) -> int:
-    loaded = _load_algebra(args.algebra, args.field)
-
-    def compute():
-        ev = dominant_dimension(loaded.algebra, args.cutoff)
-        res = _header(args, "domdim", loaded) + [("value", str(ev))]
-        return res, 0
-
-    results, code = _with_cache(args, "domdim", loaded, {}, compute)
-    _emit(results, [f"dominant dimension evidence: {dict(results)['value']}"], args.machine)
-    return code
+def _domdim(args) -> tuple[Rows, int]:
+    return [("value", str(dominant_dimension(args.algebra.algebra, args.cutoff)))], 0
 
 
-def cmd_ext(args) -> int:
-    loaded = _load_algebra(args.algebra, args.field)
+def _ext(args) -> tuple[Rows, int]:
+    table = ext_dims(_module(args).module, _module(args, "module2").module, args.cutoff)
+    return [
+        ("source", args.module),
+        ("target", args.module2),
+        ("dims", ",".join(str(x) for x in table.dims)),
+    ], 0
 
-    def compute():
-        m = catalog.resolve_expression(loaded, args.module).module
-        n = catalog.resolve_expression(loaded, args.module2).module
-        table = ext_dims(m, n, args.cutoff)
-        res = _header(args, "ext", loaded) + [
-            ("source", args.module),
-            ("target", args.module2),
-            ("dims", ",".join(str(x) for x in table.dims)),
-        ]
-        return res, 0
 
-    results, code = _with_cache(
-        args, "ext", loaded, {"m": args.module, "n": args.module2}, compute
+def _selforth(args) -> tuple[Rows, int]:
+    rep = self_orthogonal(_module(args).module, args.cutoff)
+    first = rep.first_nonzero_degree
+    return [
+        ("module", args.module),
+        ("self_orthogonal", str(rep.self_orthogonal).lower()),
+        ("first_nonzero_degree", "none" if first is None else str(first)),
+        ("dims", ",".join(str(x) for x in rep.table.dims)),
+    ], 0
+
+
+def _gencogen(args) -> tuple[Rows, int]:
+    flag = gen_cogen(_module(args).module)
+    return [("module", args.module), ("generator_cogenerator", str(flag).lower())], 0
+
+
+def _nakayama(args) -> tuple[Rows, int]:
+    m = _module(args).module
+    nk = nakayama(m, seed=args.seed, trials=args.trials)
+    return [
+        ("module", args.module),
+        ("module_dim", str(m.dim)),
+        ("nakayama_dim", str(nk.module.dim)),
+        ("routes_agree", str(nk.consistency.isomorphic).lower()),
+        ("iso_trials", str(nk.consistency.trials)),
+    ], 0
+
+
+def _endo(args) -> tuple[Rows, int]:
+    endo = endomorphism_algebra(_module(args)).algebra
+    return [
+        ("module", args.module),
+        ("endo_dim", str(endo.dim)),
+        ("endo_idempotents", str(len(endo.idempotents))),
+        ("endo_radical_dim", str(endo.radical().cols)),
+    ], 0
+
+
+def _approx(args) -> tuple[Rows, int]:
+    ap = min_add_approximation(_module(args).module, _module(args, "target").module)
+    return [
+        ("module", args.module),
+        ("target", args.target),
+        ("copies", str(ap.copies)),
+        ("source_dim", str(ap.morphism.source.dim)),
+    ], 0
+
+
+def _kunneth(args) -> CheckReport:
+    if args.algebra2 is None:
+        raise InputError("kunneth needs --algebra2")
+    return kunneth_check(args.algebra.algebra, args.algebra2.algebra, args.cutoff, budget=args.budget_dim)
+
+
+def _thick_shadow(args) -> CheckReport:
+    named = catalog.named_modules(args.algebra)
+    mods = []
+    for nm in (x.strip() for x in (args.modules or "regular").split(",")):
+        if nm not in named:
+            raise InputError(f"unknown module name {nm!r}")
+        mods.append((nm, catalog.resolve_expression(args.algebra, nm).module))
+    return thick_shadow_check(args.algebra.algebra, mods, args.cutoff)
+
+
+def _bar_oracle(args) -> CheckReport:
+    m = _module(args).module
+    n = catalog.resolve_expression(args.algebra, args.module2 or args.module).module
+    oracle = bar_ext_oracle(m, n, args.cutoff, budget=args.budget_dim)
+    minimal = ext_dims(m, n, args.cutoff)
+    return CheckReport(
+        "bar-oracle",
+        "pass" if oracle.dims == minimal.dims else "fail",
+        {"algebra": args.algebra.input_hash[:16]},
+        args.cutoff,
+        {"oracle_dims": oracle.dims, "minimal_dims": minimal.dims},
     )
-    _emit(results, [f"Ext dimensions 0..{args.cutoff}: {dict(results)['dims']}"], args.machine)
-    return code
 
 
-def cmd_selforth(args) -> int:
-    loaded = _load_algebra(args.algebra, args.field)
-
-    def compute():
-        m = catalog.resolve_expression(loaded, args.module).module
-        rep = self_orthogonal(m, args.cutoff)
-        res = _header(args, "selforth", loaded) + [
-            ("module", args.module),
-            ("self_orthogonal", str(rep.self_orthogonal).lower()),
-            ("first_nonzero_degree", "none" if rep.first_nonzero_degree is None else str(rep.first_nonzero_degree)),
-            ("dims", ",".join(str(x) for x in rep.table.dims)),
-        ]
-        return res, 0
-
-    results, code = _with_cache(args, "selforth", loaded, {"m": args.module}, compute)
-    d = dict(results)
-    _emit(results, [f"self-orthogonal: {d['self_orthogonal']} (first nonzero degree {d['first_nonzero_degree']})"], args.machine)
-    return code
+# verify check id -> runner
+CHECKS: dict[str, Callable[[argparse.Namespace], CheckReport]] = {
+    "muller": lambda args: muller_check(args.algebra.algebra, _module(args), args.cutoff),
+    "wg-lemma": lambda args: wg_lemma_check(args.algebra.algebra, _module(args), args.cutoff, seed=args.seed),
+    "remark32": lambda args: remark32_check(args.algebra.algebra, args.cutoff, budget=args.budget_dim),
+    "kunneth": _kunneth,
+    "diamond": lambda args: diamond(args.algebra.algebra, args.cutoff),
+    "nc-scan": lambda args: nc_evidence_scan(args.algebra.algebra, args.cutoff),
+    "thick-shadow": _thick_shadow,
+    "bar-oracle": _bar_oracle,
+}
 
 
-def cmd_gencogen(args) -> int:
-    loaded = _load_algebra(args.algebra, args.field)
-
-    def compute():
-        m = catalog.resolve_expression(loaded, args.module).module
-        flag = gen_cogen(m)
-        res = _header(args, "gencogen", loaded) + [
-            ("module", args.module),
-            ("generator_cogenerator", str(flag).lower()),
-        ]
-        return res, 0
-
-    results, code = _with_cache(args, "gencogen", loaded, {"m": args.module}, compute)
-    _emit(results, [f"generator-cogenerator: {dict(results)['generator_cogenerator']}"], args.machine)
-    return code
+def _verify(args) -> tuple[Rows, int]:
+    report = CHECKS[args.check](args)
+    return report.results_items(), (1 if report.verdict == "fail" else 0)
 
 
-def cmd_nakayama(args) -> int:
-    loaded = _load_algebra(args.algebra, args.field)
-
-    def compute():
-        m = catalog.resolve_expression(loaded, args.module).module
-        nk = nakayama(m, seed=args.seed, trials=args.trials)
-        res = _header(args, "nakayama", loaded) + [
-            ("module", args.module),
-            ("module_dim", str(m.dim)),
-            ("nakayama_dim", str(nk.module.dim)),
-            ("routes_agree", str(nk.consistency.isomorphic).lower()),
-            ("iso_trials", str(nk.consistency.trials)),
-        ]
-        return res, 0
-
-    results, code = _with_cache(args, "nakayama", loaded, {"m": args.module, "trials": str(args.trials)}, compute)
-    d = dict(results)
-    _emit(results, [f"Nakayama image dimension {d['nakayama_dim']} (routes agree: {d['routes_agree']})"], args.machine)
-    return code
-
-
-def cmd_endo(args) -> int:
-    loaded = _load_algebra(args.algebra, args.field)
-
-    def compute():
-        dm = catalog.resolve_expression(loaded, args.module)
-        endo = endomorphism_algebra(dm)
-        res = _header(args, "endo", loaded) + [
-            ("module", args.module),
-            ("endo_dim", str(endo.algebra.dim)),
-            ("endo_idempotents", str(len(endo.algebra.idempotents))),
-            ("endo_radical_dim", str(endo.algebra.radical().cols)),
-        ]
-        return res, 0
-
-    results, code = _with_cache(args, "endo", loaded, {"m": args.module}, compute)
-    d = dict(results)
-    _emit(results, [f"endomorphism algebra: dim {d['endo_dim']}, {d['endo_idempotents']} idempotents"], args.machine)
-    return code
-
-
-def cmd_approx(args) -> int:
-    loaded = _load_algebra(args.algebra, args.field)
-
-    def compute():
-        m = catalog.resolve_expression(loaded, args.module).module
-        x = catalog.resolve_expression(loaded, args.target).module
-        ap = min_add_approximation(m, x)
-        res = _header(args, "approx", loaded) + [
-            ("module", args.module),
-            ("target", args.target),
-            ("copies", str(ap.copies)),
-            ("source_dim", str(ap.morphism.source.dim)),
-        ]
-        return res, 0
-
-    results, code = _with_cache(
-        args, "approx", loaded, {"m": args.module, "x": args.target}, compute
-    )
-    _emit(results, [f"minimal right approximation uses {dict(results)['copies']} copies"], args.machine)
-    return code
+# ---------------------------------------------------------------------------
+# commands with their own bodies
 
 
 def cmd_tensor(args) -> int:
@@ -270,7 +239,6 @@ def cmd_tensor(args) -> int:
     lb = _load_algebra(args.algebra2, args.field)
     t = tensor_product(la.algebra, lb.algebra)
     doc = catalog.doc_from_algebra(t)
-    text = catalog.serialize(doc)
     results = _header(args, "tensor", la) + [
         ("input_hash_b", lb.input_hash),
         ("dim", str(t.dim)),
@@ -279,81 +247,14 @@ def cmd_tensor(args) -> int:
     ]
     human = [f"tensor product has dimension {t.dim}"]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(catalog.serialize(doc))
+        except OSError as e:
+            raise InputError(f"cannot write {args.out!r}: {e}") from None
         human.append(f"wrote {args.out}")
     _emit(results, human, args.machine)
     return 0
-
-
-def _run_verify(args, loaded: catalog.LoadedAlgebra):
-    check = args.check
-    a = loaded.algebra
-    if check == "muller":
-        dm = catalog.resolve_expression(loaded, args.module)
-        return muller_check(a, dm, args.cutoff)
-    if check == "wg-lemma":
-        dm = catalog.resolve_expression(loaded, args.module)
-        return wg_lemma_check(a, dm, args.cutoff, seed=args.seed)
-    if check == "remark32":
-        return remark32_check(a, args.cutoff, budget=args.budget_dim)
-    if check == "kunneth":
-        if not args.algebra2:
-            raise InputError("kunneth needs --algebra2")
-        lb = _load_algebra(args.algebra2, args.field)
-        return kunneth_check(a, lb.algebra, args.cutoff, budget=args.budget_dim)
-    if check == "diamond":
-        return diamond(a, args.cutoff)
-    if check == "nc-scan":
-        return nc_evidence_scan(a, args.cutoff)
-    if check == "thick-shadow":
-        names = [x.strip() for x in (args.modules or "regular").split(",")]
-        named = catalog.named_modules(loaded)
-        mods = []
-        for nm in names:
-            if nm not in named:
-                raise InputError(f"unknown module name {nm!r}")
-            mods.append((nm, catalog.resolve_expression(loaded, nm).module))
-        return thick_shadow_check(a, mods, args.cutoff)
-    if check == "bar-oracle":
-        m = catalog.resolve_expression(loaded, args.module).module
-        n = catalog.resolve_expression(loaded, args.module2 or args.module).module
-        oracle = bar_ext_oracle(m, n, args.cutoff, budget=args.budget_dim)
-        minimal = ext_dims(m, n, args.cutoff)
-        from .checks import CheckReport
-
-        agree = oracle.dims == minimal.dims
-        return CheckReport(
-            "bar-oracle",
-            "pass" if agree else "fail",
-            {"algebra": loaded.input_hash[:16]},
-            args.cutoff,
-            {"oracle_dims": oracle.dims, "minimal_dims": minimal.dims},
-        )
-    raise InputError(f"unknown check id {check!r} (know: {', '.join(CHECK_IDS)})")
-
-
-def cmd_verify(args) -> int:
-    loaded = _load_algebra(args.algebra, args.field)
-
-    def compute():
-        report = _run_verify(args, loaded)
-        res = _header(args, f"verify {args.check}", loaded)
-        res += report.results_items()
-        return res, (1 if report.verdict == "fail" else 0)
-
-    extra = {
-        "check": args.check,
-        "m": args.module or "",
-        "n": args.module2 or "",
-        "mods": args.modules or "",
-        "b": args.algebra2 or "",
-        "budget": str(args.budget_dim),
-    }
-    results, code = _with_cache(args, "verify", loaded, extra, compute)
-    d = dict(results)
-    _emit(results, [f"check {args.check}: {d['verdict']}"], args.machine)
-    return code
 
 
 def cmd_corpus(args) -> int:
@@ -425,106 +326,155 @@ def cmd_cache(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# the command table
 
 
-def _add_common(sp):
-    sp.add_argument("--cutoff", type=int, default=6, help="degree cutoff (default 6)")
-    sp.add_argument("--field", type=int, default=None, help="prime modulus override")
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized isomorphism tests")
-    sp.add_argument("--trials", type=int, default=24, help="trial count for randomized isomorphism tests")
-    sp.add_argument("--budget-dim", type=int, default=DEFAULT_BUDGET, help="largest chain dimension")
-    sp.add_argument("--catalog", default=os.environ.get("QUIVALG_CATALOG"), help="cache directory")
-    sp.add_argument("--no-cache", action="store_true", help="bypass the cache")
-    sp.add_argument("--machine", action="store_true", help="suppress the human summary")
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.
+
+    ``arguments`` maps each flag the command reads, besides ``COMMON_OPTIONS``,
+    to its ``add_argument`` keywords.  With a ``summary`` template the command
+    is an algebra command: ``run`` returns its own rows and exit code and
+    ``_run`` does the rest.  Without one, ``run`` is the whole command.
+    """
+
+    help: str
+    arguments: dict[str, dict]
+    run: Callable[[argparse.Namespace], object]
+    summary: Optional[str] = None
+    cached: bool = True
+    title: str = "{cmd}"  # the header's command value, filled from the arguments
 
 
+COMMON_OPTIONS = {
+    "--cutoff": {"type": int, "default": 6, "help": "degree cutoff (default 6)"},
+    "--field": {"type": int, "help": "prime modulus override"},
+    "--seed": {"type": int, "default": 0, "help": "seed for randomized isomorphism tests"},
+    "--catalog": {"help": "cache directory (default $QUIVALG_CATALOG)"},
+    "--no-cache": {"action": "store_true", "help": "bypass the cache"},
+    "--machine": {"action": "store_true", "help": "suppress the human summary"},
+}
+
+ALGEBRA = {"algebra": {}}
+MODULE = {"algebra": {}, "module": {}}
+
+COMMANDS: dict[str, Command] = {
+    "inspect": Command(
+        "dimensions and named modules of an algebra", ALGEBRA, _inspect,
+        "algebra of dimension {dim} with {idempotents} idempotents", cached=False,
+    ),
+    "domdim": Command(
+        "dominant dimension evidence", ALGEBRA, _domdim, "dominant dimension evidence: {value}"
+    ),
+    "ext": Command(
+        "Ext dimensions between two modules", {**MODULE, "module2": {}}, _ext,
+        "Ext dimensions 0..{cutoff}: {dims}",
+    ),
+    "selforth": Command(
+        "self-orthogonality of a module", MODULE, _selforth,
+        "self-orthogonal: {self_orthogonal} (first nonzero degree {first_nonzero_degree})",
+    ),
+    "gencogen": Command(
+        "generator-cogenerator test", MODULE, _gencogen,
+        "generator-cogenerator: {generator_cogenerator}",
+    ),
+    "nakayama": Command(
+        "Nakayama functor with two-route consistency",
+        {**MODULE, "--trials": {"type": int, "default": 24, "help": "trial count for randomized isomorphism tests"}},
+        _nakayama,
+        "Nakayama image dimension {nakayama_dim} (routes agree: {routes_agree})",
+    ),
+    "endo": Command(
+        "endomorphism algebra of a decomposed module", MODULE, _endo,
+        "endomorphism algebra: dim {endo_dim}, {endo_idempotents} idempotents",
+    ),
+    "approx": Command(
+        "minimal right add(M)-approximation", {**MODULE, "target": {}}, _approx,
+        "minimal right approximation uses {copies} copies",
+    ),
+    "tensor": Command(
+        "tensor product of two algebras",
+        {"algebra": {}, "algebra2": {}, "--out": {"help": "write the serialized algebra here"}},
+        cmd_tensor,
+    ),
+    "verify": Command(
+        "run one named check",
+        {
+            "check": {"choices": list(CHECKS)},
+            "--algebra": {"required": True},
+            "--algebra2": {"help": "second algebra (kunneth)"},
+            "--module": {"help": "module expression, e.g. regular+S"},
+            "--module2": {"help": "second module (bar-oracle)"},
+            "--modules": {"help": "comma list for thick-shadow"},
+            "--budget-dim": {"type": int, "default": DEFAULT_BUDGET, "help": "largest chain dimension"},
+        },
+        _verify,
+        "check {check}: {verdict}",
+        title="verify {check}",
+    ),
+    "corpus": Command(
+        "list or run the built-in corpus",
+        {"action": {"choices": ["list", "run"], "nargs": "?", "default": "list"}},
+        cmd_corpus,
+    ),
+    "cache": Command(
+        "inspect or clear the invariant cache",
+        {"action": {"choices": ["info", "clear"], "nargs": "?", "default": "info"}},
+        cmd_cache,
+    ),
+}
+
+
+def _key_text(value) -> str:
+    """An argument's value in a cache key; an algebra is keyed by its content."""
+    if isinstance(value, catalog.LoadedAlgebra):
+        return value.input_hash
+    return "" if value is None else str(value)
+
+
+def _run(spec: Command, args) -> int:
+    dests = [flag.lstrip("-").replace("-", "_") for flag in spec.arguments]
+    for dest in dests:
+        if dest in ALGEBRA_ARGS and getattr(args, dest) is not None:
+            setattr(args, dest, _load_algebra(getattr(args, dest), args.field))
+    loaded = args.algebra
+    key = hit = None
+    if spec.cached and args.catalog and not args.no_cache:
+        extra = {dest: _key_text(getattr(args, dest)) for dest in dests if dest != "algebra"}
+        p = loaded.algebra.field.p
+        key = catalog.record_key(args.cmd, loaded.input_hash, args.cutoff, p, args.seed, extra)
+        hit = catalog.cache_get(args.catalog, key)
+    if hit is not None:
+        results, code = [(k, v) for k, v in hit["results"]], hit["exit"]
+    else:
+        rows, code = spec.run(args)
+        results = _header(args, spec.title.format_map(vars(args)), loaded) + rows
+        if key is not None:
+            catalog.cache_put(args.catalog, key, {"results": results, "exit": code})
+    _emit(results, [spec.summary.format_map(dict(results))], args.machine)
+    return code
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every row of ``COMMANDS``; built once, on first use."""
     ap = argparse.ArgumentParser(prog="quivalg", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("inspect", help="dimensions and named modules of an algebra")
-    sp.add_argument("algebra")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_inspect)
-
-    sp = sub.add_parser("domdim", help="dominant dimension evidence")
-    sp.add_argument("algebra")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_domdim)
-
-    sp = sub.add_parser("ext", help="Ext dimensions between two modules")
-    sp.add_argument("algebra")
-    sp.add_argument("module")
-    sp.add_argument("module2")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_ext)
-
-    sp = sub.add_parser("selforth", help="self-orthogonality of a module")
-    sp.add_argument("algebra")
-    sp.add_argument("module")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_selforth)
-
-    sp = sub.add_parser("gencogen", help="generator-cogenerator test")
-    sp.add_argument("algebra")
-    sp.add_argument("module")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gencogen)
-
-    sp = sub.add_parser("nakayama", help="Nakayama functor with two-route consistency")
-    sp.add_argument("algebra")
-    sp.add_argument("module")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_nakayama)
-
-    sp = sub.add_parser("endo", help="endomorphism algebra of a decomposed module")
-    sp.add_argument("algebra")
-    sp.add_argument("module")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_endo)
-
-    sp = sub.add_parser("approx", help="minimal right add(M)-approximation")
-    sp.add_argument("algebra")
-    sp.add_argument("module")
-    sp.add_argument("target")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_approx)
-
-    sp = sub.add_parser("tensor", help="tensor product of two algebras")
-    sp.add_argument("algebra")
-    sp.add_argument("algebra2")
-    sp.add_argument("--out", default=None, help="write the serialized algebra here")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_tensor)
-
-    sp = sub.add_parser("verify", help="run one named check")
-    sp.add_argument("check", choices=CHECK_IDS)
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--algebra2", default=None, help="second algebra (kunneth)")
-    sp.add_argument("--module", default=None, help="module expression, e.g. regular+S")
-    sp.add_argument("--module2", default=None, help="second module (bar-oracle)")
-    sp.add_argument("--modules", default=None, help="comma list for thick-shadow")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("corpus", help="list or run the built-in corpus")
-    sp.add_argument("action", choices=["list", "run"], nargs="?", default="list")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_corpus)
-
-    sp = sub.add_parser("cache", help="inspect or clear the invariant cache")
-    sp.add_argument("action", choices=["info", "clear"], nargs="?", default="info")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_cache)
+    for name, spec in COMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help)
+        for flag, keywords in {**spec.arguments, **COMMON_OPTIONS}.items():
+            sp.add_argument(flag, **keywords)
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.catalog is None:
+        args.catalog = os.environ.get("QUIVALG_CATALOG")
+    spec = COMMANDS[args.cmd]
     try:
-        return args.func(args)
+        return _run(spec, args) if spec.summary else spec.run(args)
     except (BudgetError, UnsupportedFieldError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

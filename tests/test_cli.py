@@ -1,3 +1,8 @@
+from pathlib import Path
+
+import pytest
+
+from quivalg import catalog, corpus
 from quivalg.cli import main
 
 
@@ -118,8 +123,6 @@ def test_tensor_writes_doc(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "tensor", "k2", "k2", "--out", str(out_file))
     assert code == 0
     assert results_dict(out)["dim"] == "4"
-    from quivalg import catalog
-
     loaded = catalog.load(out_file.read_text())
     assert loaded.algebra.dim == 4
 
@@ -169,3 +172,153 @@ def test_cache_roundtrip_and_byte_identity(capsys, tmp_path):
 def test_cache_requires_catalog(capsys):
     code, _, err = run_cli(capsys, "cache", "info")
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# byte-for-byte RESULTS oracle
+
+GOLDEN = Path(__file__).parent / "data" / "cli_results.txt"
+
+# Every subcommand, every verify check id and the exit-2 and exit-3 cases.
+# "{tmp}" stands for a per-test temporary directory.  `corpus run --machine`
+# is not listed: its stdout is tests/data/corpus_run_machine.txt, which
+# acceptance criterion 10 compares.
+GOLDEN_COMMANDS = [
+    "corpus list",
+    "corpus run",
+    "inspect aus",
+    "inspect k2",
+    "domdim k2.alg --cutoff 6",
+    "domdim ka2xk2",
+    "ext ka2.alg S1 S2 --cutoff 4",
+    "selforth k2 regular+S --cutoff 6",
+    "gencogen k2 regular+S",
+    "gencogen ka2 regular",
+    "nakayama k2 S",
+    "nakayama k2 S --trials 5",
+    "nakayama ka2 S1",
+    "endo k2 regular+S",
+    "approx k2 regular+S S",
+    "tensor ka2 k2 --out {tmp}/ka2xk2.alg",
+    "tensor k2 k2",
+    "verify muller --algebra k2 --module M=regular+S --cutoff 6",
+    "verify wg-lemma --algebra aus --module gencogen",
+    "verify wg-lemma --algebra k2 --module regular+S",
+    "verify remark32 --algebra ka2xk2",
+    "verify kunneth --algebra k2 --algebra2 ka2",
+    "verify diamond --algebra k2",
+    "verify diamond --algebra ka2",
+    "verify nc-scan --algebra k2",
+    "verify thick-shadow --algebra ka2",
+    "verify thick-shadow --algebra k2 --modules regular,S",
+    "verify bar-oracle --algebra k2 --module S --module2 S --cutoff 3",
+    "cache info --catalog {tmp}/cat",
+    "cache clear --catalog {tmp}/cat",
+    # exit 2
+    "domdim no-such-algebra",
+    "ext k2 S NOPE",
+    "verify kunneth --algebra k2",
+    "verify thick-shadow --algebra k2 --modules regular,NOPE",
+    # exit 3
+    "verify bar-oracle --algebra k4 --module regular --module2 regular --cutoff 6 --budget-dim 50",
+    "inspect k2xk2 --field 2",
+    "endo k2 regular+S --field 2",
+    "cache info",
+]
+
+
+def golden_variants():
+    for cmd in GOLDEN_COMMANDS:
+        yield cmd
+        if cmd != "corpus run":
+            yield cmd + " --machine"
+
+
+def golden_block(capsys, tmp_path, command: str) -> str:
+    """``$ quivalg`` line, exit code and stdout of one command, with the
+    temporary directory written as {tmp} and the engine line dropped."""
+    code, out, _ = run_cli(capsys, *command.replace("{tmp}", str(tmp_path)).split())
+    out = "".join(
+        line for line in out.replace(str(tmp_path), "{tmp}").splitlines(keepends=True)
+        if not line.startswith("engine = ")
+    )
+    return f"$ quivalg {command}\nexit = {code}\n{out}"
+
+
+def golden_blocks() -> dict[str, str]:
+    blocks = {}
+    for chunk in GOLDEN.read_text().split("$ quivalg ")[1:]:
+        blocks[chunk.split("\n", 1)[0]] = "$ quivalg " + chunk
+    return blocks
+
+
+@pytest.mark.parametrize("command", list(golden_variants()))
+def test_results_match_golden(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.delenv("QUIVALG_CATALOG", raising=False)
+    assert golden_block(capsys, tmp_path, command) == golden_blocks()[command]
+    if command.split()[0] in ("cache", "corpus"):
+        return
+    # a cold and a warm cache run print the same bytes
+    cached = f"{command} --catalog {{tmp}}/cat"
+    for _ in range(2):
+        block = golden_block(capsys, tmp_path, cached)
+        assert block.replace(cached, command, 1) == golden_blocks()[command]
+
+
+def test_verify_second_algebra_is_keyed_by_content(capsys, tmp_path):
+    a, b, cat = tmp_path / "a.alg", tmp_path / "b.alg", str(tmp_path / "cat")
+    a.write_text(catalog.serialize(corpus.load_entry("k2").doc))
+    b.write_text(catalog.serialize(corpus.load_entry("k2").doc))
+    argv = ["verify", "kunneth", "--algebra", str(a), "--algebra2", str(b)]
+    run_cli(capsys, *argv, "--catalog", cat)
+    b.write_text(catalog.serialize(corpus.load_entry("ka2").doc))
+    _, cached, _ = run_cli(capsys, *argv, "--catalog", cat)
+    _, fresh, _ = run_cli(capsys, *argv, "--catalog", cat, "--no-cache")
+    assert results_dict(fresh)["seq_b"] == "1,1,0,0,0,0,0"
+    assert cached == fresh
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("ext k2 S S", "ext k2 S regular"),
+        ("verify diamond --algebra k2", "verify nc-scan --algebra k2"),
+        ("verify thick-shadow --algebra k2", "verify thick-shadow --algebra k2 --modules S"),
+    ],
+)
+def test_cache_key_names_every_argument(capsys, tmp_path, first, second):
+    cat = ["--catalog", str(tmp_path / "cat")]
+    run_cli(capsys, *first.split(), *cat)
+    _, cached, _ = run_cli(capsys, *second.split(), *cat)
+    _, fresh, _ = run_cli(capsys, *second.split(), "--no-cache")
+    assert cached == fresh
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "field-option", "field-line", "out-missing-dir", "module-missing"])
+def test_bad_outside_input_exits_2(capsys, tmp_path, case):
+    bad = tmp_path / "bad.alg"
+    k2 = catalog.serialize(corpus.load_entry("k2").doc)
+    argv = ["domdim", str(bad)]
+    if case == "directory":
+        argv = ["domdim", str(tmp_path)]
+    elif case == "not-utf8":
+        bad.write_bytes(k2.encode().replace(b"32003", b"\xff"))
+    elif case == "field-option":
+        argv = ["domdim", "k2", "--field", "4"]
+    elif case == "field-line":
+        bad.write_text(k2.replace("field 32003", "field 4"))
+    elif case == "out-missing-dir":
+        argv = ["tensor", "ka2", "k2", "--out", str(tmp_path / "missing" / "x.alg")]
+    else:
+        argv = ["verify", "muller", "--algebra", "k2"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_catalog_from_environment_set_after_import(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("QUIVALG_CATALOG", str(tmp_path / "cat"))
+    assert run_cli(capsys, "domdim", "k2")[0] == 0
+    code, out, _ = run_cli(capsys, "cache", "info")
+    assert code == 0
+    assert results_dict(out)["records"] == "1"
