@@ -15,6 +15,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -334,8 +335,10 @@ class LoadedAlgebra:
     algebra: Algebra
     modules: dict[str, ModuleRep]
 
-    @property
+    @cached_property
     def input_hash(self) -> str:
+        """Content hash of ``doc``, serialized once; the document is not
+        changed after loading."""
         return self.doc.content_hash()
 
 

@@ -83,8 +83,9 @@ ENTRIES: list[FixtureEntry] = [
             "muller:regular": "pass",
             "muller:regular+S": "pass",
             "wg-lemma:regular": "pass",
-            # expected failure: regular+S is not self-orthogonal, so the
-            # degreewise identity breaks at degree 3 (documented defect)
+            # regular+S is not self-orthogonal (Ext^1(S,S) = 1), so it lies
+            # outside the lemma's hypothesis; the degreewise identity then
+            # breaks at degree 3, a mathematical outcome, not a defect
             "wg-lemma:regular+S": "fail",
         },
     ),

@@ -252,6 +252,12 @@ class HomSpace:
 
     Vectorisation is row-major on (n.dim, m.dim) matrices; the basis is the
     deterministic nullspace basis of the stacked intertwining constraints.
+    That basis is the identity on its free rows ``free`` (the free row of a
+    basis column is its last nonzero row), so the coordinates of a member f
+    are the entries of vec(f) on those rows.  ``coords`` gathers them and
+    checks membership exactly: ``matrix @ c == vec(f)`` mod p holds iff f
+    intertwines, since the columns span the whole hom space.  No
+    elimination runs after construction.
     """
 
     def __init__(self, m: ModuleRep, n: ModuleRep):
@@ -265,6 +271,7 @@ class HomSpace:
         if nm == 0:
             self.matrix = alg.field.zeros(0, 0)
             self.dim = 0
+            self.free = np.zeros(0, dtype=np.intp)
             return
         blocks = []
         for g in _generators(alg):
@@ -277,6 +284,7 @@ class HomSpace:
         constraints = PrimeMatrix(alg.field, np.vstack(blocks) if blocks else np.zeros((0, nm), dtype=np.int64))
         self.matrix = nullspace(constraints)
         self.dim = self.matrix.cols
+        self.free = nm - 1 - np.argmax(self.matrix.a[::-1] != 0, axis=0)
 
     def basis_map(self, j: int) -> PrimeMatrix:
         return PrimeMatrix(
@@ -288,16 +296,14 @@ class HomSpace:
         return [Morphism(self.source, self.target, self.basis_map(j)) for j in range(self.dim)]
 
     def coords(self, f: PrimeMatrix) -> np.ndarray:
-        """Coordinates of an intertwiner in this basis."""
-        if self.dim == 0:
-            if f.a.any():
-                raise InputError("map is not in the hom space")
-            return np.zeros(0, dtype=np.int64)
-        vec = PrimeMatrix(self.matrix.field, f.a.reshape(-1, 1).copy())
-        c = solve(self.matrix, vec)
-        if c is None:
+        """Coordinates of an intertwiner in this basis; InputError if f is
+        not one.  f need not be reduced mod p."""
+        p = self.matrix.field.p
+        vec = f.a.reshape(-1) % p
+        c = vec[self.free]
+        if not np.array_equal((self.matrix.a @ c) % p, vec):
             raise InputError("map is not in the hom space")
-        return c.a[:, 0]
+        return c
 
     def from_coords(self, c: np.ndarray) -> PrimeMatrix:
         p = self.matrix.field.p

@@ -2,6 +2,7 @@ import pytest
 
 from quivalg import corpus
 from quivalg.catalog import (
+    AlgebraDoc,
     ParseError,
     cache_get,
     cache_info,
@@ -211,3 +212,15 @@ def test_field_override_preserves_verdicts():
         for name, expected in want.items():
             loaded = corpus.load_entry(name, field_override=p)
             assert str(dominant_dimension(loaded.algebra, 6)) == expected, (name, p)
+
+
+def test_input_hash_is_computed_once(monkeypatch):
+    loaded = corpus.load_entry("ka2xk2")
+    first = loaded.input_hash
+    assert first == loaded.doc.content_hash()
+
+    def no_rehash(self):
+        raise AssertionError("document serialized again")
+
+    monkeypatch.setattr(AlgebraDoc, "content_hash", no_rehash)
+    assert loaded.input_hash == first

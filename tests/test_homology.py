@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from quivalg import corpus
 from quivalg.algebra import opposite
+from quivalg.catalog import resolve_expression
 from quivalg.errors import InputError
 from quivalg.homology import (
     DecomposedModule,
@@ -373,3 +376,30 @@ def test_summand_verdicts_are_exact(monkeypatch, corpus_algebras):
     std = standard_modules(corpus_algebras["k2"])
     with pytest.raises(InputError, match="not basic"):
         endomorphism_algebra(DecomposedModule.from_summands([std.regular, std.regular]))
+
+
+# sha256 of End(M).algebra.mult.tobytes(), recorded before HomSpace.coords
+# stopped solving: dimensions and idempotent counts pass under any Hom
+# basis, these pin the structure constants in the basis itself
+END_MULT_SHA256 = {
+    "A3 gencogen": "ee09cb53cfe9b38893219ad60f6f4340a59441e2d9c7120dc2d68ed1980e2a8f",
+    "A4 gencogen": "5a9349e3813e35f531197e0ba6c4886b95a9cd09b77ae51690549efa289b3907",
+    "A5 gencogen": "79666a0c34616c8d444b630b9c9ab7ae7a9513b36291d48925230c037dbf50fc",
+    "k2 regular+S": "9142e447b7c1d89b7fa1b328f04ecca7dae2842d7bf19516226da96cc059a139",
+    "aus gencogen": "e4fc761db48b1c0ab007e964e8a5bfe5a5c0565cfdc1c501300b40ffb30c5843",
+}
+
+
+def test_end_structure_constants_are_pinned():
+    modules = {}
+    for n in (3, 4, 5):
+        verts = [str(i) for i in range(1, n + 1)]
+        arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+        modules[f"A{n} gencogen"] = minimal_gen_cogen(quiver(verts, arrows, (), n - 1))
+    for name, expr in (("k2", "regular+S"), ("aus", "gencogen")):
+        modules[f"{name} {expr}"] = resolve_expression(corpus.load_entry(name), expr)
+    got = {
+        key: hashlib.sha256(endomorphism_algebra(dm).algebra.mult.tobytes()).hexdigest()
+        for key, dm in modules.items()
+    }
+    assert got == END_MULT_SHA256

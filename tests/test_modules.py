@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import quivalg.linalg
 from quivalg.errors import InputError
 from quivalg.linalg import PrimeMatrix
 from quivalg.modules import (
@@ -11,6 +12,7 @@ from quivalg.modules import (
     cokernel,
     direct_sum,
     dualize,
+    endo_structure_constants,
     image,
     is_isomorphic,
     kernel,
@@ -105,6 +107,83 @@ def test_yoneda_identity(corpus_algebras):
 def test_hom_mismatched_algebras(K2, KA2):
     with pytest.raises(InputError):
         HomSpace(standard_modules(K2).regular, standard_modules(KA2).regular).morphisms()
+
+
+def corpus_hom_spaces(corpus_algebras):
+    """Hom spaces between the regular, coregular, simple and zero modules of
+    every corpus algebra, including zero spaces and empty matrices."""
+    spaces = []
+    for a in corpus_algebras.values():
+        std = standard_modules(a)
+        mods = [std.regular, std.coregular, std.simples[0], std.simples[-1], zero_module(a)]
+        spaces.extend(HomSpace(x, y) for x in mods for y in mods)
+    return spaces
+
+
+def test_hom_basis_is_identity_on_free_rows(corpus_algebras):
+    for h in corpus_hom_spaces(corpus_algebras):
+        assert np.array_equal(h.matrix.a[h.free], np.eye(h.dim, dtype=np.int64))
+        # the free row of each basis column is its last nonzero row
+        for j, f in enumerate(h.free):
+            assert not h.matrix.a[f + 1 :, j].any()
+
+
+def test_hom_coordinates_run_no_elimination(corpus_algebras, monkeypatch):
+    spaces = corpus_hom_spaces(corpus_algebras)
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("elimination after the hom space was built")
+
+    monkeypatch.setattr(quivalg.linalg, "_eliminate", no_elimination)
+    for h in spaces:
+        eye = np.eye(h.dim, dtype=np.int64)
+        for j in range(h.dim):
+            assert np.array_equal(h.coords(h.basis_map(j)), eye[j])
+            assert h.from_coords(eye[j]) == h.basis_map(j)
+        if h.source is h.target and h.dim:
+            mult = endo_structure_constants(h)
+            for i, j in itertools.product(range(h.dim), repeat=2):
+                assert h.from_coords(mult[i, j]) == h.basis_map(i) @ h.basis_map(j)
+
+
+def test_hom_coords_inverts_from_coords(corpus_algebras):
+    rng = np.random.default_rng(0)
+    for h in corpus_hom_spaces(corpus_algebras):
+        p = h.matrix.field.p
+        for _ in range(3):
+            c = rng.integers(0, p, size=h.dim)
+            assert np.array_equal(h.coords(h.from_coords(c)), c)
+
+
+def test_hom_coords_rejects_non_intertwiners(corpus_algebras, KA2):
+    rng = np.random.default_rng(1)
+    rejected = 0
+    for h in corpus_hom_spaces(corpus_algebras):
+        if h.dim == h.target.dim * h.source.dim:
+            continue  # every linear map intertwines
+        f = PrimeMatrix(FIELD, rng.integers(0, FIELD.p, size=(h.target.dim, h.source.dim)))
+        with pytest.raises(InputError, match="does not intertwine"):
+            Morphism(h.source, h.target, f).check()
+        with pytest.raises(InputError, match="not in the hom space"):
+            h.coords(f)
+        rejected += 1
+    assert rejected > 50
+    # a zero hom space rejects every nonzero map
+    std = standard_modules(KA2)
+    h = HomSpace(std.simples[0], std.simples[1])
+    assert h.dim == 0
+    with pytest.raises(InputError):
+        h.coords(FIELD.matrix([[1]]))
+
+
+def test_hom_coords_of_unreduced_representative(corpus_algebras):
+    rng = np.random.default_rng(2)
+    for h in corpus_hom_spaces(corpus_algebras):
+        p = h.matrix.field.p
+        f = h.from_coords(rng.integers(0, p, size=h.dim))
+        want = h.coords(f)
+        for shift in (p, -p, 3 * p):
+            assert np.array_equal(h.coords(PrimeMatrix(f.field, f.a + shift)), want)
 
 
 # ---------------------------------------------------------------------------
