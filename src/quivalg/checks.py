@@ -339,9 +339,7 @@ def muller_check(lam: Algebra, dm: DecomposedModule, cutoff: int) -> CheckReport
 # coresolution identity)
 
 
-def wg_lemma_check(
-    lam: Algebra, dm: DecomposedModule, cutoff: int, seed: int = 0
-) -> CheckReport:
+def wg_lemma_check(lam: Algebra, dm: DecomposedModule, cutoff: int) -> CheckReport:
     """Compare dim Ext^n_B(D(B), B) with dim Ext^n_Lam(nu(m), m) degreewise,
     for B = End(m); also evaluate the orthogonality biconditional at the
     cutoff.
@@ -359,7 +357,7 @@ def wg_lemma_check(
     b = endo.algebra
     std_b = standard_modules(b)
     lhs = ext_dims(std_b.coregular, std_b.regular, cutoff).dims
-    nu_m = nakayama(dm.module, seed=seed).module
+    nu_m = nakayama(dm.module).module
     rhs = ext_dims(nu_m, dm.module, cutoff).dims
     mismatch = next((i for i in range(cutoff + 1) if lhs[i] != rhs[i]), None)
     # statement-level biconditional at the cutoff

@@ -2,17 +2,18 @@
 
 Every command prints a machine-readable RESULTS block (one ``key = value``
 per line, terminated by END) followed by a human summary, suppressed by
---machine.  Output is byte-identical across runs for fixed inputs, flags and
-seed; the modulus and seed always appear in the block so randomized
-sub-verdicts are auditable.  Exit codes: 0 computed/pass, 1 check failed,
+--machine.  Output is byte-identical across runs for fixed inputs and flags;
+the modulus and seed always appear in the block, and every verdict is exact,
+so none depends on the seed.  Exit codes: 0 computed/pass, 1 check failed,
 2 input error, 3 budget or unsupported field.
 
 Each subcommand is one row of ``COMMANDS``, which declares its arguments.
-The nine algebra commands share one run path, ``_run``: load every algebra
-argument, compute the command's own rows (or read them from the invariant
-cache, keyed by every declared argument, algebras by content hash), prefix
-the common header and emit, with a human summary filled from the RESULTS
-block.  ``tensor``, ``corpus`` and ``cache`` print their own output.
+The nine algebra commands share one run path, ``_run``: parse every algebra
+argument, look the command up in the invariant cache (keyed by every
+declared argument, algebras by content hash), and only on a miss build the
+algebras, compute the command's own rows and prefix the common header; then
+emit, with a human summary filled from the RESULTS block.  ``tensor``,
+``corpus`` and ``cache`` print their own output.
 """
 
 from __future__ import annotations
@@ -54,23 +55,28 @@ from .modules import standard_modules
 
 Rows = list[tuple[str, str]]
 
-# arguments that name an algebra: loaded once by ``_run`` and keyed by content
+# arguments that name an algebra: parsed and keyed by content by ``_run``,
+# and built only when the cache has no record
 ALGEBRA_ARGS = ("algebra", "algebra2")
 
 
-def _load_algebra(arg: str, field_override: Optional[int]) -> catalog.LoadedAlgebra:
+def _read_doc(arg: str) -> catalog.AlgebraDoc:
+    """The parsed document of an .alg file path or a corpus entry name."""
     if os.path.exists(arg):
         try:
             with open(arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                return catalog.parse(fh.read())
         except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read {arg!r}: {e}") from None
-        return catalog.load(text, field_override)
     stem = arg[:-4] if arg.endswith(".alg") else arg
     names = [e.name for e in corpus.ENTRIES]
     if stem in names:
-        return corpus.load_entry(stem, field_override)
+        return catalog.parse(corpus.fixture_text(stem))
     raise InputError(f"no such file or corpus entry: {arg!r} (corpus: {', '.join(names)})")
+
+
+def _load_algebra(arg: str, field_override: Optional[int]) -> catalog.LoadedAlgebra:
+    return catalog.build_doc(_read_doc(arg), field_override)
 
 
 def _emit(results: Rows, human: list[str], machine: bool) -> None:
@@ -83,14 +89,14 @@ def _emit(results: Rows, human: list[str], machine: bool) -> None:
             print(line)
 
 
-def _header(args, command: str, loaded: catalog.LoadedAlgebra) -> Rows:
+def _header(args, command: str, p: int, input_hash: str) -> Rows:
     return [
         ("command", command),
         ("engine", catalog.ENGINE_VERSION),
-        ("field", str(loaded.algebra.field.p)),
+        ("field", str(p)),
         ("seed", str(args.seed)),
         ("cutoff", str(args.cutoff)),
-        ("input_hash", loaded.input_hash),
+        ("input_hash", input_hash),
     ]
 
 
@@ -152,13 +158,13 @@ def _gencogen(args) -> tuple[Rows, int]:
 
 def _nakayama(args) -> tuple[Rows, int]:
     m = _module(args).module
-    nk = nakayama(m, seed=args.seed, trials=args.trials)
+    nk = nakayama(m)
+    # nakayama raises unless its natural map between the routes is an iso
     return [
         ("module", args.module),
         ("module_dim", str(m.dim)),
         ("nakayama_dim", str(nk.module.dim)),
-        ("routes_agree", str(nk.consistency.isomorphic).lower()),
-        ("iso_trials", str(nk.consistency.trials)),
+        ("routes_agree", "true"),
     ], 0
 
 
@@ -215,7 +221,7 @@ def _bar_oracle(args) -> CheckReport:
 # verify check id -> runner
 CHECKS: dict[str, Callable[[argparse.Namespace], CheckReport]] = {
     "muller": lambda args: muller_check(args.algebra.algebra, _module(args), args.cutoff),
-    "wg-lemma": lambda args: wg_lemma_check(args.algebra.algebra, _module(args), args.cutoff, seed=args.seed),
+    "wg-lemma": lambda args: wg_lemma_check(args.algebra.algebra, _module(args), args.cutoff),
     "remark32": lambda args: remark32_check(args.algebra.algebra, args.cutoff, budget=args.budget_dim),
     "kunneth": _kunneth,
     "diamond": lambda args: diamond(args.algebra.algebra, args.cutoff),
@@ -239,7 +245,7 @@ def cmd_tensor(args) -> int:
     lb = _load_algebra(args.algebra2, args.field)
     t = tensor_product(la.algebra, lb.algebra)
     doc = catalog.doc_from_algebra(t)
-    results = _header(args, "tensor", la) + [
+    results = _header(args, "tensor", la.algebra.field.p, la.input_hash) + [
         ("input_hash_b", lb.input_hash),
         ("dim", str(t.dim)),
         ("idempotents", str(len(t.idempotents))),
@@ -286,7 +292,7 @@ def cmd_corpus(args) -> int:
     checks = 0
     mismatches = 0
     for entry in corpus.ENTRIES:
-        outcomes = corpus.run_entry_checks(entry, args.cutoff, args.seed, args.field)
+        outcomes = corpus.run_entry_checks(entry, args.cutoff, field_override=args.field)
         for key, verdict in outcomes:
             checks += 1
             expected = entry.expected.get(key, "<unlisted>")
@@ -350,7 +356,7 @@ class Command:
 COMMON_OPTIONS = {
     "--cutoff": {"type": int, "default": 6, "help": "degree cutoff (default 6)"},
     "--field": {"type": int, "help": "prime modulus override"},
-    "--seed": {"type": int, "default": 0, "help": "seed for randomized isomorphism tests"},
+    "--seed": {"type": int, "default": 0, "help": "recorded in the header and the cache key; no verdict depends on it"},
     "--catalog": {"help": "cache directory (default $QUIVALG_CATALOG)"},
     "--no-cache": {"action": "store_true", "help": "bypass the cache"},
     "--machine": {"action": "store_true", "help": "suppress the human summary"},
@@ -380,9 +386,7 @@ COMMANDS: dict[str, Command] = {
         "generator-cogenerator: {generator_cogenerator}",
     ),
     "nakayama": Command(
-        "Nakayama functor with two-route consistency",
-        {**MODULE, "--trials": {"type": int, "default": 24, "help": "trial count for randomized isomorphism tests"}},
-        _nakayama,
+        "Nakayama functor with two-route consistency", MODULE, _nakayama,
         "Nakayama image dimension {nakayama_dim} (routes agree: {routes_agree})",
     ),
     "endo": Command(
@@ -427,29 +431,35 @@ COMMANDS: dict[str, Command] = {
 
 
 def _key_text(value) -> str:
-    """An argument's value in a cache key; an algebra is keyed by its content."""
-    if isinstance(value, catalog.LoadedAlgebra):
-        return value.input_hash
     return "" if value is None else str(value)
 
 
 def _run(spec: Command, args) -> int:
     dests = [flag.lstrip("-").replace("-", "_") for flag in spec.arguments]
-    for dest in dests:
-        if dest in ALGEBRA_ARGS and getattr(args, dest) is not None:
-            setattr(args, dest, _load_algebra(getattr(args, dest), args.field))
-    loaded = args.algebra
+    docs = {
+        dest: _read_doc(getattr(args, dest))
+        for dest in dests
+        if dest in ALGEBRA_ARGS and getattr(args, dest) is not None
+    }
+    input_hash = docs["algebra"].content_hash()
+    p = docs["algebra"].p if args.field is None else args.field
     key = hit = None
     if spec.cached and args.catalog and not args.no_cache:
-        extra = {dest: _key_text(getattr(args, dest)) for dest in dests if dest != "algebra"}
-        p = loaded.algebra.field.p
-        key = catalog.record_key(args.cmd, loaded.input_hash, args.cutoff, p, args.seed, extra)
+        # every other argument is keyed too, an algebra by its content
+        extra = {
+            dest: docs[dest].content_hash() if dest in docs else _key_text(getattr(args, dest))
+            for dest in dests
+            if dest != "algebra"
+        }
+        key = catalog.record_key(args.cmd, input_hash, args.cutoff, p, args.seed, extra)
         hit = catalog.cache_get(args.catalog, key)
     if hit is not None:
         results, code = [(k, v) for k, v in hit["results"]], hit["exit"]
     else:
+        for dest, doc in docs.items():
+            setattr(args, dest, catalog.build_doc(doc, args.field))
         rows, code = spec.run(args)
-        results = _header(args, spec.title.format_map(vars(args)), loaded) + rows
+        results = _header(args, spec.title.format_map(vars(args)), p, input_hash) + rows
         if key is not None:
             catalog.cache_put(args.catalog, key, {"results": results, "exit": code})
     _emit(results, [spec.summary.format_map(dict(results))], args.machine)

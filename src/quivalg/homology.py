@@ -19,7 +19,6 @@ from .errors import InputError, InternalCheckError
 from .linalg import PrimeMatrix, rref, solve
 from .modules import (
     HomSpace,
-    IsoVerdict,
     ModuleRep,
     Morphism,
     _endo_radical_dim,
@@ -28,7 +27,6 @@ from .modules import (
     direct_sum,
     dualize,
     endo_structure_constants,
-    is_isomorphic,
     kernel,
     projective_cover,
     standard_modules,
@@ -333,11 +331,19 @@ def dominant_dimension(a: Algebra, cutoff: int) -> DomDimEvidence:
 class NakayamaResult:
     module: ModuleRep  # the tensor route, D(A) (x)_A m
     hom_route: ModuleRep  # D Hom(m, A)
-    consistency: IsoVerdict
+    eta: PrimeMatrix  # the verified isomorphism module -> hom_route
 
 
-def nakayama(m: ModuleRep, seed: int = 0, trials: int = 24) -> NakayamaResult:
-    """nu(m) = D(A) (x)_A m, cross-checked against D Hom(m, A)."""
+def nakayama(m: ModuleRep) -> NakayamaResult:
+    """nu(m) = D(A) (x)_A m, checked exactly against D Hom(m, A).
+
+    The natural map eta: phi (x) x -> (f -> phi(f(x))) is an isomorphism
+    for every finitely generated m (Skowronski and Yamagata, Frobenius
+    Algebras I, 2011).  In the dual bases used here it sends phi_i (x) m_j
+    to the functional f_t -> f_t[i, j], so on the vector-space tensor it is
+    the transposed Hom basis; it must vanish on the tensor relations, be a
+    module map and be invertible, or the routes disagree.
+    """
     a = m.algebra
     p = a.field.p
     std = standard_modules(a)
@@ -359,13 +365,21 @@ def nakayama(m: ModuleRep, seed: int = 0, trials: int = 24) -> NakayamaResult:
             act[b, :, t] = h.coords(PrimeMatrix(a.field, (rb @ h.basis_map(t).a) % p))
     hom_as_op = ModuleRep(op, act)
     route2 = dualize(hom_as_op)
-    verdict = is_isomorphic(route1, route2, seed=seed, trials=trials)
-    if not verdict.isomorphic:
+    eta_vs = h.matrix.a.T
+    relations = np.eye(a.dim * m.dim, dtype=np.int64) - tens.sec.a @ tens.proj.a
+    if ((eta_vs @ relations) % p).any():
+        raise InternalCheckError("Nakayama map does not vanish on the tensor relations")
+    eta = Morphism(route1, route2, PrimeMatrix(a.field, (eta_vs @ tens.sec.a) % p))
+    try:
+        eta.check()
+    except InputError as e:
+        raise InternalCheckError(f"Nakayama map is not a module map: {e}") from None
+    if not eta.is_iso():
         raise InternalCheckError(
             "Nakayama routes disagree: tensor route dim "
             f"{route1.dim}, hom route dim {route2.dim}"
         )
-    return NakayamaResult(route1, route2, verdict)
+    return NakayamaResult(route1, route2, eta.map)
 
 
 # ---------------------------------------------------------------------------

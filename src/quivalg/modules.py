@@ -555,7 +555,10 @@ def _splits_off(p_mod: ModuleRep, m: ModuleRep) -> bool:
 
 @dataclass(frozen=True)
 class IsoVerdict:
-    """Result of a (possibly randomized) isomorphism test."""
+    """Result of the randomized isomorphism test ``is_isomorphic``.
+
+    No CLI verdict rests on it: the Frobenius-extension predicate is its
+    one caller in the engine, and tests use it as an independent check."""
 
     isomorphic: bool
     certified: bool  # exact verdict (dimension obstruction or explicit iso)

@@ -82,3 +82,18 @@ def corpus_algebras(K2, K3, K4, KA2, KA3, AUS, GROUND, K2xK2, KA2xK2):
 @pytest.fixture(scope="session")
 def corpus_loaded():
     return {e.name: corpus.load_entry(e.name) for e in corpus.ENTRIES}
+
+
+@pytest.fixture
+def no_randomized_iso(monkeypatch):
+    """Make the randomized isomorphism search raise wherever the engine could
+    reach it, so a test shows that its verdicts are exact."""
+    import quivalg.homology
+    import quivalg.modules
+
+    def no_randomized_test(*args, **kwargs):
+        raise AssertionError("randomized isomorphism test used")
+
+    monkeypatch.setattr(quivalg.modules, "is_isomorphic", no_randomized_test)
+    # homology no longer imports the search; patch the name in case it returns
+    monkeypatch.setattr(quivalg.homology, "is_isomorphic", no_randomized_test, raising=False)

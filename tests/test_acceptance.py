@@ -37,6 +37,7 @@ from quivalg.homology import (
 from quivalg.linalg import PrimeMatrix, nullspace, rref
 from quivalg.modules import (
     HomSpace,
+    Morphism,
     dualize,
     standard_modules,
 )
@@ -365,7 +366,7 @@ def test_criterion_9_property_suites(loaded_corpus):
                 for i in range(4):
                     ok = ok and dims[i] == res.term_summands[i].count(j)
             nk = nakayama(m)
-            ok = ok and nk.consistency.isomorphic
+            ok = ok and Morphism(nk.module, nk.hom_route, nk.eta).is_iso()
     checked.update(
         yoneda=True, duality_symmetry=True, minimality_witness=True, nakayama_routes=True
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -6,8 +7,8 @@ import pytest
 
 from quivalg import corpus
 from quivalg.algebra import opposite
-from quivalg.catalog import resolve_expression
-from quivalg.errors import InputError
+from quivalg.catalog import named_modules, resolve_expression
+from quivalg.errors import InputError, InternalCheckError
 from quivalg.homology import (
     DecomposedModule,
     dominant_dimension,
@@ -25,6 +26,7 @@ from quivalg.homology import (
 )
 from quivalg.modules import (
     HomSpace,
+    Morphism,
     direct_sum,
     zero_module,
     dualize,
@@ -231,11 +233,57 @@ def test_nakayama_k2_simple(K2):
     assert is_isomorphic(nk.module, std.simples[0]).isomorphic
 
 
-def test_nakayama_routes_agree(corpus_algebras):
-    for name, a in corpus_algebras.items():
-        for m in small_corpus_modules(a, max_dim=6):
+def test_nakayama_routes_agree(no_randomized_iso, corpus_loaded):
+    # regular, coregular, every simple and injective and every named module
+    # of each entry: the routes agree through the natural map eta, never
+    # through the randomized search
+    for name, loaded in corpus_loaded.items():
+        std = standard_modules(loaded.algebra)
+        mods = [std.regular, std.coregular] + std.simples + std.injectives
+        mods += [resolve_expression(loaded, nm).module for nm in named_modules(loaded)]
+        for m in mods:
             nk = nakayama(m)
-            assert nk.consistency.isomorphic, name
+            eta = Morphism(nk.module, nk.hom_route, nk.eta)
+            eta.check()
+            assert eta.is_iso(), name
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [
+        ("regular", "not a module map"),
+        ("no-quotient-map", "tensor relations"),
+        ("doubled", "routes disagree"),
+    ],
+)
+def test_nakayama_rejects_routes_that_disagree(monkeypatch, KA2, corruption, message):
+    # each corruption of the tensor route fails one check of eta: the
+    # regular module of ka2 has the dimension of nu(regular) = D(A) but is
+    # not isomorphic to it; a zero quotient map makes every tensor a
+    # relation; a doubled route makes eta a module map that is not square
+    import quivalg.homology
+
+    std = standard_modules(KA2)
+    real = quivalg.homology.tensor_over_algebra
+
+    def corrupted(*args, **kwargs):
+        t = real(*args, **kwargs)
+        if corruption == "regular":
+            return dataclasses.replace(t, module=std.regular)
+        if corruption == "no-quotient-map":
+            return dataclasses.replace(t, proj=t.proj.field.zeros(t.proj.rows, t.proj.cols))
+        doubled, _, _ = direct_sum([t.module, t.module])
+        return dataclasses.replace(
+            t,
+            dim=2 * t.dim,
+            proj=t.proj.vstack(t.proj.field.zeros(t.proj.rows, t.proj.cols)),
+            sec=t.sec.hstack(t.sec),
+            module=doubled,
+        )
+
+    monkeypatch.setattr(quivalg.homology, "tensor_over_algebra", corrupted)
+    with pytest.raises(InternalCheckError, match=message):
+        nakayama(std.regular)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +387,9 @@ def test_minimal_gen_cogen(corpus_algebras):
                 assert not is_isomorphic(dm.summands[i], dm.summands[j]).isomorphic
 
 
-def test_summand_verdicts_are_exact(monkeypatch, corpus_algebras):
+def test_summand_verdicts_are_exact(no_randomized_iso, corpus_algebras):
     # minimal_gen_cogen and the basic check of endomorphism_algebra decide
     # isomorphism of summands exactly, without the randomized search
-    import quivalg.homology
-    import quivalg.modules
-
-    def no_randomized_test(*args, **kwargs):
-        raise AssertionError("randomized isomorphism test used")
-
-    monkeypatch.setattr(quivalg.modules, "is_isomorphic", no_randomized_test)
-    monkeypatch.setattr(quivalg.homology, "is_isomorphic", no_randomized_test)
     # (number of summands, dim End) of the minimal generator-cogenerator
     want = {
         "k": (1, 1),
