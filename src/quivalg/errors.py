@@ -10,7 +10,8 @@ class InputError(QuivalgError):
 
 
 class UnsupportedFieldError(QuivalgError):
-    """The field modulus is too small for the requested table-mode computation."""
+    """The field modulus is out of range: too small for the requested
+    table-mode computation, or too large for exact int64 products."""
 
 
 class BudgetError(QuivalgError):

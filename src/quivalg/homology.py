@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import Algebra, column_span_basis, opposite
 from .errors import InputError, InternalCheckError
-from .linalg import PrimeMatrix, rref, solve
+from .linalg import PrimeMatrix, mulmod, rref, solve
 from .modules import (
     HomSpace,
     ModuleRep,
@@ -248,17 +248,17 @@ def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
                 continue
             gen = np.zeros(d.shape[1], dtype=np.int64)
             gen[tgt_off[s] : tgt_off[s] + pdim[vs]] = gen_coords[vs]
-            u = (d @ gen) % p
+            u = mulmod(d, gen, p)
             for t, vt in enumerate(src_summ):
                 if cell[vt] == 0:
                     continue
                 c = u[src_off[t] : src_off[t] + pdim[vt]]
                 if not c.any():
                     continue
-                a_vec = (std.proj_bases[vt].a @ c) % p
+                a_vec = mulmod(std.proj_bases[vt].a, c, p)
                 blk = solve(
                     cell_basis[vs],
-                    PrimeMatrix(field, (n.act(a_vec) @ cell_basis[vt].a) % p),
+                    PrimeMatrix(field, mulmod(n.act(a_vec), cell_basis[vt].a, p)),
                 )
                 if blk is None:
                     raise InternalCheckError("hom block left its Yoneda cell")

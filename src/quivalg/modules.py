@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import Algebra, column_span_basis, opposite
 from .errors import InputError, InternalCheckError, UnsupportedFieldError
-from .linalg import PrimeMatrix, nullspace, rref, solve
+from .linalg import PrimeMatrix, mulmod, nullspace, rref, solve
 
 __all__ = [
     "ModuleRep",
@@ -71,7 +71,8 @@ class ModuleRep:
     def act(self, x: np.ndarray) -> np.ndarray:
         """Matrix of the action of the algebra element with coordinates x."""
         p = self.algebra.field.p
-        return np.einsum("a,aij->ij", np.asarray(x, dtype=np.int64) % p, self.action) % p
+        x = np.asarray(x, dtype=np.int64) % p
+        return mulmod(x[None, :], self.action.reshape(self.algebra.dim, -1), p).reshape(self.dim, self.dim)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -116,9 +117,10 @@ class Morphism:
             raise InputError("morphism matrix has wrong shape")
 
     def check(self):
+        p = self.map.field.p
         for a in range(self.source.algebra.dim):
-            lhs = (self.map.a @ self.source.action[a]) % self.map.field.p
-            rhs = (self.target.action[a] @ self.map.a) % self.map.field.p
+            lhs = mulmod(self.map.a, self.source.action[a], p)
+            rhs = mulmod(self.target.action[a], self.map.a, p)
             if not np.array_equal(lhs, rhs):
                 raise InputError(
                     f"map does not intertwine basis element "
@@ -171,18 +173,28 @@ def direct_sum(mods: list[ModuleRep]) -> tuple[ModuleRep, list[Morphism], list[M
 
 def submodule(m: ModuleRep, basis: PrimeMatrix) -> tuple[ModuleRep, Morphism]:
     """Module structure on an invariant subspace; columns of basis must be
-    independent and closed under the action."""
+    independent and closed under the action.
+
+    One elimination of [basis^T | I] finds rows R with basis[R] invertible
+    and E = basis[R]^-T; the coordinates of a moved basis are then E^T times
+    its rows R, kept only if they reproduce the moved basis exactly.
+    """
     alg = m.algebra
-    if basis.cols == 0:
+    p = alg.field.p
+    c = basis.cols
+    if c == 0:
         sub = zero_module(alg)
         return sub, Morphism(sub, m, basis)
-    action = np.zeros((alg.dim, basis.cols, basis.cols), dtype=np.int64)
+    red, _, rows = rref(basis.transpose().hstack(alg.field.identity(c)))
+    if rows[-1] >= basis.rows:
+        raise InputError("submodule basis has dependent columns")
+    inv = red.a[:, basis.rows :].T
+    action = np.zeros((alg.dim, c, c), dtype=np.int64)
     for a in range(alg.dim):
-        moved = PrimeMatrix(alg.field, (m.action[a] @ basis.a) % alg.field.p)
-        coords = solve(basis, moved)
-        if coords is None:
+        moved = mulmod(m.action[a], basis.a, p)
+        action[a] = mulmod(inv, moved[rows], p)
+        if not np.array_equal(mulmod(basis.a, action[a], p), moved):
             raise InputError("subspace is not invariant under the action")
-        action[a] = coords.a
     sub = ModuleRep(alg, action)
     return sub, Morphism(sub, m, basis)
 
@@ -224,9 +236,10 @@ def quotient_module(m: ModuleRep, sub: PrimeMatrix) -> tuple[ModuleRep, Morphism
     alg = m.algebra
     proj, sec = _complement_projection(alg.field, sub, m.dim)
     q = proj.rows
+    free = np.flatnonzero(sec.a.any(axis=1))  # right multiplication by sec selects these columns
     action = np.zeros((alg.dim, q, q), dtype=np.int64)
     for a in range(alg.dim):
-        action[a] = (proj.a @ m.action[a] @ sec.a) % alg.field.p
+        action[a] = mulmod(proj.a, m.action[a][:, free], alg.field.p)
     quot = ModuleRep(alg, action)
     return quot, Morphism(m, quot, proj), sec
 
@@ -301,13 +314,13 @@ class HomSpace:
         p = self.matrix.field.p
         vec = f.a.reshape(-1) % p
         c = vec[self.free]
-        if not np.array_equal((self.matrix.a @ c) % p, vec):
+        if not np.array_equal(mulmod(self.matrix.a, c, p), vec):
             raise InputError("map is not in the hom space")
         return c
 
     def from_coords(self, c: np.ndarray) -> PrimeMatrix:
         p = self.matrix.field.p
-        vec = (self.matrix.a @ (np.asarray(c, dtype=np.int64) % p)) % p
+        vec = mulmod(self.matrix.a, np.asarray(c, dtype=np.int64) % p, p)
         return PrimeMatrix(self.matrix.field, vec.reshape(self.target.dim, self.source.dim))
 
 
@@ -446,36 +459,37 @@ class Cover:
 
 
 def projective_cover(m: ModuleRep) -> Cover:
+    """Cover by one P(i) per basis vector of e_i.top(m).
+
+    Each such vector lifts to a generator w in e_i.m (one solve per
+    idempotent), and the summand P(i) = A.e_i maps by x -> x.w; with
+    aw[a] = action[a] @ w the images of the basis of A.e_i are aw^T @ basis.
+    """
     alg = m.algebra
+    p = alg.field.p
     std = standard_modules(alg)
     t, proj_top = top(m)
-    pieces: list[ModuleRep] = []
     vertex_of: list[int] = []
-    gen_images: list[np.ndarray] = []
+    gens = []
     for i, e in enumerate(alg.idempotents):
         block = column_span_basis(PrimeMatrix(alg.field, t.act(e)))
-        for j in range(block.cols):
-            v = PrimeMatrix(alg.field, block.a[:, j].reshape(-1, 1))
-            lift = solve(proj_top.map, v)
-            if lift is None:
-                raise InternalCheckError("projective cover lift failed")
-            w = (m.act(e) @ lift.a[:, 0]) % alg.field.p
-            pieces.append(std.projectives[i])
-            vertex_of.append(i)
-            gen_images.append(w)
-    if not pieces:
+        if block.cols == 0:
+            continue
+        lift = solve(proj_top.map, block)
+        if lift is None:
+            raise InternalCheckError("projective cover lift failed")
+        gens.append(mulmod(m.act(e), lift.a, p))
+        vertex_of += [i] * block.cols
+    if not vertex_of:
         z = zero_module(alg)
         return Cover(Morphism(z, m, alg.field.zeros(m.dim, 0)), [])
-    big, _, _ = direct_sum(pieces)
-    cols = []
-    for idx, w in enumerate(gen_images):
-        basis = std.proj_bases[vertex_of[idx]]
-        block = np.zeros((m.dim, basis.cols), dtype=np.int64)
-        for j in range(basis.cols):
-            block[:, j] = (m.act(basis.a[:, j]) @ w) % alg.field.p
-        cols.append(block)
-    mat = PrimeMatrix(alg.field, np.hstack(cols) if cols else np.zeros((m.dim, 0), dtype=np.int64))
-    return Cover(Morphism(big, m, mat), vertex_of)
+    big, _, _ = direct_sum([std.projectives[i] for i in vertex_of])
+    w = np.hstack(gens)
+    aw = np.zeros((alg.dim, m.dim, w.shape[1]), dtype=np.int64)
+    for a in range(alg.dim):
+        aw[a] = mulmod(m.action[a], w, p)
+    cols = [mulmod(aw[:, :, g].T, std.proj_bases[i].a, p) for g, i in enumerate(vertex_of)]
+    return Cover(Morphism(big, m, PrimeMatrix(alg.field, np.hstack(cols))), vertex_of)
 
 
 def injective_envelope(m: ModuleRep) -> Cover:
@@ -647,7 +661,7 @@ def tensor_over_algebra(
         b_alg, left_action = left
         action = np.zeros((b_alg.dim, proj.rows, proj.rows), dtype=np.int64)
         for bi in range(b_alg.dim):
-            action[bi] = (proj.a @ np.kron(left_action[bi] % p, eye_y) @ sec.a) % p
+            action[bi] = mulmod(mulmod(proj.a, np.kron(left_action[bi] % p, eye_y), p), sec.a, p)
         module = ModuleRep(b_alg, action)
     return TensorResult(proj.rows, proj, sec, module)
 
@@ -665,7 +679,7 @@ def enveloping_module(a: Algebra, env: Optional[Algebra] = None) -> ModuleRep:
         lu = a.left_mult(a.basis_vector(u))
         for v in range(a.dim):
             rv = a.right_mult(a.basis_vector(v))
-            action[u * a.dim + v] = (lu @ rv) % p
+            action[u * a.dim + v] = mulmod(lu, rv, p)
     return ModuleRep(env, action)
 
 
@@ -678,8 +692,9 @@ def module_over_tensor(axb: Algebra, left_dim_a: int, left_action: np.ndarray, r
     dim_b = axb.dim // left_dim_a
     d = left_action.shape[1]
     p = axb.field.p
+    left_action, right_action = left_action % p, right_action % p
     action = np.zeros((axb.dim, d, d), dtype=np.int64)
     for u in range(left_dim_a):
         for v in range(dim_b):
-            action[u * dim_b + v] = (left_action[u] @ right_action[v]) % p
+            action[u * dim_b + v] = mulmod(left_action[u], right_action[v], p)
     return ModuleRep(axb, action)

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
-from quivalg.linalg import PrimeField, PrimeMatrix, nullspace, rref, solve
+from quivalg.errors import UnsupportedFieldError
+from quivalg.linalg import PrimeField, PrimeMatrix, _product_route, mulmod, nullspace, rref, solve
 
 F5 = PrimeField(5)
 F = PrimeField(32003)
@@ -116,3 +119,82 @@ def test_matrix_ops():
     assert a.transpose() == F5.matrix([[1, 3], [2, 4]])
     assert a.inverse() @ a == F5.identity(2)
     assert not F5.matrix([[1, 2], [2, 4]]).is_invertible()
+
+
+# ---------------------------------------------------------------------------
+# exact products: mulmod's float64 and int64 routes and the field range
+
+P21 = 2097143  # largest prime below 2^21: float64 holds k*(P21-1)^2 up to k = 2048
+P26 = 67108879  # smallest prime above 2^26: float64 only at k = 1
+M31 = 2**31 - 1  # int64 only up to k = 2
+
+
+def reference_product(a, b, p):
+    """(a @ b) mod p in Python integers."""
+    return (a.astype(object) @ b.astype(object)) % p
+
+
+@pytest.mark.parametrize(
+    "p, k, route",
+    [
+        (P21, 2048, "float64"),
+        (P21, 2049, "int64"),
+        (P26, 1, "float64"),
+        (P26, 2, "int64"),
+        (M31, 2, "int64"),
+        (32003, 8794993, "float64"),
+        (32003, 8794994, "int64"),
+    ],
+)
+def test_mulmod_routes_are_exact_on_worst_case_operands(p, k, route):
+    assert _product_route(k, p) == route
+    if k > 4096:  # the route switch at p = 32003, too large to multiply here
+        return
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    b = np.full((k, 3), p - 1, dtype=np.int64)
+    got = mulmod(a, b, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_product(a, b, p).astype(np.int64))
+
+
+@pytest.mark.parametrize("p", [2, 5, 32003, P21, P26, M31])
+def test_mulmod_random_operands_match_python_integers(p):
+    rng = np.random.default_rng(p)
+    for _ in range(20):
+        rows, k, cols = rng.integers(1, 9, size=3)
+        if p == M31:
+            k = min(k, 2)
+        a = rng.integers(0, p, size=(rows, k), dtype=np.int64)
+        b = rng.integers(0, p, size=(k, cols), dtype=np.int64)
+        assert np.array_equal(mulmod(a, b, p), reference_product(a, b, p).astype(np.int64))
+        v = b[:, 0].copy()
+        assert np.array_equal(mulmod(a, v, p), reference_product(a, v, p).astype(np.int64))
+
+
+def test_mulmod_refuses_products_that_could_overflow():
+    with pytest.raises(UnsupportedFieldError):
+        _product_route(3, M31)
+    with pytest.raises(UnsupportedFieldError):
+        mulmod(np.full((1, 3), M31 - 1), np.full((3, 1), M31 - 1), M31)
+    f = PrimeField(M31)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        a = PrimeMatrix(f, rng.integers(0, M31, size=(6, 6), dtype=np.int64))
+        b = PrimeMatrix(f, rng.integers(0, M31, size=(6, 6), dtype=np.int64))
+        with pytest.raises(UnsupportedFieldError):
+            a @ b
+
+
+def test_mulmod_empty_inner_dimension():
+    got = mulmod(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 32003)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.zeros((2, 3), dtype=np.int64))
+
+
+def test_field_range_is_refused_before_the_primality_test():
+    assert PrimeField(M31).p == M31
+    t = time.perf_counter()
+    for p in (2**31, 2**61 - 1):  # 2^61 - 1 is prime; trial division would run for minutes
+        with pytest.raises(UnsupportedFieldError):
+            PrimeField(p)
+    assert time.perf_counter() - t < 1.0

@@ -23,6 +23,7 @@ from quivalg.modules import (
     soc,
     soc_multiplicities,
     standard_modules,
+    submodule,
     summand_test,
     tensor_over_algebra,
     top_multiplicities,
@@ -36,6 +37,50 @@ def small_corpus_modules(alg, max_dim=10):
     std = standard_modules(alg)
     mods = [std.regular, std.coregular] + std.projectives + std.injectives + std.simples
     return [m for m in mods if m.dim <= max_dim]
+
+
+# ---------------------------------------------------------------------------
+# submodules
+
+
+def _is_invariant_line(m, v):
+    """Whether span(v) is closed under the action, decided by ranks."""
+    moved = np.stack([v] + [(m.action[a] @ v) % FIELD.p for a in range(m.algebra.dim)], axis=1)
+    return PrimeMatrix(FIELD, moved).rank() == 1
+
+
+def test_submodule_rejects_a_subspace_that_is_not_invariant(KA2, K2, AUS):
+    """Lines in regular modules: each invariant one is a submodule whose
+    inclusion intertwines, and each other one is refused."""
+    refused = 0
+    for alg in (KA2, K2, AUS):
+        reg = regular_module(alg)
+        lines = [np.eye(alg.dim, dtype=np.int64)[:, j] for j in range(alg.dim)]
+        lines.append(np.ones(alg.dim, dtype=np.int64))  # a generic line
+        for v in lines:
+            basis = PrimeMatrix(FIELD, v.reshape(-1, 1))
+            if _is_invariant_line(reg, v):
+                sub, inc = submodule(reg, basis)
+                assert sub.dim == 1
+                inc.check()
+            else:
+                refused += 1
+                with pytest.raises(InputError, match="not invariant"):
+                    submodule(reg, basis)
+    assert refused >= 4
+
+
+def test_submodule_rejects_a_simple_subspace_of_a_projective(KA2):
+    """P(1) over k(1 -> 2) has the simple socle S(2) and no other line: the
+    top vector alone spans a subspace the arrow moves out of."""
+    p1 = standard_modules(KA2).projectives[0]
+    assert p1.dim == 2
+    soc_basis = soc(p1)[1].map
+    sub, _ = submodule(p1, soc_basis)
+    assert sub.dim == 1
+    other = np.array([[1], [0]]) if soc_basis.a[0, 0] == 0 else np.array([[0], [1]])
+    with pytest.raises(InputError, match="not invariant"):
+        submodule(p1, PrimeMatrix(FIELD, other))
 
 
 # ---------------------------------------------------------------------------
