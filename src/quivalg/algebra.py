@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, UnsupportedFieldError
-from .linalg import PrimeField, PrimeMatrix, nullspace, rref
+from .linalg import PrimeField, PrimeMatrix, mulmod, nullspace, rref
 
 __all__ = [
     "QuiverPresentation",
@@ -28,6 +28,7 @@ __all__ = [
     "tensor_product",
     "enveloping",
     "column_span_basis",
+    "trace_form_radical",
 ]
 
 
@@ -142,14 +143,7 @@ class Algebra:
                 basis[i, k] = 1
             self.memo["radical"] = PrimeMatrix(self.field, basis)
             return self.memo["radical"]
-        if self.field.p <= self.dim:
-            raise UnsupportedFieldError(
-                f"table-mode radical needs p > dim, got p={self.field.p}, dim={self.dim}"
-            )
-        p = self.field.p
-        left = self.regular_action()  # left[a] = L_{e_a}
-        gram = np.einsum("aij,bji->ab", left, left) % p
-        self.memo["radical"] = nullspace(PrimeMatrix(self.field, gram))
+        self.memo["radical"] = trace_form_radical(self.field, self.mult)
         return self.memo["radical"]
 
     def content_hash(self) -> str:
@@ -489,6 +483,20 @@ def column_span_basis(m: PrimeMatrix) -> PrimeMatrix:
     """Deterministic basis of the column space: the pivot columns of m."""
     _, _, pivots = rref(m)
     return m.take_cols(pivots)
+
+
+def trace_form_radical(field: PrimeField, mult: np.ndarray) -> PrimeMatrix:
+    """Basis of the radical of the trace form trace(L_x L_y) of the algebra
+    with structure constants ``mult`` (entries reduced mod p).  It is the
+    Jacobson radical when p > dim; smaller p raises UnsupportedFieldError."""
+    d = mult.shape[0]
+    p = field.p
+    if p <= d:
+        raise UnsupportedFieldError(f"trace-form radical needs p > dim, got p={p}, dim={d}")
+    # L_a[i, j] = mult[a, j, i], so trace(L_a L_b) = sum_ij mult[a, j, i] mult[b, i, j]
+    left = np.transpose(mult, (0, 2, 1)).reshape(d, d * d)
+    gram = mulmod(left, mult.reshape(d, d * d).T, p)
+    return nullspace(PrimeMatrix(field, gram))
 
 
 # ---------------------------------------------------------------------------

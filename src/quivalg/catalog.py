@@ -5,7 +5,7 @@ parse -> serialize -> parse returns byte-identical text, so the content hash
 of a document is stable.  Paths in relations read like function composition:
 ``b*a`` applies a first.  Cache records are content-addressed JSON files
 written atomically; a record is keyed by everything that can change the
-answer (input hash, operation, cutoff, modulus, seed, engine version).
+answer (input hash, operation, cutoff, modulus, engine version).
 """
 
 from __future__ import annotations
@@ -512,7 +512,6 @@ def record_key(
     input_hash: str,
     cutoff: int,
     p: int,
-    seed: int,
     extra: Optional[dict[str, str]] = None,
 ) -> dict:
     key = {
@@ -521,7 +520,6 @@ def record_key(
         "input": input_hash,
         "cutoff": cutoff,
         "field": p,
-        "seed": seed,
     }
     if extra:
         key["extra"] = dict(sorted(extra.items()))

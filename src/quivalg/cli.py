@@ -11,8 +11,10 @@ Each subcommand is one row of ``COMMANDS``, which declares its arguments.
 The nine algebra commands share one run path, ``_run``: parse every algebra
 argument, look the command up in the invariant cache (keyed by every
 declared argument, algebras by content hash), and only on a miss build the
-algebras, compute the command's own rows and prefix the common header; then
-emit, with a human summary filled from the RESULTS block.  ``tensor``,
+algebras and compute the command's own rows, which the cache stores with
+the exit code; then prefix the common header, built from the current
+arguments on every run (so the seed, which no verdict depends on, is not
+keyed), and emit, with a human summary filled from the RESULTS block.  ``tensor``,
 ``corpus`` and ``cache`` print their own output.
 """
 
@@ -356,7 +358,7 @@ class Command:
 COMMON_OPTIONS = {
     "--cutoff": {"type": int, "default": 6, "help": "degree cutoff (default 6)"},
     "--field": {"type": int, "help": "prime modulus override"},
-    "--seed": {"type": int, "default": 0, "help": "recorded in the header and the cache key; no verdict depends on it"},
+    "--seed": {"type": int, "default": 0, "help": "recorded in the header; no verdict depends on it"},
     "--catalog": {"help": "cache directory (default $QUIVALG_CATALOG)"},
     "--no-cache": {"action": "store_true", "help": "bypass the cache"},
     "--machine": {"action": "store_true", "help": "suppress the human summary"},
@@ -451,17 +453,17 @@ def _run(spec: Command, args) -> int:
             for dest in dests
             if dest != "algebra"
         }
-        key = catalog.record_key(args.cmd, input_hash, args.cutoff, p, args.seed, extra)
+        key = catalog.record_key(args.cmd, input_hash, args.cutoff, p, extra)
         hit = catalog.cache_get(args.catalog, key)
     if hit is not None:
-        results, code = [(k, v) for k, v in hit["results"]], hit["exit"]
+        rows, code = [(k, v) for k, v in hit["rows"]], hit["exit"]
     else:
         for dest, doc in docs.items():
             setattr(args, dest, catalog.build_doc(doc, args.field))
         rows, code = spec.run(args)
-        results = _header(args, spec.title.format_map(vars(args)), p, input_hash) + rows
         if key is not None:
-            catalog.cache_put(args.catalog, key, {"results": results, "exit": code})
+            catalog.cache_put(args.catalog, key, {"rows": rows, "exit": code})
+    results = _header(args, spec.title.format_map(vars(args)), p, input_hash) + rows
     _emit(results, [spec.summary.format_map(dict(results))], args.machine)
     return code
 

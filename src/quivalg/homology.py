@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, column_span_basis, opposite
+from .algebra import Algebra, opposite
 from .errors import InputError, InternalCheckError
 from .linalg import PrimeMatrix, mulmod, rref, solve
 from .modules import (
@@ -189,84 +189,70 @@ def _projective_resolution(m: ModuleRep, depth: int) -> Resolution:
 # Ext dimensions
 
 
-def _yoneda_data(a: Algebra, n: ModuleRep):
-    """Per-vertex bases of e_v.n and the generator coordinates of each P(v).
-
-    Hom(P(v), n) is e_v.n: a map is evaluation of the action on the image of
-    the generator e_v, which makes hom complexes of projective resolutions
-    assemble from small blocks without solving intertwining systems.
-    """
-    std = standard_modules(a)
-    field = a.field
-    cell_basis = []
-    for e in a.idempotents:
-        cell_basis.append(column_span_basis(PrimeMatrix(field, n.act(e))))
+def _generator_coords(a: Algebra) -> list[np.ndarray]:
+    """Coordinates of e_v in the basis ``proj_bases[v]`` of P(v) = A.e_v,
+    memoized on the algebra."""
     if "gen_coords" not in a.memo:
+        std = standard_modules(a)
         gen_coords = []
         for v, e in enumerate(a.idempotents):
-            g = solve(std.proj_bases[v], PrimeMatrix(field, e.reshape(-1, 1)))
+            g = solve(std.proj_bases[v], PrimeMatrix(a.field, e.reshape(-1, 1)))
             if g is None:
                 raise InternalCheckError("projective generator not in its basis")
             gen_coords.append(g.a[:, 0])
         a.memo["gen_coords"] = gen_coords
-    return std, cell_basis, a.memo["gen_coords"]
+    return a.memo["gen_coords"]
 
 
 def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
-    """dim Ext^i(m, n) for 0 <= i <= cutoff from the minimal projective
-    resolution of m, with hom spaces read off by the Yoneda identification."""
+    """dim Ext^i(m, n) for 0 <= i <= cutoff: cohomology ranks of Hom(P, n)
+    for the minimal projective resolution P of m.
+
+    A map out of P_i is read by its values at the generators e_v of the
+    summands P(v) = A.e_v, one in each e_v.n (the Yoneda identification), so
+    dim Hom(P(v), n) is the rank of e_v on n.  If d sends the s-th generator
+    of P_{i+1} to sum_t u_st, with u_st in e_{v_s}.A.e_{v_t}, then delta_i is
+    the block matrix of the actions of the u_st on n.  Since u_st =
+    u_st.e_{v_t}, that matrix on all of n^(summands of P_i) has the rank of
+    delta_i, so ranks are taken in module coordinates, with no basis of any
+    e_v.n.
+    """
     if m.algebra.content_hash() != n.algebra.content_hash():
         raise InputError("Ext needs modules over the same algebra")
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
     a = m.algebra
-    field = a.field
-    p = field.p
+    p = a.field.p
     res = minimal_resolution(m, "projective", cutoff + 1)
-    std, cell_basis, gen_coords = _yoneda_data(a, n)
-    pdim = [std.projectives[v].dim for v in range(len(a.idempotents))]
-    cell = [cb.cols for cb in cell_basis]
+    std = standard_modules(a)
+    gen_coords = _generator_coords(a)
+    pdim = [b.cols for b in std.proj_bases]
+    idem = np.stack([n.act(e) for e in a.idempotents])
+    cell = [PrimeMatrix(a.field, x).rank() for x in idem]
 
     hom_dims = [sum(cell[v] for v in summ) for summ in res.term_summands]
     ranks = []
     for i in range(cutoff + 1):
-        src_summ = res.term_summands[i]
-        tgt_summ = res.term_summands[i + 1]
-        rows = sum(cell[v] for v in tgt_summ)
-        cols = hom_dims[i]
-        if rows == 0 or cols == 0:
+        src = res.term_summands[i]
+        tgt = res.term_summands[i + 1]
+        if not src or not tgt or n.dim == 0:
             ranks.append(0)
             continue
         d = res.maps[i + 1].map.a
-        delta = np.zeros((rows, cols), dtype=np.int64)
-        src_off = np.cumsum([0] + [pdim[v] for v in src_summ])
-        col_off = np.cumsum([0] + [cell[v] for v in src_summ])
-        tgt_off = np.cumsum([0] + [pdim[v] for v in tgt_summ])
-        row_off = np.cumsum([0] + [cell[v] for v in tgt_summ])
-        for s, vs in enumerate(tgt_summ):
-            if cell[vs] == 0:
-                continue
-            gen = np.zeros(d.shape[1], dtype=np.int64)
-            gen[tgt_off[s] : tgt_off[s] + pdim[vs]] = gen_coords[vs]
-            u = mulmod(d, gen, p)
-            for t, vt in enumerate(src_summ):
-                if cell[vt] == 0:
-                    continue
-                c = u[src_off[t] : src_off[t] + pdim[vt]]
-                if not c.any():
-                    continue
-                a_vec = mulmod(std.proj_bases[vt].a, c, p)
-                blk = solve(
-                    cell_basis[vs],
-                    PrimeMatrix(field, mulmod(n.act(a_vec), cell_basis[vt].a, p)),
-                )
-                if blk is None:
-                    raise InternalCheckError("hom block left its Yoneda cell")
-                delta[
-                    row_off[s] : row_off[s] + cell[vs],
-                    col_off[t] : col_off[t] + cell[vt],
-                ] = blk.a
-        ranks.append(PrimeMatrix(field, delta).rank())
+        # column s of gens: the generator of the s-th summand of P_{i+1}
+        g = np.concatenate([gen_coords[v] for v in tgt])
+        gens = np.zeros((g.size, len(tgt)), dtype=np.int64)
+        gens[np.arange(g.size), np.repeat(np.arange(len(tgt)), [pdim[v] for v in tgt])] = g
+        u = mulmod(d, gens, p)
+        # x[:, t, s] = u_st in algebra coordinates
+        blocks = np.split(u, np.cumsum([pdim[v] for v in src])[:-1])
+        x = np.stack([mulmod(std.proj_bases[v].a, b, p) for v, b in zip(src, blocks)], axis=1)
+        acts = mulmod(x.reshape(a.dim, -1).T, n.action.reshape(a.dim, -1), p)
+        delta = acts.reshape(len(src), len(tgt), n.dim, n.dim).transpose(1, 2, 0, 3).reshape(len(tgt), n.dim, -1)
+        # u_st = e_{v_s}.u_st: row block s must be fixed by e_{v_s}
+        if not np.array_equal(mulmod(idem[tgt], delta, p), delta):
+            raise InternalCheckError("hom block left its Yoneda cell")
+        ranks.append(PrimeMatrix(a.field, delta.reshape(len(tgt) * n.dim, -1)).rank())
     dims = [hom_dims[0] - ranks[0]]
     for i in range(1, cutoff + 1):
         dims.append(hom_dims[i] - ranks[i] - ranks[i - 1])

@@ -15,9 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, column_span_basis, opposite
-from .errors import InputError, InternalCheckError, UnsupportedFieldError
-from .linalg import PrimeMatrix, mulmod, nullspace, rref, solve
+from .algebra import Algebra, column_span_basis, opposite, trace_form_radical
+from .errors import InputError, UnsupportedFieldError
+from .linalg import PrimeMatrix, mulmod, nullspace, rref
+from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test reads modules.solve)
 
 __all__ = [
     "ModuleRep",
@@ -78,11 +79,18 @@ class ModuleRep:
         return self.dim == 0
 
     def check(self):
-        """Assert the action respects structure constants and the unit."""
+        """Assert the action respects structure constants and the unit.
+
+        Both sides are products mod p, so a modulus at which they could
+        overflow int64 raises UnsupportedFieldError rather than a verdict.
+        """
         alg = self.algebra
         p = alg.field.p
-        lhs = np.einsum("aij,bjk->abik", self.action, self.action) % p
-        rhs = np.einsum("abc,cik->abik", alg.mult, self.action) % p
+        d, n = alg.dim, self.dim
+        # lhs[a, b] = action[a] @ action[b]; rhs[a, b] = sum_c mult[a, b, c] action[c]
+        lhs = mulmod(self.action.reshape(d * n, n), self.action.transpose(1, 0, 2).reshape(n, d * n), p)
+        lhs = lhs.reshape(d, n, d, n).transpose(0, 2, 1, 3)
+        rhs = mulmod(alg.mult.reshape(d * d, d), self.action.reshape(d, n * n), p).reshape(d, d, n, n)
         if not np.array_equal(lhs, rhs):
             bad = np.argwhere((lhs != rhs).any(axis=(2, 3)))[0]
             raise InputError(
@@ -461,24 +469,23 @@ class Cover:
 def projective_cover(m: ModuleRep) -> Cover:
     """Cover by one P(i) per basis vector of e_i.top(m).
 
-    Each such vector lifts to a generator w in e_i.m (one solve per
-    idempotent), and the summand P(i) = A.e_i maps by x -> x.w; with
-    aw[a] = action[a] @ w the images of the basis of A.e_i are aw^T @ basis.
+    The section of m -> top(m) lifts each such vector to m, e_i times the
+    lift is a generator w in e_i.m, and the summand P(i) = A.e_i maps by
+    x -> x.w; with aw[a] = action[a] @ w the images of the basis of A.e_i
+    are aw^T @ basis.
     """
     alg = m.algebra
     p = alg.field.p
     std = standard_modules(alg)
-    t, proj_top = top(m)
+    _, rad_inc = rad_module(m)
+    t, _, sec = quotient_module(m, rad_inc.map)
     vertex_of: list[int] = []
     gens = []
     for i, e in enumerate(alg.idempotents):
         block = column_span_basis(PrimeMatrix(alg.field, t.act(e)))
         if block.cols == 0:
             continue
-        lift = solve(proj_top.map, block)
-        if lift is None:
-            raise InternalCheckError("projective cover lift failed")
-        gens.append(mulmod(m.act(e), lift.a, p))
+        gens.append(mulmod(mulmod(m.act(e), sec.a, p), block.a, p))
         vertex_of += [i] * block.cols
     if not vertex_of:
         z = zero_module(alg)
@@ -518,15 +525,7 @@ def endo_structure_constants(hs: HomSpace) -> np.ndarray:
 
 def _endo_radical_dim(hs: HomSpace) -> tuple[int, PrimeMatrix]:
     """Dimension and basis of rad End(m) via the trace form; needs p > dim End."""
-    alg = hs.source.algebra
-    p = alg.field.p
-    d = hs.dim
-    if p <= d:
-        raise UnsupportedFieldError(f"endomorphism radical needs p > {d}")
-    mult = endo_structure_constants(hs)
-    left = np.transpose(mult, (0, 2, 1)) % p
-    gram = np.einsum("aij,bji->ab", left, left) % p
-    rad = nullspace(PrimeMatrix(alg.field, gram))
+    rad = trace_form_radical(hs.source.algebra.field, endo_structure_constants(hs))
     return rad.cols, rad
 
 

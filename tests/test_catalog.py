@@ -152,7 +152,7 @@ def test_field_override():
 
 def test_cache_round_trip(tmp_path):
     cat = str(tmp_path / "cat")
-    key = record_key("domdim", "abc", 6, 32003, 0)
+    key = record_key("domdim", "abc", 6, 32003)
     assert cache_get(cat, key) is None
     cache_put(cat, key, {"results": [["value", "2"]]})
     assert cache_get(cat, key) == {"results": [["value", "2"]]}
@@ -160,24 +160,16 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_version_miss(tmp_path):
     cat = str(tmp_path / "cat")
-    key = record_key("domdim", "abc", 6, 32003, 0)
+    key = record_key("domdim", "abc", 6, 32003)
     cache_put(cat, key, {"x": 1})
     other = dict(key, engine="quivalg-9.9.9")
     assert cache_get(cat, other) is None
 
 
-def test_cache_seed_in_key(tmp_path):
-    cat = str(tmp_path / "cat")
-    k0 = record_key("nakayama", "abc", 6, 32003, 0)
-    k1 = record_key("nakayama", "abc", 6, 32003, 1)
-    cache_put(cat, k0, {"x": 0})
-    assert cache_get(cat, k1) is None
-
-
 def test_cache_corruption_ignored(tmp_path, capsys):
     cat = tmp_path / "cat"
     cat.mkdir()
-    key = record_key("domdim", "abc", 6, 32003, 0)
+    key = record_key("domdim", "abc", 6, 32003)
     cache_put(str(cat), key, {"x": 1})
     for f in cat.glob("*.json"):
         f.write_text("{broken json")
@@ -187,7 +179,7 @@ def test_cache_corruption_ignored(tmp_path, capsys):
 
 def test_cache_overwrite_single_record(tmp_path):
     cat = str(tmp_path / "cat")
-    key = record_key("domdim", "abc", 6, 32003, 0)
+    key = record_key("domdim", "abc", 6, 32003)
     cache_put(cat, key, {"x": 1})
     cache_put(cat, key, {"x": 1})
     assert cache_info(cat)["records"] == 1
@@ -195,7 +187,7 @@ def test_cache_overwrite_single_record(tmp_path):
 
 def test_cache_clear(tmp_path):
     cat = str(tmp_path / "cat")
-    key = record_key("domdim", "abc", 6, 32003, 0)
+    key = record_key("domdim", "abc", 6, 32003)
     cache_put(cat, key, {"x": 1})
     from quivalg.catalog import cache_clear
 

@@ -195,6 +195,20 @@ def test_cache_roundtrip_and_byte_identity(capsys, tmp_path):
     assert results_dict(out)["removed"] == "1"
 
 
+def test_cache_is_shared_across_seeds(capsys, tmp_path, monkeypatch):
+    # no verdict depends on the seed: one record answers every seed, and
+    # the header of a hit still prints the seed of the current run
+    cat = str(tmp_path / "cat")
+    seeds = ("0", "1", "2")
+    fresh = [run_cli(capsys, "domdim", "k2", "--seed", s, "--no-cache") for s in seeds]
+    for i, seed in enumerate(seeds):
+        cached = run_cli(capsys, "domdim", "k2", "--seed", seed, "--catalog", cat)
+        assert cached == fresh[i]
+        assert results_dict(cached[1])["seed"] == seed
+        monkeypatch.setattr(catalog, "build_doc", build_on_hit)
+    assert catalog.cache_info(cat)["records"] == 1
+
+
 def test_cache_requires_catalog(capsys):
     code, _, err = run_cli(capsys, "cache", "info")
     assert code == 3

@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
 import itertools
+import json
+import sys
 
 import numpy as np
 import pytest
 
+import quivalg.linalg
 from quivalg import corpus
 from quivalg.algebra import opposite
 from quivalg.catalog import named_modules, resolve_expression
@@ -26,11 +29,13 @@ from quivalg.homology import (
 )
 from quivalg.modules import (
     HomSpace,
+    ModuleRep,
     Morphism,
     direct_sum,
     zero_module,
     dualize,
     is_isomorphic,
+    projective_cover,
     rad_module,
     standard_modules,
     top_multiplicities,
@@ -141,6 +146,60 @@ def test_ext_opposite_duality(corpus_algebras):
             lhs = ext_dims(m, n, 3).dims
             rhs = ext_dims(dualize(n), dualize(m), 3).dims
             assert lhs == rhs, name
+
+
+def standard_module_list(alg):
+    std = standard_modules(alg)
+    return [std.regular, std.coregular] + std.projectives + std.injectives + std.simples
+
+
+# sha256 of the JSON list of ext_dims(m, n, 4).dims over every ordered pair
+# of standard_module_list, recorded while the hom complexes were still
+# assembled from per-pair solves in bases of the cells e_v.n
+EXT_TABLES_SHA256 = {
+    "k": "4d69d279c6464d189e7191e07ee3e14b30e925f12c87270143152f94542aaa4e",
+    "k2": "fcb7f41a70446bf9aef0c200bcd100dffef6f4f1e766d05f0e31f034d07a938c",
+    "k3": "8da709f936c644abe2f97f347ad9bc6ff58412e36a74b579404dfe10a84a7bde",
+    "k4": "4f513d1cacc96f82ecb6fd6a8b71750df71e4c9c3de1bc13e562846dba21e3e5",
+    "ka2": "e097d972e947f4666e8c83761f17dba97a25020a6e7a7ac5b2405a4739d4733c",
+    "ka3": "7a5fa193294f880771a918ccd5cc001537cc3bfcfbede3b267da1f23e2e400a0",
+    "aus": "50b77931a8af623b4e0c9237ea4624e83c20c45559c4a1fcc05440e0a594e40d",
+    "k2xk2": "6ff7ed854cffa4382e0a812abe5e6e7fbedce653af56f43e6637f1e899641bf5",
+    "ka2xk2": "68a8388a82d1986ea27ec87508e95e5a739b0dcdfbb4f574a2fada0177b5cecc",
+}
+
+
+def test_ext_tables_are_pinned(corpus_loaded):
+    got = {}
+    for name, loaded in corpus_loaded.items():
+        mods = standard_module_list(loaded.algebra)
+        tables = [ext_dims(m, n, 4).dims for m in mods for n in mods]
+        got[name] = hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+    assert got == EXT_TABLES_SHA256
+
+
+def test_ext_and_covers_run_no_solve(corpus_loaded, monkeypatch):
+    cases = []
+    for loaded in corpus_loaded.values():
+        mods = standard_module_list(loaded.algebra)
+        ext_dims(mods[0], mods[0], 0)  # memoizes the generator coordinates
+        # fresh copies carry no memoized resolution
+        cases.append([ModuleRep(m.algebra, m.action) for m in mods])
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called")
+
+    real = quivalg.linalg.solve
+    for name, mod in list(sys.modules.items()):
+        if name == "quivalg" or name.startswith("quivalg."):
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, no_solve)
+    for mods in cases:
+        for m in mods:
+            projective_cover(m)
+            for n in mods:
+                ext_dims(m, n, 3)
 
 
 def test_minimality_witness(corpus_algebras):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import quivalg.linalg
-from quivalg.errors import InputError
-from quivalg.linalg import PrimeMatrix
+from quivalg.algebra import QuiverPresentation, build_from_quiver
+from quivalg.errors import InputError, UnsupportedFieldError
+from quivalg.linalg import PrimeField, PrimeMatrix
 from quivalg.modules import (
     HomSpace,
+    ModuleRep,
     Morphism,
     cokernel,
     direct_sum,
@@ -18,6 +20,7 @@ from quivalg.modules import (
     kernel,
     projective_cover,
     injective_envelope,
+    quotient_module,
     rad_module,
     regular_module,
     soc,
@@ -112,6 +115,27 @@ def test_module_actions_validate(corpus_algebras):
         std = standard_modules(a)
         for m in [std.regular, std.coregular] + std.projectives + std.injectives + std.simples:
             m.check()
+
+
+def test_module_check_near_the_largest_prime_never_rejects_a_valid_module():
+    # x acts on F_p^4 by N = v w^T with w.v = 0, so N^2 = 0: a valid
+    # k[x]/(x^2)-module whose check products can exceed int64 at this p
+    p = 2**31 - 1
+    k2 = build_from_quiver(
+        QuiverPresentation(("1",), (("x", "1", "1"),), (((1, ("x", "x")),),), 1), PrimeField(p)
+    )
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        v = [int(t) for t in rng.integers(1, p, size=4)]
+        w = [0] + [int(t) for t in rng.integers(0, p, size=3)]
+        w[0] = -sum(wi * vi for wi, vi in zip(w[1:], v[1:])) * pow(v[0], p - 2, p) % p
+        action = np.zeros((2, 4, 4), dtype=np.int64)
+        action[k2.labels.index("e_1")] = np.eye(4, dtype=np.int64)
+        action[k2.labels.index("x")] = [[vi * wj % p for wj in w] for vi in v]
+        try:
+            ModuleRep(k2, action).check()
+        except UnsupportedFieldError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +257,14 @@ def test_hom_coords_of_unreduced_representative(corpus_algebras):
 
 # ---------------------------------------------------------------------------
 # kernels, images, cokernels
+
+
+def test_quotient_projection_times_section_is_identity(corpus_algebras):
+    for a in corpus_algebras.values():
+        for m in small_corpus_modules(a):
+            for sub in (rad_module(m)[1].map, soc(m)[1].map):
+                quot, proj, sec = quotient_module(m, sub)
+                assert proj.map @ sec == FIELD.identity(quot.dim)
 
 
 def test_kernel_of_identity(K2):
