@@ -104,17 +104,18 @@ class Algebra:
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         p = self.field.p
-        return np.einsum("abc,a,b->c", self.mult, x % p, y % p) % p
+        return mulmod(y % p, self.left_mult(x).T, p)
 
     def left_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of v -> x*v on the underlying space."""
         p = self.field.p
-        return np.einsum("abc,a->cb", self.mult, x % p) % p
+        return mulmod(x % p, self.mult.reshape(self.dim, -1), p).reshape(self.dim, self.dim).T
 
     def right_mult(self, y: np.ndarray) -> np.ndarray:
         """Matrix of v -> v*y."""
         p = self.field.p
-        return np.einsum("abc,b->ca", self.mult, y % p) % p
+        ymult = self.mult.transpose(1, 0, 2).reshape(self.dim, -1)
+        return mulmod(y % p, ymult, p).reshape(self.dim, self.dim).T
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.int64)
@@ -166,9 +167,12 @@ class Algebra:
     # -- validation -----------------------------------------------------------
 
     def _validate(self):
-        p = self.field.p
-        lhs = np.einsum("abx,xcd->abcd", self.mult, self.mult) % p
-        rhs = np.einsum("bcy,ayd->abcd", self.mult, self.mult) % p
+        p, d = self.field.p, self.dim
+        # (ab)c and a(bc) as two products of inner dimension d, indexed abcd
+        pairs = self.mult.reshape(d * d, d)
+        lhs = mulmod(pairs, self.mult.reshape(d, d * d), p).reshape(d, d, d, d)
+        rhs = mulmod(pairs, self.mult.transpose(1, 0, 2).reshape(d, d * d), p)
+        rhs = rhs.reshape(d, d, d, d).transpose(2, 0, 1, 3)
         if not np.array_equal(lhs, rhs):
             bad = np.argwhere(lhs != rhs)[0]
             a, b, c = int(bad[0]), int(bad[1]), int(bad[2])
@@ -521,13 +525,13 @@ class Extension:
         if E.rank() != B.dim:
             raise InputError("embedding is not injective")
         p = A.field.p
-        if not np.array_equal((E.a @ B.unit) % p, A.unit):
+        if not np.array_equal(mulmod(E.a, B.unit, p), A.unit):
             raise InputError("embedding does not preserve the unit")
         # multiplicative on basis pairs
         for i in range(B.dim):
             for j in range(B.dim):
                 img = A.multiply(E.a[:, i], E.a[:, j])
-                want = (E.a @ B.mult[i, j]) % p
+                want = mulmod(E.a, B.mult[i, j], p)
                 if not np.array_equal(img, want):
                     raise InputError(
                         f"embedding is not multiplicative on basis pair ({i}, {j})"

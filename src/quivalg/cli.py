@@ -5,7 +5,7 @@ per line, terminated by END) followed by a human summary, suppressed by
 --machine.  Output is byte-identical across runs for fixed inputs and flags;
 the modulus and seed always appear in the block, and every verdict is exact,
 so none depends on the seed.  Exit codes: 0 computed/pass, 1 check failed,
-2 input error, 3 budget or unsupported field.
+2 input error, 3 budget, unsupported field or out of memory.
 
 Each subcommand is one row of ``COMMANDS``, which declares its arguments.
 The nine algebra commands share one run path, ``_run``: parse every algebra
@@ -493,6 +493,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

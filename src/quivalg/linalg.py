@@ -8,6 +8,14 @@ integer below 2^53, which float64 holds exactly, and through int64 otherwise.
 Nothing is rounded and there is no tolerance anywhere.  Pivoting is
 deterministic (leftmost pivot column, topmost row, free variables set to
 zero) so every derived invariant is bit-reproducible.
+
+``nullspace`` first takes out the rows with a single nonzero entry: each one
+forces its unknown to zero, and only the rows with two or more nonzeros, cut
+down to the unforced columns, reach ``rref``.  This is the singleton step of
+structured Gaussian elimination (LaMacchia and Odlyzko, "Solving large
+sparse linear systems over finite fields", CRYPTO '90).  The two systems have
+the same row space, and the reduced echelon form of a row space is unique,
+so the basis is the one a full ``rref`` would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -269,13 +277,25 @@ def nullspace(m: PrimeMatrix) -> PrimeMatrix:
 
     The basis follows the standard free-variable construction: for each
     non-pivot column f (in increasing order) the vector has a 1 in slot f.
+
+    A row with one nonzero entry forces that unknown to zero, so only the
+    rows with two or more nonzeros are eliminated, on the unforced columns.
+    Together with the unit rows of the forced columns, the reduced echelon
+    form of that smaller system is a reduced echelon form of m's row space:
+    the unit rows are zero off their own column, and the smaller system is
+    zero on every forced column.  That form is unique, so the pivots, the
+    free columns and the basis are exactly those of ``rref(m)``.  Only the
+    coupled rows are copied, never the whole of m.
     """
     p = m.field.p
-    red, rank, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-        for i, c in enumerate(pivots):
-            basis[c, k] = (-red.a[i, f]) % p
+    is_nonzero = m.a != 0
+    counts = np.count_nonzero(is_nonzero, axis=1)
+    forced = np.zeros(m.cols, dtype=bool)
+    forced[np.nonzero(is_nonzero[counts == 1])[1]] = True
+    unforced = np.flatnonzero(~forced)
+    red, rank, pivots = rref(PrimeMatrix(m.field, m.a[np.ix_(counts >= 2, unforced)]))
+    free = np.delete(np.arange(unforced.size), pivots)
+    basis = np.zeros((m.cols, free.size), dtype=np.int64)
+    basis[unforced[pivots]] = (-red.a[:rank, free]) % p
+    basis[unforced[free], np.arange(free.size)] = 1
     return PrimeMatrix(m.field, basis)

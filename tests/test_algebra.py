@@ -4,6 +4,8 @@ import pytest
 from quivalg.algebra import (
     Algebra,
     Extension,
+    QuiverPresentation,
+    build_from_quiver,
     enveloping,
     one_dimensional_algebra,
     opposite,
@@ -210,3 +212,60 @@ def test_extension_validation(K2):
     bad = PrimeMatrix(FIELD, np.array([[0], [1]]))
     with pytest.raises(InputError):
         Extension(one_dimensional_algebra(FIELD), K2, bad)
+
+
+# ---------------------------------------------------------------------------
+# exact products at large moduli
+
+PRESENTATIONS = {
+    "k2": QuiverPresentation(("1",), (("x", "1", "1"),), (((1, ("x", "x")),),), 1),
+    "k3": QuiverPresentation(("1",), (("x", "1", "1"),), (((1, ("x", "x", "x")),),), 2),
+    "ka2": QuiverPresentation(("1", "2"), (("a", "1", "2"),)),
+    "aus": QuiverPresentation(("1", "2"), (("a", "1", "2"), ("b", "2", "1")), (((1, ("a", "b")),),), 2),
+}
+
+
+def rebased(alg, rng):
+    """The same algebra in a random basis, so that its structure constants
+    are dense and as large as the modulus allows; Python integers throughout."""
+    p, d = alg.field.p, alg.dim
+    while True:
+        b = PrimeMatrix(alg.field, rng.integers(0, p, size=(d, d)))
+        if b.is_invertible():
+            break
+    fwd, inv = b.a.astype(object), b.inverse().a.astype(object)
+    # f_a f_b = sum_ijk B[i,a] B[j,b] mult[i,j,k] e_k, read in the f basis
+    mult = np.tensordot(fwd, np.tensordot(fwd, alg.mult.astype(object), axes=([0], [0])), axes=([0], [1]))
+    mult = np.tensordot(mult, inv, axes=([2], [1])).transpose(1, 0, 2) % p
+    unit = inv.dot(alg.unit.astype(object)) % p
+    idem = [inv.dot(e.astype(object)) % p for e in alg.idempotents]
+    return Algebra(alg.field, [f"f{a}" for a in range(d)], mult.astype(np.int64), unit.astype(np.int64),
+                   [e.astype(np.int64) for e in idem])
+
+
+@pytest.mark.parametrize("p", [32003, 2**31 - 1])
+def test_algebra_products_match_python_integers_or_refuse(p):
+    """multiply, left_mult and right_mult agree with Python integers or raise
+    UnsupportedFieldError; validation never reports a false associativity
+    failure, which an int64 overflow would."""
+    rng = np.random.default_rng(p)
+    checked = 0
+    for pres in PRESENTATIONS.values():
+        try:
+            alg = rebased(build_from_quiver(pres, PrimeField(p)), rng)
+        except UnsupportedFieldError:
+            continue
+        d, mult = alg.dim, alg.mult.astype(object)
+        for _ in range(10):
+            x, y = (rng.integers(0, p, size=d) for _ in range(2))
+            xo, yo = x.astype(object), y.astype(object)
+            left = np.array([[sum(xo[a] * mult[a, b, c] for a in range(d)) % p for b in range(d)] for c in range(d)])
+            right = np.array([[sum(mult[a, b, c] * yo[b] for b in range(d)) % p for a in range(d)] for c in range(d)])
+            try:
+                assert np.array_equal(alg.left_mult(x), left.astype(np.int64))
+                assert np.array_equal(alg.right_mult(y), right.astype(np.int64))
+                assert np.array_equal(alg.multiply(x, y), (left.dot(yo) % p).astype(np.int64))
+            except UnsupportedFieldError:
+                continue
+            checked += 1
+    assert checked >= 10

@@ -1,10 +1,19 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from quivalg import catalog, corpus
+from quivalg import catalog, cli, corpus
 from quivalg.cli import main
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
 
 
 def run_cli(capsys, *argv):
@@ -369,3 +378,29 @@ def test_catalog_from_environment_set_after_import(capsys, tmp_path, monkeypatch
     code, out, _ = run_cli(capsys, "cache", "info")
     assert code == 0
     assert results_dict(out)["records"] == "1"
+
+
+@pytest.mark.parametrize("error", [MemoryError(), _ArrayMemoryError((67228, 2401), np.dtype(np.int64))])
+def test_out_of_memory_exits_3_and_caches_nothing(capsys, tmp_path, monkeypatch, error):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "endomorphism_algebra", exhausted)
+    cat = str(tmp_path / "cat")
+    code, out, err = run_cli(capsys, "endo", "k2", "regular+S", "--catalog", cat)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert catalog.cache_info(cat)["records"] == 0
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivalg", "corpus", "list"], capture_output=True, text=True, env=env, timeout=120
+    )
+    code, out, _ = run_cli(capsys, "corpus", "list")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

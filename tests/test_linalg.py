@@ -99,6 +99,51 @@ def test_nullspace_single_row_mod5():
     assert ns == F5.matrix([[3], [1]])
 
 
+def free_variable_basis(m):
+    """The free-variable nullspace basis read off rref of the whole of m."""
+    p = m.field.p
+    red, _, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[f, k] = 1
+        for i, c in enumerate(pivots):
+            basis[c, k] = (-red.a[i, f]) % p
+    return basis
+
+
+def tall_sparse(rng, p, rows, cols):
+    """Rows that are zero, singletons, duplicates of an earlier row, or
+    couple two or three unknowns."""
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for i in range(rows):
+        kind = rng.integers(4)
+        if kind == 1:
+            a[i, rng.integers(cols)] = rng.integers(1, p)
+        elif kind == 2 and i:
+            a[i] = a[rng.integers(i)]
+        elif kind == 3:
+            idx = rng.choice(cols, size=min(cols, int(rng.integers(2, 4))), replace=False)
+            a[i, idx] = rng.integers(1, p, size=idx.size)
+    return a
+
+
+@pytest.mark.parametrize("p", [5, 32003])
+def test_nullspace_is_byte_identical_to_the_whole_matrix_rref_basis(p):
+    f = PrimeField(p)
+    rng = np.random.default_rng(p)
+    shapes = [(0, 4), (4, 0), (0, 0), (7, 5)]  # 7 x 5 stays all zero
+    inputs = [PrimeMatrix(f, np.zeros(s, dtype=np.int64)) for s in shapes]
+    for _ in range(60):
+        cols = int(rng.integers(1, 13))
+        inputs.append(PrimeMatrix(f, tall_sparse(rng, p, int(rng.integers(cols, 5 * cols + 1)), cols)))
+    for m in inputs:
+        got, want = nullspace(m), free_variable_basis(m)
+        assert got.a.dtype == np.int64
+        assert got.a.shape == want.shape
+        assert got.a.tobytes() == want.tobytes()
+
+
 def test_rank_nullity():
     rng = np.random.default_rng(11)
     for _ in range(40):

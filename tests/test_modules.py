@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 import quivalg.linalg
+import quivalg.modules
 from quivalg.algebra import QuiverPresentation, build_from_quiver
 from quivalg.errors import InputError, UnsupportedFieldError
+from quivalg.homology import minimal_gen_cogen
 from quivalg.linalg import PrimeField, PrimeMatrix
 from quivalg.modules import (
     HomSpace,
@@ -253,6 +256,51 @@ def test_hom_coords_of_unreduced_representative(corpus_algebras):
         want = h.coords(f)
         for shift in (p, -p, 3 * p):
             assert np.array_equal(h.coords(PrimeMatrix(f.field, f.a + shift)), want)
+
+
+def gencogen_of_path_algebra(n):
+    """The minimal generator-cogenerator of the path algebra of 1 -> ... -> n."""
+    verts = tuple(str(i) for i in range(1, n + 1))
+    arrows = tuple((f"a{i}", str(i), str(i + 1)) for i in range(1, n))
+    return minimal_gen_cogen(build_from_quiver(QuiverPresentation(verts, arrows, (), n - 1), FIELD)).module
+
+
+def test_hom_nullspace_eliminates_only_coupled_rows(monkeypatch):
+    m = gencogen_of_path_algebra(5)
+    nullspace, eliminate = quivalg.modules.nullspace, quivalg.linalg._eliminate
+    constraints, eliminated = [], []
+
+    def recording_nullspace(c):
+        constraints.append(c.a.copy())
+        return nullspace(c)
+
+    def recording_eliminate(a, p, full):
+        eliminated.append(a.copy())
+        return eliminate(a, p, full)
+
+    monkeypatch.setattr(quivalg.modules, "nullspace", recording_nullspace)
+    monkeypatch.setattr(quivalg.linalg, "_eliminate", recording_eliminate)
+    h = HomSpace(m, m)
+    assert h.dim == 35
+    [c], [a] = constraints, eliminated
+    counts = np.count_nonzero(c, axis=1)
+    forced = np.unique(np.nonzero(c[counts == 1])[1])
+    # the 9,375 x 625 stack: its 100 coupled rows on the 75 unforced unknowns
+    assert c.shape == (9375, 625)
+    assert a.shape == (np.count_nonzero(counts >= 2), 625 - forced.size) == (100, 75)
+    assert np.array_equal(a, np.delete(c[counts >= 2], forced, axis=1))
+
+
+# sha256 of HomSpace(M, M).matrix.a for the minimal generator-cogenerator M
+# of A6, recorded before nullspace stopped eliminating singleton rows
+A6_GENCOGEN_HOM_SHA256 = "30ee20e332339b02bfd691a67520d9edf009814c83b3e99af35947bf15c6d4df"
+
+
+def test_a6_gencogen_hom_basis_is_pinned():
+    m = gencogen_of_path_algebra(6)
+    h = HomSpace(m, m)
+    assert h.matrix.a.shape == (1296, 51)
+    assert hashlib.sha256(h.matrix.a.tobytes()).hexdigest() == A6_GENCOGEN_HOM_SHA256
 
 
 # ---------------------------------------------------------------------------
