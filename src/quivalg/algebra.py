@@ -70,8 +70,9 @@ class Algebra:
 
     ``memo`` caches values derived from the structure constants, which are
     immutable by convention, so an entry never goes stale.  Keys:
-    "radical", "content_hash", "opposite" (set here), "standard_modules"
-    and "gen_coords" (set by the modules and homology layers).
+    "radical", "content_hash", "opposite" (set here), "standard_modules",
+    "gen_coords" and "bar_graded" (set by the modules, homology and checks
+    layers).
     """
 
     def __init__(

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import Algebra, QuiverPresentation, build_from_quiver
 from .errors import InputError
 from .homology import DecomposedModule, minimal_gen_cogen
-from .linalg import PrimeField
+from .linalg import PrimeField, mulmod
 from .modules import ModuleRep, standard_modules
 
 __all__ = [
@@ -378,7 +378,7 @@ def _build_quiver_module(alg: Algebra, doc: AlgebraDoc, mod: ModuleDoc) -> Modul
         tgt = arrow_info[path[0]][1]
         mat = np.eye(dims[src], dtype=np.int64)
         for name in reversed(path):
-            mat = (mats[name] @ mat) % p
+            mat = mulmod(mats[name], mat, p)
         action[b, offsets[tgt] : offsets[tgt] + dims[tgt], offsets[src] : offsets[src] + dims[src]] = mat
     rep = ModuleRep(alg, action)
     try:

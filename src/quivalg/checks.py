@@ -7,6 +7,16 @@ keeps the chain spaces small enough to sweep while staying a genuine second
 route: no projective covers are involved, exactness comes from an explicit
 contracting homotopy, and cohomology is read off by ranks.
 
+What depends on one argument alone is built once and memoized on it: the
+graded radical and its product table in ``Algebra.memo["bar_graded"]``; a
+module's graded basis and the graded action of the radical on it in
+``ModuleRep.memo["bar_graded"]``; the chain spaces W_i of m and the
+differentials D_i, which depend on m and the cutoff but not on n, in
+``ModuleRep.memo["bar_chains"][cutoff]``.  A sweep over pairs (m, n) then
+builds only the coboundaries.  The budget is a property of the call, not of
+the memo, so every call checks the chain dimensions against its own budget,
+hit or miss, and refuses exactly as a call on fresh objects would.
+
 Each theorem check compares dimensions, never isomorphism verdicts, and
 reports a concrete witness on failure.  Claims quantified over all degrees
 are checked up to a cutoff and say so.
@@ -33,7 +43,7 @@ from .homology import (
     nakayama,
     pd_bounded,
 )
-from .linalg import PrimeMatrix, solve
+from .linalg import PrimeMatrix, mulmod, solve
 from .modules import (
     ModuleRep,
     direct_sum,
@@ -89,7 +99,8 @@ def _fmt_value(v) -> str:
 
 
 class _GradedData:
-    """Idempotent-graded bases for the radical and for a module."""
+    """Idempotent-graded basis of the radical and its product table, built
+    once per algebra (``_graded_data``)."""
 
     def __init__(self, a: Algebra):
         self.algebra = a
@@ -103,7 +114,7 @@ class _GradedData:
             lu = a.left_mult(a.idempotents[u])
             for v in range(nv):
                 rv = a.right_mult(a.idempotents[v])
-                moved = (lu @ rv @ rad.a) % p
+                moved = mulmod(mulmod(lu, rv, p), rad.a, p)
                 cell = column_span_basis(PrimeMatrix(a.field, moved))
                 for j in range(cell.cols):
                     self.j_vectors.append(cell.a[:, j].copy())
@@ -139,27 +150,95 @@ class _GradedData:
                     (members[t], int(coords.a[t, 0])) for t in range(len(members)) if coords.a[t, 0]
                 ]
 
-    def grade_module(self, m: ModuleRep):
-        """Graded basis of m: per-vertex bases of e_v m, with the coordinate
-        change back and forth."""
-        a = self.algebra
-        p = a.field.p
-        vectors: list[np.ndarray] = []
-        tags: list[int] = []
-        for v, e in enumerate(a.idempotents):
-            cell = column_span_basis(PrimeMatrix(a.field, m.act(e)))
-            for j in range(cell.cols):
-                vectors.append(cell.a[:, j].copy())
-                tags.append(v)
-        if len(vectors) != m.dim:
-            raise InternalCheckError("module does not split into idempotent cells")
-        if m.dim:
-            basis = PrimeMatrix(a.field, np.array(vectors, dtype=np.int64).T)
-            expr = basis.inverse()
+
+def _graded_data(a: Algebra) -> _GradedData:
+    if "bar_graded" not in a.memo:
+        a.memo["bar_graded"] = _GradedData(a)
+    return a.memo["bar_graded"]
+
+
+@dataclass(frozen=True)
+class _GradedModule:
+    """A module in its graded basis: per-vertex bases of the cells e_v m."""
+
+    tags: np.ndarray  # vertex of each graded basis vector, ascending
+    act: np.ndarray  # act[j]: radical basis element j in graded coordinates
+
+
+def _graded_module(g: _GradedData, m: ModuleRep) -> _GradedModule:
+    if "bar_graded" in m.memo:
+        return m.memo["bar_graded"]
+    a = g.algebra
+    p = a.field.p
+    cells = [column_span_basis(PrimeMatrix(a.field, m.act(e))).a for e in a.idempotents]
+    tags = np.repeat(np.arange(len(cells)), [c.shape[1] for c in cells])
+    if tags.size != m.dim:
+        raise InternalCheckError("module does not split into idempotent cells")
+    basis = np.hstack(cells)
+    expr = PrimeMatrix(a.field, basis).inverse().a if m.dim else basis
+    js = np.array(g.j_vectors, dtype=np.int64).reshape(-1, a.dim)
+    acts = mulmod(js, m.action.reshape(a.dim, -1), p).reshape(len(js), m.dim, m.dim)
+    m.memo["bar_graded"] = _GradedModule(tags, mulmod(expr, mulmod(acts, basis, p), p))
+    return m.memo["bar_graded"]
+
+
+@dataclass(frozen=True)
+class _BarChains:
+    """The chain spaces W_0, ..., W_{cutoff+1} of a module and the
+    differentials D_i: W_{i+1} -> W_i between them.
+
+    W_0 is the graded basis of the module.  A chain of W_{i+1} in e_u W_{i+1}
+    is a radical basis element j in e_u J e_v (its head) followed by a chain
+    of W_i in e_v W_i (its tail); chains are ordered by head, then tail.
+    """
+
+    tags: list[np.ndarray]  # tags[i][c]: the vertex u with chain c of W_i in e_u W_i
+    heads: list[np.ndarray]  # heads[i] and tails[i], for i >= 1
+    tails: list[np.ndarray]
+    diffs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # nonzeros of D_i: rows, columns, values
+
+
+def _check_budget(dim: int, budget: int):
+    if dim > budget:
+        raise BudgetError(f"bar oracle chain dimension {dim} exceeds budget {budget}")
+
+
+def _bar_chains(g: _GradedData, gm: _GradedModule, cutoff: int, budget: int) -> _BarChains:
+    p = g.algebra.field.p
+    j_tags = np.array(g.j_tags, dtype=np.int64).reshape(-1, 2)
+    tags, heads, tails = [gm.tags], [None], [None]
+    for i in range(cutoff + 1):
+        parts = [np.flatnonzero(tags[i] == v) for v in j_tags[:, 1]]
+        tail = np.concatenate([np.zeros(0, dtype=np.intp)] + parts)
+        _check_budget(tail.size, budget)
+        head = np.repeat(np.arange(len(parts)), [x.size for x in parts])
+        tags.append(j_tags[head, 0])
+        heads.append(head)
+        tails.append(tail)
+    diffs = []
+    for i in range(cutoff + 1):
+        head, tail = heads[i + 1], tails[i + 1]
+        if i == 0:
+            # the radical element acting on the graded module basis
+            d = gm.act[head, :, tail].T
         else:
-            basis = a.field.zeros(0, 0)
-            expr = basis
-        return vectors, tags, basis, expr
+            pos = np.zeros((len(j_tags), tags[i - 1].size), dtype=np.intp)
+            pos[heads[i], tails[i]] = np.arange(tags[i].size)
+            d = np.zeros((tags[i].size, head.size), dtype=np.int64)
+            for col, (j, t) in enumerate(zip(head, tail)):
+                # merge of the first two radical slots
+                for tgt, coeff in g.products[(j, heads[i][t])]:
+                    d[pos[tgt, tails[i][t]], col] += coeff
+                # minus the head tensor the previous differential of the tail
+                nz = np.flatnonzero(prev[:, t])
+                d[pos[j, nz], col] -= prev[nz, t]
+            d %= p
+        rows, cols = np.nonzero(d)
+        if (tags[i][rows] != tags[i + 1][cols]).any():
+            raise InternalCheckError("bar differential left its grading cell")
+        diffs.append((rows, cols, d[rows, cols]))
+        prev = d
+    return _BarChains(tags, heads, tails, diffs)
 
 
 def bar_ext_oracle(
@@ -168,7 +247,9 @@ def bar_ext_oracle(
     """Ext dims of (m, n) through the bar-type radical chain, as an oracle
     independent of minimal resolutions.
 
-    Raises BudgetError when a chain or cochain space would exceed ``budget``.
+    Raises BudgetError when a chain or cochain space would exceed ``budget``;
+    the chains come from the memo, and their dimensions are checked on every
+    call.
     """
     a = m.algebra
     if a.content_hash() != n.algebra.content_hash():
@@ -176,128 +257,49 @@ def bar_ext_oracle(
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
     p = a.field.p
-    g = _GradedData(a)
-    m_vecs, m_tags, _, m_expr = g.grade_module(m)
-    n_vecs, n_tags, n_basis, n_expr = g.grade_module(n)
+    g = _graded_data(a)
+    gm = _graded_module(g, m)
+    gn = _graded_module(g, n)
+    chains = m.memo.setdefault("bar_chains", {})
+    if cutoff not in chains:
+        chains[cutoff] = _bar_chains(g, gm, cutoff, budget)
+    ch = chains[cutoff]
+    for tags in ch.tags[1:]:
+        _check_budget(tags.size, budget)
 
-    # cochain bookkeeping for n: global graded coordinates, cells per vertex
-    nv = len(a.idempotents)
-    n_cells = [[i for i, t in enumerate(n_tags) if t == v] for v in range(nv)]
-    n_cell_dims = [len(c) for c in n_cells]
-
-    # action of each graded radical element on the graded coordinates of n
-    n_act = []
-    for jv in g.j_vectors:
-        if n.dim:
-            n_act.append((n_expr.a @ n.act(jv) @ n_basis.a) % p)
-        else:
-            n_act.append(np.zeros((0, 0), dtype=np.int64))
-
-    # chains: W_i has basis (j_1, ..., j_i, x): composable radical elements
-    # ending on a graded basis vector of m
-    chains: list[list[tuple[tuple[int, ...], int]]] = [
-        [((), x) for x in range(m.dim)]
-    ]
-    left_tag: list[dict] = [{((), x): m_tags[x] for x in range(m.dim)}]
-
-    def check_budget(dim: int):
-        if dim > budget:
-            raise BudgetError(
-                f"bar oracle chain dimension {dim} exceeds budget {budget}"
-            )
-
-    for i in range(cutoff + 1):
-        nxt = []
-        tags = {}
-        for jidx, (u, v) in enumerate(g.j_tags):
-            for ch in chains[i]:
-                if left_tag[i][ch] == v:
-                    new = ((jidx,) + ch[0], ch[1])
-                    nxt.append(new)
-                    tags[new] = u
-        check_budget(len(nxt))
-        chains.append(nxt)
-        left_tag.append(tags)
-
-    index: list[dict] = [{ch: k for k, ch in enumerate(layer)} for layer in chains]
-
-    # differentials D_i : W_{i+1} -> W_i
-    diffs: list[np.ndarray] = []
-    for i in range(cutoff + 1):
-        src = chains[i + 1]
-        dst = chains[i]
-        d = np.zeros((len(dst), len(src)), dtype=np.int64)
-        prev = diffs[i - 1] if i >= 1 else None
-        for col, (js, x) in enumerate(src):
-            head, tail = js[0], (js[1:], x)
-            if i == 0:
-                # action of the radical element on the graded module basis
-                moved = (m.act(g.j_vectors[head]) @ m_vecs[x]) % p
-                d[:, col] = (m_expr.a @ moved) % p
-            else:
-                # merge of the first two radical slots
-                second = js[1]
-                rest = (js[2:], x)
-                for (tgt, coeff) in g.products[(head, second)]:
-                    merged = ((tgt,) + rest[0], rest[1])
-                    d[index[i][merged], col] = (d[index[i][merged], col] + coeff) % p
-                # minus head tensor the previous differential of the tail
-                tail_col = index[i][tail]
-                tail_img = prev[:, tail_col]
-                nz = np.nonzero(tail_img)[0]
-                for row0 in nz:
-                    ch0 = chains[i - 1][row0]
-                    lifted = ((head,) + ch0[0], ch0[1])
-                    d[index[i][lifted], col] = (
-                        d[index[i][lifted], col] - tail_img[row0]
-                    ) % p
-        diffs.append(d % p)
-
-    # cochain spaces C^i = Hom_S(W_i, n) and coboundaries
-    offsets: list[list[int]] = []
+    # cochain spaces C^i = Hom_S(W_i, n): one block of e_u n per chain in e_u W_i
+    n_dims = np.bincount(gn.tags, minlength=len(a.idempotents))
+    n_starts = np.cumsum(n_dims) - n_dims
+    offsets: list[np.ndarray] = []
     cdims: list[int] = []
-    for i in range(cutoff + 2):
-        offs = []
-        total = 0
-        for ch in chains[i]:
-            offs.append(total)
-            total += n_cell_dims[left_tag[i][ch]]
-        offsets.append(offs)
-        cdims.append(total)
-        check_budget(total)
+    for tags in ch.tags:
+        sizes = n_dims[tags]
+        offsets.append(np.cumsum(sizes) - sizes)
+        cdims.append(int(sizes.sum()))
+        _check_budget(cdims[-1], budget)
 
-    deltas: list[np.ndarray] = []
+    ranks = []
     for i in range(cutoff + 1):
         delta = np.zeros((cdims[i + 1], cdims[i]), dtype=np.int64)
-        d = diffs[i]
-        # term  -(f o D_i)
-        nzr, nzc = np.nonzero(d)
-        for row, col in zip(nzr, nzc):
-            # col indexes a chain of W_{i+1}, row a chain of W_i
-            if left_tag[i][chains[i][row]] != left_tag[i + 1][chains[i + 1][col]]:
-                raise InternalCheckError("bar differential left its grading cell")
-            bsrc = n_cell_dims[left_tag[i][chains[i][row]]]
-            r0 = offsets[i + 1][col]
-            c0 = offsets[i][row]
-            blk = np.eye(bsrc, dtype=np.int64) * int(d[row, col])
-            delta[r0 : r0 + bsrc, c0 : c0 + bsrc] = (
-                delta[r0 : r0 + bsrc, c0 : c0 + bsrc] - blk
-            ) % p
-        # term  +(first slot acts on the value)
-        for col1, (js, x) in enumerate(chains[i + 1]):
-            head, tail = js[0], (js[1:], x)
-            k = index[i][tail]
-            rows_out = n_cells[left_tag[i + 1][(js, x)]]
-            rows_in = n_cells[left_tag[i][tail]]
-            blk = n_act[head][np.ix_(rows_out, rows_in)]
-            r0 = offsets[i + 1][col1]
-            c0 = offsets[i][k]
-            delta[r0 : r0 + len(rows_out), c0 : c0 + len(rows_in)] = (
-                delta[r0 : r0 + len(rows_out), c0 : c0 + len(rows_in)] + blk
-            ) % p
-        deltas.append(delta % p)
-
-    ranks = [PrimeMatrix(a.field, dl).rank() for dl in deltas]
+        # term  +(first slot acts on the value): for j in e_u J e_v one block
+        # of its action e_v n -> e_u n, at every chain with head j (these
+        # chains are consecutive, since chains are ordered by head)
+        bounds = np.searchsorted(ch.heads[i + 1], np.arange(len(g.j_tags) + 1))
+        for j, (u, v) in enumerate(g.j_tags):
+            at = slice(bounds[j], bounds[j + 1])
+            out, into = slice(n_starts[u], n_starts[u] + n_dims[u]), slice(n_starts[v], n_starts[v] + n_dims[v])
+            r = offsets[i + 1][at][:, None, None] + np.arange(n_dims[u])[:, None]
+            c = offsets[i][ch.tails[i + 1][at]][:, None, None] + np.arange(n_dims[v])
+            delta[r, c] = gn.act[j, out, into]
+        # term  -(f o D_i): for each vertex u, a scaled identity on e_u n at
+        # every nonzero of D_i between chains in e_u W
+        rows, cols, vals = ch.diffs[i]
+        for u, s in enumerate(n_dims):
+            at = ch.tags[i][rows] == u
+            r = (offsets[i + 1][cols[at]][:, None] + np.arange(s)).ravel()
+            c = (offsets[i][rows[at]][:, None] + np.arange(s)).ravel()
+            delta[r, c] = (delta[r, c] - np.repeat(vals[at], s)) % p
+        ranks.append(PrimeMatrix(a.field, delta).rank())
     dims = [cdims[0] - ranks[0]]
     for i in range(1, cutoff + 1):
         dims.append(cdims[i] - ranks[i] - ranks[i - 1])

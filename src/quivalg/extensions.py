@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Extension, opposite, tensor_product
-from .linalg import PrimeMatrix, solve
+from .linalg import PrimeMatrix, mulmod, solve
 from .modules import (
     HomSpace,
     IsoVerdict,
@@ -74,10 +74,10 @@ def _frobenius_iso(ext: Extension, seed: int, trials: int) -> IsoVerdict:
     for t in range(dim_h):
         f = h.basis_map(t).a
         for i in range(A.dim):
-            moved = (f @ A.right_mult(A.basis_vector(i))) % p
+            moved = mulmod(f, A.right_mult(A.basis_vector(i)), p)
             left_on_h[i, :, t] = h.coords(PrimeMatrix(A.field, moved))
         for b in range(B.dim):
-            moved = (B.right_mult(B.basis_vector(b)) @ f) % p
+            moved = mulmod(B.right_mult(B.basis_vector(b)), f, p)
             right_on_h[b, :, t] = h.coords(PrimeMatrix(A.field, moved))
     hom_bimod = module_over_tensor(e_alg, A.dim, left_on_h, right_on_h)
     return is_isomorphic(a_bimod, hom_bimod, seed=seed, trials=trials)
@@ -101,14 +101,14 @@ def _separable(ext: Extension) -> bool:
     for i in range(d):
         for j in range(d):
             mu_big[:, i * d + j] = A.mult[i, j]
-    mu_q = (mu_big @ sec.a) % p
+    mu_q = mulmod(mu_big, sec.a, p)
     rows = []
     rhs = []
     for i in range(d):
         la = A.left_mult(A.basis_vector(i))
         ra = A.right_mult(A.basis_vector(i))
-        lq = (proj.a @ np.kron(la, eye) @ sec.a) % p
-        rq = (proj.a @ np.kron(eye, ra) @ sec.a) % p
+        lq = mulmod(mulmod(proj.a, np.kron(la, eye), p), sec.a, p)
+        rq = mulmod(mulmod(proj.a, np.kron(eye, ra), p), sec.a, p)
         rows.append((np.kron(np.eye(q, dtype=np.int64), la.T) - np.kron(lq, eye)) % p)
         rhs.append(np.zeros(q * d, dtype=np.int64))
         rows.append((np.kron(np.eye(q, dtype=np.int64), ra.T) - np.kron(rq, eye)) % p)

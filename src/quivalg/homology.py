@@ -348,14 +348,14 @@ def nakayama(m: ModuleRep) -> NakayamaResult:
     for b in range(a.dim):
         rb = a.right_mult(a.basis_vector(b))
         for t in range(h.dim):
-            act[b, :, t] = h.coords(PrimeMatrix(a.field, (rb @ h.basis_map(t).a) % p))
+            act[b, :, t] = h.coords(PrimeMatrix(a.field, mulmod(rb, h.basis_map(t).a, p)))
     hom_as_op = ModuleRep(op, act)
     route2 = dualize(hom_as_op)
     eta_vs = h.matrix.a.T
-    relations = np.eye(a.dim * m.dim, dtype=np.int64) - tens.sec.a @ tens.proj.a
-    if ((eta_vs @ relations) % p).any():
+    relations = (np.eye(a.dim * m.dim, dtype=np.int64) - mulmod(tens.sec.a, tens.proj.a, p)) % p
+    if mulmod(eta_vs, relations, p).any():
         raise InternalCheckError("Nakayama map does not vanish on the tensor relations")
-    eta = Morphism(route1, route2, PrimeMatrix(a.field, (eta_vs @ tens.sec.a) % p))
+    eta = Morphism(route1, route2, PrimeMatrix(a.field, mulmod(eta_vs, tens.sec.a, p)))
     try:
         eta.check()
     except InputError as e:
@@ -431,7 +431,7 @@ def min_add_approximation(m: ModuleRep, x: ModuleRep) -> ApproxResult:
     for s in range(rad.cols):
         rmap = end.from_coords(rad.a[:, s])
         for t in range(h.dim):
-            comp = PrimeMatrix(field, (h.basis_map(t).a @ rmap.a) % field.p)
+            comp = PrimeMatrix(field, mulmod(h.basis_map(t).a, rmap.a, field.p))
             sub_cols.append(h.coords(comp))
     if sub_cols:
         sub = PrimeMatrix(field, np.array(sub_cols, dtype=np.int64).T)
@@ -452,7 +452,7 @@ def min_add_approximation(m: ModuleRep, x: ModuleRep) -> ApproxResult:
     cols = []
     for r in reps:
         for s in range(end.dim):
-            comp = PrimeMatrix(field, (r.a @ end.basis_map(s).a) % field.p)
+            comp = PrimeMatrix(field, mulmod(r.a, end.basis_map(s).a, field.p))
             cols.append(h.coords(comp))
     span = PrimeMatrix(field, np.array(cols, dtype=np.int64).T)
     if span.rank() != h.dim:

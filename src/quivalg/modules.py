@@ -56,8 +56,9 @@ class ModuleRep:
     """Left module over a basic algebra, given by action matrices.
 
     ``memo`` caches values derived from the action, which is immutable by
-    convention.  Its one key, "resolutions", is set by the homology layer:
-    the deepest minimal resolution computed so far, per kind.
+    convention.  The homology layer sets "resolutions", the deepest minimal
+    resolution computed so far, per kind; the bar oracle in ``checks`` sets
+    "bar_graded" and "bar_chains".
     """
 
     def __init__(self, algebra: Algebra, action: np.ndarray):

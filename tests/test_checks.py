@@ -1,7 +1,12 @@
 import itertools
+import sys
 
+import numpy as np
 import pytest
 
+import quivalg.homology
+import quivalg.modules
+from quivalg import corpus
 from quivalg.checks import (
     bar_ext_oracle,
     diamond,
@@ -14,7 +19,9 @@ from quivalg.checks import (
 )
 from quivalg.errors import BudgetError, InputError
 from quivalg.homology import DecomposedModule, ext_dims, minimal_gen_cogen
-from quivalg.modules import standard_modules
+from quivalg.modules import ModuleRep, standard_modules
+
+from test_algebra import rebased
 
 
 def small_corpus_modules(alg, max_dim=4):
@@ -59,6 +66,73 @@ def test_bar_oracle_budget():
     std = standard_modules(k4)
     with pytest.raises(BudgetError):
         bar_ext_oracle(std.regular, std.regular, 6, budget=50)
+
+
+def test_bar_oracle_reuses_its_chains_and_rechecks_the_budget():
+    # the chains of m are built once per cutoff; every call checks their
+    # dimensions against its own budget, and refuses as a fresh module would.
+    # Over aus the cochains of this n are smaller than the chains of m, so
+    # only the chain check can refuse.
+    std = standard_modules(corpus.load_entry("aus").algebra)
+    m, n = std.regular, std.simples[1]
+    first = bar_ext_oracle(m, n, 3)
+    chains = m.memo["bar_chains"][3]
+    assert bar_ext_oracle(m, n, 3) == first
+    assert m.memo["bar_chains"][3] is chains
+    top = max(tags.size for tags in chains.tags[1:])
+    with pytest.raises(BudgetError) as hit:
+        bar_ext_oracle(m, n, 3, budget=top - 1)
+    with pytest.raises(BudgetError) as fresh:
+        bar_ext_oracle(ModuleRep(m.algebra, m.action), n, 3, budget=top - 1)
+    assert str(hit.value) == str(fresh.value)
+    assert bar_ext_oracle(m, n, 3, budget=top) == first
+    for cutoff in (0, 2, 4):
+        got = bar_ext_oracle(m, n, cutoff)
+        assert len(m.memo["bar_chains"][cutoff].tags) == cutoff + 2
+        assert got.dims == ext_dims(m, n, cutoff).dims
+    assert m.memo["bar_chains"][3] is chains
+
+
+def test_bar_oracle_near_two_to_the_29():
+    # ka2 in a random basis: dense structure constants close to p, where the
+    # graded radical's products overflowed int64 before they went through
+    # mulmod and raised a false InternalCheckError
+    p = 536870923
+    a = rebased(corpus.load_entry("ka2", p).algebra, np.random.default_rng(0))
+    std = standard_modules(a)
+    mods = [std.regular, std.coregular] + std.projectives + std.injectives + std.simples
+    for m, n in itertools.product(mods, mods):
+        assert bar_ext_oracle(m, n, 3).dims == ext_dims(m, n, 3).dims
+
+
+def test_bar_oracle_runs_no_resolution_cover_or_hom(corpus_loaded, monkeypatch):
+    # the oracle is a second Ext route: on the corpus sweep pool it must not
+    # reach the minimal-resolution machinery or Hom spaces
+    cases = []
+    for loaded in corpus_loaded.values():
+        pool = small_corpus_modules(loaded.algebra, corpus.BAR_SWEEP_MAX_DIM)
+        want = [ext_dims(m, n, corpus.BAR_SWEEP_DEGREE).dims for m in pool for n in pool]
+        bar_ext_oracle(pool[0], pool[0], 0)  # memoizes the graded radical
+        # fresh copies carry no memoized grading or chains
+        cases.append(([ModuleRep(m.algebra, m.action) for m in pool], want))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached the minimal route")
+
+    real = {
+        quivalg.modules.projective_cover,
+        quivalg.homology.minimal_resolution,
+        quivalg.homology.ext_dims,
+        quivalg.modules.HomSpace,
+    }
+    for name, mod in list(sys.modules.items()):
+        if name == "quivalg" or name.startswith("quivalg."):
+            for key, value in list(vars(mod).items()):
+                if any(value is r for r in real):
+                    monkeypatch.setattr(mod, key, forbidden)
+    for pool, want in cases:
+        got = [bar_ext_oracle(m, n, corpus.BAR_SWEEP_DEGREE).dims for m in pool for n in pool]
+        assert got == want
 
 
 def test_bar_oracle_matches_minimal_route(corpus_algebras):

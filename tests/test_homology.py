@@ -11,7 +11,7 @@ import quivalg.linalg
 from quivalg import corpus
 from quivalg.algebra import opposite
 from quivalg.catalog import named_modules, resolve_expression
-from quivalg.errors import InputError, InternalCheckError
+from quivalg.errors import InputError, InternalCheckError, UnsupportedFieldError
 from quivalg.homology import (
     DecomposedModule,
     dominant_dimension,
@@ -42,6 +42,7 @@ from quivalg.modules import (
 )
 
 from conftest import quiver
+from test_algebra import rebased
 
 
 def small_corpus_modules(alg, max_dim=6):
@@ -305,6 +306,27 @@ def test_nakayama_routes_agree(no_randomized_iso, corpus_loaded):
             eta = Morphism(nk.module, nk.hom_route, nk.eta)
             eta.check()
             assert eta.is_iso(), name
+
+
+def test_nakayama_verifies_eta_near_two_to_the_29(no_randomized_iso):
+    # corpus algebras in a random basis at p = 536870923: dense entries close
+    # to p, where an int64 overflow in building eta would fail its checks
+    p = 536870923
+    rng = np.random.default_rng(1)
+    checked = 0
+    for entry in corpus.ENTRIES:
+        try:
+            a = rebased(corpus.load_entry(entry.name, p).algebra, rng)
+            simples = standard_modules(a).simples
+        except UnsupportedFieldError:
+            continue  # the trace-form radical of a dim-6 algebra is refused
+        for s in simples:
+            nk = nakayama(s)
+            eta = Morphism(nk.module, nk.hom_route, nk.eta)
+            eta.check()
+            assert eta.is_iso(), entry.name
+            checked += 1
+    assert checked == 9  # one simple each over k, k2, k3, k4 and k2xk2, two over ka2 and aus
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,22 @@ def test_nullspace_is_byte_identical_to_the_whole_matrix_rref_basis(p):
         assert got.a.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("p", [5, 32003])
+def test_rank_after_the_singleton_pass_equals_the_rref_rank(p):
+    f = PrimeField(p)
+    rng = np.random.default_rng(p + 1)
+    shapes = [(0, 4), (4, 0), (0, 0), (7, 5)]  # 7 x 5 stays all zero
+    inputs = [PrimeMatrix(f, np.zeros(s, dtype=np.int64)) for s in shapes]
+    # singleton rows that share a column, and a coupled row through it
+    inputs.append(PrimeMatrix(f, np.array([[0, 3, 0, 0], [0, 1, 0, 0], [2, 4, 1, 0], [0, 2, 0, 0]])))
+    for _ in range(60):
+        cols = int(rng.integers(1, 13))
+        inputs.append(PrimeMatrix(f, tall_sparse(rng, p, int(rng.integers(cols, 5 * cols + 1)), cols)))
+        inputs.append(PrimeMatrix(f, tall_sparse(rng, p, int(rng.integers(0, cols)), cols)))
+    for m in inputs:
+        assert m.rank() == len(rref(m)[2])
+
+
 def test_rank_nullity():
     rng = np.random.default_rng(11)
     for _ in range(40):
