@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, UnsupportedFieldError
-from .linalg import PrimeField, PrimeMatrix, mulmod, nullspace, rref
+from .linalg import PrimeField, PrimeMatrix, complement_projection, mulmod, nullspace, rref
 
 __all__ = [
     "QuiverPresentation",
@@ -51,9 +51,6 @@ class QuiverPresentation:
     arrows: tuple[tuple[str, str, str], ...]
     relations: tuple[tuple[tuple[int, tuple[str, ...]], ...], ...] = ()
     nilpotency_bound: int = 1
-
-    def arrow_names(self) -> list[str]:
-        return [a[0] for a in self.arrows]
 
 
 def _relation_text(rel) -> str:
@@ -323,30 +320,18 @@ def build_from_quiver(pres: QuiverPresentation, field: PrimeField) -> Algebra:
                 if v is not None and v.any():
                     gens.append(v)
 
-    def reduction(mat_gens: list[np.ndarray]):
-        if mat_gens:
-            gmat = PrimeMatrix(field, np.array(mat_gens, dtype=np.int64))
-        else:
-            gmat = field.zeros(0, npaths)
-        red, rank, pivots = rref(gmat)
-        rows = red.a[:rank]
-
-        def reduce_vec(v: np.ndarray) -> np.ndarray:
-            w = v.copy() % field.p
-            for i, c in enumerate(pivots):
-                if w[c]:
-                    w = (w - w[c] * rows[i]) % field.p
-            return w
-
-        return reduce_vec, set(pivots)
-
-    reduce_vec, pivot_paths = reduction(gens)
+    def projection(vectors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The projection of path space onto kQ modulo the span of
+        ``vectors``, and the paths that index the quotient basis.  Column q
+        of the projection is the image of path q."""
+        sub = np.array(vectors, dtype=np.int64).T if vectors else np.zeros((npaths, 0), dtype=np.int64)
+        proj, sec = complement_projection(PrimeMatrix(field, sub))
+        return proj.a, np.flatnonzero(sec.a.any(axis=1))
 
     # nilpotency: every path of length bound+1 must reduce to zero
+    proj, _ = projection(gens)
     for q in by_length[bound + 1]:
-        v = np.zeros(npaths, dtype=np.int64)
-        v[path_index[q]] = 1
-        if reduce_vec(v).any():
+        if proj[:, path_index[q]].any():
             raise InputError(
                 f"arrow ideal is not nilpotent within bound {bound}: "
                 f"path {'*'.join(q)} survives"
@@ -358,18 +343,11 @@ def build_from_quiver(pres: QuiverPresentation, field: PrimeField) -> Algebra:
             v = np.zeros(npaths, dtype=np.int64)
             v[path_index[q]] = 1
             gens.append(v)
-    reduce_vec, pivot_paths = reduction(gens)
+    proj, free = projection(gens)
 
-    basis_paths = [q for q in paths if path_index[q] not in pivot_paths]
+    basis_paths = [paths[i] for i in free]
     dim = len(basis_paths)
     basis_pos = {q: i for i, q in enumerate(basis_paths)}
-
-    def to_basis(v: np.ndarray) -> np.ndarray:
-        w = reduce_vec(v)
-        out = np.zeros(dim, dtype=np.int64)
-        for q, i in basis_pos.items():
-            out[i] = w[path_index[q]]
-        return out
 
     mult = np.zeros((dim, dim, dim), dtype=np.int64)
     for i, qi in enumerate(basis_paths):
@@ -386,9 +364,7 @@ def build_from_quiver(pres: QuiverPresentation, field: PrimeField) -> Algebra:
                 concat = qi
             else:
                 concat = qi + qj
-            v = np.zeros(npaths, dtype=np.int64)
-            v[path_index[concat]] = 1
-            mult[i, j] = to_basis(v)
+            mult[i, j] = proj[:, path_index[concat]]
 
     labels = []
     for q in basis_paths:

@@ -114,6 +114,8 @@ def _parse_matrix(text: str, line_no: int) -> list[list[int]]:
             rows.append([int(x) for x in part.split(",")])
         except ValueError:
             raise ParseError(line_no, 1, f"bad matrix entry in {part!r}")
+    if len({len(r) for r in rows}) > 1:
+        raise ParseError(line_no, 1, f"matrix rows differ in length: {text!r}")
     return rows
 
 
@@ -141,6 +143,20 @@ def parse(text: str) -> AlgebraDoc:
 
     def err(i, msg):
         raise ParseError(i + 1, 1, msg)
+
+    def count(i, parts, k, what) -> int:
+        try:
+            n = int(parts[k])
+        except (IndexError, ValueError):
+            n = -1
+        if n < 0:
+            err(i, f"{what} must be a nonnegative integer")
+        return n
+
+    def module_matrix(i, parts, line) -> list[list[int]]:
+        if len(parts) < 3:
+            err(i, f"module {parts[0]} line needs a matrix")
+        return _parse_matrix(line.split(None, 2)[2], i + 1)
 
     body_started = False
     for i, raw in enumerate(lines):
@@ -212,7 +228,7 @@ def parse(text: str) -> AlgebraDoc:
             doc.relations.append(_parse_relation(line, i + 1))
         elif section == "table":
             if parts[0] == "dim":
-                doc.dim = int(parts[1])
+                doc.dim = count(i, parts, 1, "dim")
             elif parts[0] == "labels":
                 doc.labels = parts[1:]
             elif parts[0] == "unit":
@@ -238,15 +254,11 @@ def parse(text: str) -> AlgebraDoc:
             if doc.mode == "quiver" and parts[0] == "vertex":
                 if len(parts) != 4 or parts[2] != "dim":
                     err(i, "module vertex line must be 'vertex v dim n'")
-                current_module.vertex_dims[parts[1]] = int(parts[3])
+                current_module.vertex_dims[parts[1]] = count(i, parts, 3, "vertex dim")
             elif doc.mode == "quiver" and parts[0] == "arrow":
-                current_module.arrow_mats[parts[1]] = _parse_matrix(
-                    line.split(None, 2)[2], i + 1
-                )
+                current_module.arrow_mats[parts[1]] = module_matrix(i, parts, line)
             elif doc.mode == "table" and parts[0] == "action":
-                current_module.actions[int(parts[1])] = _parse_matrix(
-                    line.split(None, 2)[2], i + 1
-                )
+                current_module.actions[count(i, parts, 1, "action index")] = module_matrix(i, parts, line)
             else:
                 err(i, f"unknown module key {parts[0]!r} for mode {doc.mode}")
         else:

@@ -43,7 +43,7 @@ from .homology import (
     nakayama,
     pd_bounded,
 )
-from .linalg import PrimeMatrix, mulmod, solve
+from .linalg import PrimeMatrix, coordinates, mulmod
 from .modules import (
     ModuleRep,
     direct_sum,
@@ -116,39 +116,33 @@ class _GradedData:
                 rv = a.right_mult(a.idempotents[v])
                 moved = mulmod(mulmod(lu, rv, p), rad.a, p)
                 cell = column_span_basis(PrimeMatrix(a.field, moved))
-                for j in range(cell.cols):
-                    self.j_vectors.append(cell.a[:, j].copy())
-                    self.j_tags.append((u, v))
+                self.j_vectors.extend(cell.a.T.copy())
+                self.j_tags += [(u, v)] * cell.cols
         if len(self.j_vectors) != rad.cols:
             raise InternalCheckError("radical does not split into idempotent cells")
-        # expressors per cell for rewriting products
-        self.cell_members: dict[tuple[int, int], list[int]] = {}
-        for idx, tag in enumerate(self.j_tags):
-            self.cell_members.setdefault(tag, []).append(idx)
-        self._cell_matrix: dict[tuple[int, int], PrimeMatrix] = {}
-        for tag, members in self.cell_members.items():
-            cols = np.array([self.j_vectors[i] for i in members], dtype=np.int64).T
-            self._cell_matrix[tag] = PrimeMatrix(a.field, cols)
-        # product table: j_i * j_j expanded over the target cell
+        # product table: j_i * j_j expanded over the target cell, every
+        # product landing in one cell read at once.  prods[i, :, j] = j_i * j_j
+        d, r = a.dim, len(self.j_vectors)
+        js = np.array(self.j_vectors, dtype=np.int64).reshape(r, d)
+        left = mulmod(js, a.mult.reshape(d, d * d), p).reshape(r, d, d).transpose(0, 2, 1)
+        prods = mulmod(left.reshape(r * d, d), js.T, p).reshape(r, d, r)
         self.products: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, (u1, v1) in enumerate(self.j_tags):
-            for j, (u2, v2) in enumerate(self.j_tags):
-                if v1 != u2:
+        tags = np.array(self.j_tags, dtype=np.int64).reshape(r, 2)
+        composable = tags[:, 1, None] == tags[None, :, 0]
+        for u in range(nv):
+            for v in range(nv):
+                i, j = np.nonzero(composable & (tags[:, 0, None] == u) & (tags[None, :, 1] == v))
+                if i.size == 0:
                     continue
-                prod = a.multiply(self.j_vectors[i], self.j_vectors[j])
-                tag = (u1, v2)
-                members = self.cell_members.get(tag, [])
-                if not members:
-                    if prod.any():
-                        raise InternalCheckError("radical product left its cell")
-                    self.products[(i, j)] = []
-                    continue
-                coords = solve(self._cell_matrix[tag], PrimeMatrix(a.field, prod.reshape(-1, 1)))
+                members = np.flatnonzero((tags[:, 0] == u) & (tags[:, 1] == v))
+                coords = coordinates(PrimeMatrix(a.field, js[members].T)).read(prods[i, :, j].T)
                 if coords is None:
-                    raise InternalCheckError("radical product not in the radical")
-                self.products[(i, j)] = [
-                    (members[t], int(coords.a[t, 0])) for t in range(len(members)) if coords.a[t, 0]
-                ]
+                    raise InternalCheckError(
+                        "radical product not in the radical" if members.size else "radical product left its cell"
+                    )
+                for col, pair in enumerate(zip(i.tolist(), j.tolist())):
+                    nz = np.flatnonzero(coords[:, col])
+                    self.products[pair] = list(zip(members[nz].tolist(), coords[nz, col].tolist()))
 
 
 def _graded_data(a: Algebra) -> _GradedData:
@@ -175,10 +169,15 @@ def _graded_module(g: _GradedData, m: ModuleRep) -> _GradedModule:
     if tags.size != m.dim:
         raise InternalCheckError("module does not split into idempotent cells")
     basis = np.hstack(cells)
-    expr = PrimeMatrix(a.field, basis).inverse().a if m.dim else basis
+    reader = coordinates(PrimeMatrix(a.field, basis))
+    if reader is None:
+        raise InternalCheckError("module does not split into idempotent cells")
     js = np.array(g.j_vectors, dtype=np.int64).reshape(-1, a.dim)
     acts = mulmod(js, m.action.reshape(a.dim, -1), p).reshape(len(js), m.dim, m.dim)
-    m.memo["bar_graded"] = _GradedModule(tags, mulmod(expr, mulmod(acts, basis, p), p))
+    # act[j] = basis^-1 acts[j] basis: all radical elements in one read
+    moved = mulmod(acts.reshape(len(js) * m.dim, m.dim), basis, p).reshape(len(js), m.dim, m.dim)
+    graded = reader.read(moved.transpose(1, 0, 2).reshape(m.dim, len(js) * m.dim))
+    m.memo["bar_graded"] = _GradedModule(tags, graded.reshape(m.dim, len(js), m.dim).transpose(1, 0, 2))
     return m.memo["bar_graded"]
 
 

@@ -59,7 +59,6 @@ def _restriction_projective(ext: Extension) -> bool:
 def _frobenius_iso(ext: Extension, seed: int, trials: int) -> IsoVerdict:
     """A against Hom_B(A, B), compared over A (x) B^op."""
     B, A = ext.sub, ext.amb
-    p = A.field.p
     e_alg = tensor_product(A, opposite(B))
     # A as an A-B-bimodule
     left_a = np.stack([A.left_mult(A.basis_vector(i)) for i in range(A.dim)])
@@ -68,17 +67,8 @@ def _frobenius_iso(ext: Extension, seed: int, trials: int) -> IsoVerdict:
     # Hom_B(A, B) with (a.f.b)(x) = f(xa) b
     restr = restrict_to_sub(ext)
     h = HomSpace(restr, regular_module(B))
-    dim_h = h.dim
-    left_on_h = np.zeros((A.dim, dim_h, dim_h), dtype=np.int64)
-    right_on_h = np.zeros((B.dim, dim_h, dim_h), dtype=np.int64)
-    for t in range(dim_h):
-        f = h.basis_map(t).a
-        for i in range(A.dim):
-            moved = mulmod(f, A.right_mult(A.basis_vector(i)), p)
-            left_on_h[i, :, t] = h.coords(PrimeMatrix(A.field, moved))
-        for b in range(B.dim):
-            moved = mulmod(B.right_mult(B.basis_vector(b)), f, p)
-            right_on_h[b, :, t] = h.coords(PrimeMatrix(A.field, moved))
+    left_on_h = np.stack([h.read(h.precompose(A.right_mult(A.basis_vector(i)))) for i in range(A.dim)])
+    right_on_h = np.stack([h.read(h.postcompose(B.right_mult(B.basis_vector(b)))) for b in range(B.dim)])
     hom_bimod = module_over_tensor(e_alg, A.dim, left_on_h, right_on_h)
     return is_isomorphic(a_bimod, hom_bimod, seed=seed, trials=trials)
 

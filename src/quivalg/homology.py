@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import Algebra, opposite
 from .errors import InputError, InternalCheckError
-from .linalg import PrimeMatrix, mulmod, rref, solve
+from .linalg import PrimeMatrix, coordinates, mulmod, rref
 from .modules import (
     HomSpace,
     ModuleRep,
@@ -196,10 +196,10 @@ def _generator_coords(a: Algebra) -> list[np.ndarray]:
         std = standard_modules(a)
         gen_coords = []
         for v, e in enumerate(a.idempotents):
-            g = solve(std.proj_bases[v], PrimeMatrix(a.field, e.reshape(-1, 1)))
+            g = coordinates(std.proj_bases[v]).read(e)
             if g is None:
                 raise InternalCheckError("projective generator not in its basis")
-            gen_coords.append(g.a[:, 0])
+            gen_coords.append(g)
         a.memo["gen_coords"] = gen_coords
     return a.memo["gen_coords"]
 
@@ -344,11 +344,7 @@ def nakayama(m: ModuleRep) -> NakayamaResult:
     # Hom(m, A) as a right A-module, then dualize
     h = HomSpace(m, std.regular)
     op = opposite(a)
-    act = np.zeros((a.dim, h.dim, h.dim), dtype=np.int64)
-    for b in range(a.dim):
-        rb = a.right_mult(a.basis_vector(b))
-        for t in range(h.dim):
-            act[b, :, t] = h.coords(PrimeMatrix(a.field, mulmod(rb, h.basis_map(t).a, p)))
+    act = np.stack([h.read(h.postcompose(a.right_mult(a.basis_vector(b)))) for b in range(a.dim)])
     hom_as_op = ModuleRep(op, act)
     route2 = dualize(hom_as_op)
     eta_vs = h.matrix.a.T
@@ -427,16 +423,9 @@ def min_add_approximation(m: ModuleRep, x: ModuleRep) -> ApproxResult:
         return ApproxResult(Morphism(z, x, field.zeros(x.dim, 0)), 0)
     end = HomSpace(m, m)
     _, rad = _endo_radical_dim(end)
-    sub_cols = []
-    for s in range(rad.cols):
-        rmap = end.from_coords(rad.a[:, s])
-        for t in range(h.dim):
-            comp = PrimeMatrix(field, mulmod(h.basis_map(t).a, rmap.a, field.p))
-            sub_cols.append(h.coords(comp))
-    if sub_cols:
-        sub = PrimeMatrix(field, np.array(sub_cols, dtype=np.int64).T)
-    else:
-        sub = field.zeros(h.dim, 0)
+    # Hom(m, x) o rad End(m), one read per radical basis element
+    sub_cols = [h.read(h.precompose(end.from_coords(rad.a[:, s]).a)) for s in range(rad.cols)]
+    sub = PrimeMatrix(field, np.hstack([np.zeros((h.dim, 0), dtype=np.int64)] + sub_cols))
     _, sub_rank, _ = rref(sub)
     combined = sub.hstack(field.identity(h.dim))
     _, _, pivots = rref(combined)
@@ -449,12 +438,7 @@ def min_add_approximation(m: ModuleRep, x: ModuleRep) -> ApproxResult:
     mat = PrimeMatrix(field, np.hstack([r.a for r in reps]))
     phi = Morphism(big, x, mat)
     # surjectivity of Hom(m, phi): composites rep_j o e span Hom(m, x)
-    cols = []
-    for r in reps:
-        for s in range(end.dim):
-            comp = PrimeMatrix(field, mulmod(r.a, end.basis_map(s).a, field.p))
-            cols.append(h.coords(comp))
-    span = PrimeMatrix(field, np.array(cols, dtype=np.int64).T)
+    span = PrimeMatrix(field, np.hstack([h.read(end.postcompose(r.a)) for r in reps]))
     if span.rank() != h.dim:
         raise InternalCheckError("approximation is not right minimal/approximating")
     return ApproxResult(phi, copies)
@@ -516,14 +500,12 @@ def endomorphism_algebra(dm: DecomposedModule, seed: int = 0) -> EndoAlgebra:
                 )
     h = HomSpace(m, m)
     mult = endo_structure_constants(h)
-    unit = h.coords(field.identity(m.dim))
-    idem = []
-    for inc, proj in zip(dm.inclusions, dm.projections):
-        idem.append(h.coords(inc.map @ proj.map))
+    # the unit, then the idempotent of each summand, in one read
+    idem = [(inc.map @ proj.map).a for inc, proj in zip(dm.inclusions, dm.projections)]
+    coords = h.read(np.stack([np.eye(m.dim, dtype=np.int64)] + idem))
     labels = [f"f{t}" for t in range(h.dim)]
-    algebra = Algebra(field, labels, mult, unit, idem)
-    end_action = np.stack([h.basis_map(t).a for t in range(h.dim)])
-    return EndoAlgebra(algebra, h, end_action)
+    algebra = Algebra(field, labels, mult, coords[:, 0], list(coords[:, 1:].T))
+    return EndoAlgebra(algebra, h, h.maps())
 
 
 def minimal_gen_cogen(a: Algebra, seed: int = 0) -> DecomposedModule:

@@ -1,13 +1,17 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Everything downstream (algebras, modules, resolutions) reduces to the three
-operations here: row reduction, solving, and nullspaces.  Entries are int64
-numpy arrays reduced mod p.  Elimination is integer arithmetic; matrix
-products (``mulmod``) run through float64 BLAS while every partial sum is an
-integer below 2^53, which float64 holds exactly, and through int64 otherwise.
-Nothing is rounded and there is no tolerance anywhere.  Pivoting is
-deterministic (leftmost pivot column, topmost row, free variables set to
-zero) so every derived invariant is bit-reproducible.
+Everything downstream (algebras, modules, resolutions) reduces to the
+operations here: row reduction, solving and nullspaces, and the two
+routines every layer reads vectors against a subspace with:
+``coordinates`` (coordinates in a fixed basis, for a whole stack of vectors
+at once) and ``complement_projection`` (reduction modulo a subspace, onto a
+basis of the quotient).  Entries are int64 numpy arrays reduced mod p.
+Elimination is integer arithmetic; matrix products (``mulmod``) run through
+float64 BLAS while every partial sum is an integer below 2^53, which float64
+holds exactly, and through int64 otherwise.  Nothing is rounded and there
+is no tolerance anywhere.  Pivoting is deterministic (leftmost pivot
+column, topmost row, free variables set to zero) so every derived
+invariant is bit-reproducible.
 
 ``nullspace`` and ``PrimeMatrix.rank`` share one forced-zero pass
 (``_split_singletons``): a row with a single nonzero entry forces its
@@ -34,6 +38,9 @@ from .errors import UnsupportedFieldError
 __all__ = [
     "PrimeField",
     "PrimeMatrix",
+    "Coordinates",
+    "complement_projection",
+    "coordinates",
     "mulmod",
     "rref",
     "solve",
@@ -101,12 +108,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def inv(self, a: int) -> int:
-        a = int(a) % self.p
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
     def matrix(self, rows) -> "PrimeMatrix":
         a = np.array(rows, dtype=np.int64)
         if a.ndim != 2:
@@ -171,10 +172,6 @@ class PrimeMatrix:
     def transpose(self) -> "PrimeMatrix":
         return PrimeMatrix(self.field, self.a.T.copy())
 
-    def kron(self, other: "PrimeMatrix") -> "PrimeMatrix":
-        self._samefield(other)
-        return PrimeMatrix(self.field, np.kron(self.a, other.a) % self.field.p)
-
     def hstack(self, other: "PrimeMatrix") -> "PrimeMatrix":
         self._samefield(other)
         return PrimeMatrix(self.field, np.hstack([self.a, other.a]))
@@ -182,9 +179,6 @@ class PrimeMatrix:
     def vstack(self, other: "PrimeMatrix") -> "PrimeMatrix":
         self._samefield(other)
         return PrimeMatrix(self.field, np.vstack([self.a, other.a]))
-
-    def col(self, j: int) -> np.ndarray:
-        return self.a[:, j].copy()
 
     def take_cols(self, idx) -> "PrimeMatrix":
         return PrimeMatrix(self.field, self.a[:, list(idx)].copy())
@@ -320,3 +314,58 @@ def nullspace(m: PrimeMatrix) -> PrimeMatrix:
     basis[unforced[pivots]] = (-red.a[:rank, free]) % p
     basis[unforced[free], np.arange(free.size)] = 1
     return PrimeMatrix(m.field, basis)
+
+
+@dataclass(frozen=True)
+class Coordinates:
+    """Coordinates in a fixed basis B (the columns of ``basis``): B[rows] is
+    invertible with inverse ``inverse``, or is the identity when that is None
+    (a ``nullspace`` basis on its free rows)."""
+
+    basis: PrimeMatrix
+    rows: np.ndarray
+    inverse: Optional[np.ndarray] = None
+
+    def read(self, v: np.ndarray) -> Optional[np.ndarray]:
+        """c = B[rows]^-1 v[rows] for one vector or for the columns of v
+        (entries need not be reduced), or None unless B c = v, that is,
+        unless every column lies in the span of B."""
+        p = self.basis.field.p
+        v = np.asarray(v, dtype=np.int64) % p
+        c = v[self.rows]
+        if self.inverse is not None:
+            c = mulmod(self.inverse, c, p)
+        if not np.array_equal(mulmod(self.basis.a, c, p), v):
+            return None
+        return c
+
+
+def coordinates(basis: PrimeMatrix) -> Optional[Coordinates]:
+    """The coordinates of a basis B, or None when its columns are dependent.
+    One elimination E [B^T | I] = [rref(B^T) | E] gives the pivot rows R of
+    B and E = B[R]^-T, since rref(B^T) is the identity on the columns R."""
+    n = basis.rows
+    red, _, pivots = rref(basis.transpose().hstack(basis.field.identity(basis.cols)))
+    if pivots and pivots[-1] >= n:
+        return None
+    return Coordinates(basis, np.array(pivots, dtype=np.intp), red.a[:, n:].T.copy())
+
+
+def complement_projection(sub: PrimeMatrix) -> tuple[PrimeMatrix, PrimeMatrix]:
+    """Projection F_p^n -> F_p^q and section back for the quotient by the
+    span of sub's columns, whose basis is the standard vectors at the free
+    (non-pivot) coordinates of rref(sub^T).  A vector is reduced by
+    subtracting, at each pivot c, its entry times the echelon row of c, and
+    read at the free coordinates; echelon rows vanish on the other pivots,
+    so the projection is the identity on the free columns and minus the
+    rows' free entries on the pivot columns."""
+    p = sub.field.p
+    n = sub.rows
+    red, rank, pivots = rref(sub.transpose())
+    free = np.delete(np.arange(n), pivots)
+    proj = np.zeros((free.size, n), dtype=np.int64)
+    proj[np.arange(free.size), free] = 1
+    proj[:, pivots] = (-red.a[:rank, free].T) % p
+    sec = np.zeros((n, free.size), dtype=np.int64)
+    sec[free, np.arange(free.size)] = 1
+    return PrimeMatrix(sub.field, proj), PrimeMatrix(sub.field, sec)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import Algebra, column_span_basis, opposite, trace_form_radical
 from .errors import InputError, UnsupportedFieldError
-from .linalg import PrimeMatrix, mulmod, nullspace, rref
+from .linalg import Coordinates, PrimeMatrix, complement_projection, coordinates, mulmod, nullspace
 from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test reads modules.solve)
 
 __all__ = [
@@ -75,9 +75,6 @@ class ModuleRep:
         p = self.algebra.field.p
         x = np.asarray(x, dtype=np.int64) % p
         return mulmod(x[None, :], self.action.reshape(self.algebra.dim, -1), p).reshape(self.dim, self.dim)
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def check(self):
         """Assert the action respects structure constants and the unit.
@@ -184,9 +181,9 @@ def submodule(m: ModuleRep, basis: PrimeMatrix) -> tuple[ModuleRep, Morphism]:
     """Module structure on an invariant subspace; columns of basis must be
     independent and closed under the action.
 
-    One elimination of [basis^T | I] finds rows R with basis[R] invertible
-    and E = basis[R]^-T; the coordinates of a moved basis are then E^T times
-    its rows R, kept only if they reproduce the moved basis exactly.
+    The action of each algebra basis element on the subspace is the
+    coordinates of the moved basis, read one element at a time (stacking
+    all of them would hold dim A moved copies of the basis at once).
     """
     alg = m.algebra
     p = alg.field.p
@@ -194,46 +191,17 @@ def submodule(m: ModuleRep, basis: PrimeMatrix) -> tuple[ModuleRep, Morphism]:
     if c == 0:
         sub = zero_module(alg)
         return sub, Morphism(sub, m, basis)
-    red, _, rows = rref(basis.transpose().hstack(alg.field.identity(c)))
-    if rows[-1] >= basis.rows:
+    reader = coordinates(basis)
+    if reader is None:
         raise InputError("submodule basis has dependent columns")
-    inv = red.a[:, basis.rows :].T
     action = np.zeros((alg.dim, c, c), dtype=np.int64)
     for a in range(alg.dim):
-        moved = mulmod(m.action[a], basis.a, p)
-        action[a] = mulmod(inv, moved[rows], p)
-        if not np.array_equal(mulmod(basis.a, action[a], p), moved):
+        coords = reader.read(mulmod(m.action[a], basis.a, p))
+        if coords is None:
             raise InputError("subspace is not invariant under the action")
+        action[a] = coords
     sub = ModuleRep(alg, action)
     return sub, Morphism(sub, m, basis)
-
-
-def _complement_projection(field, sub: PrimeMatrix, dim: int) -> tuple[PrimeMatrix, PrimeMatrix]:
-    """Projection dim -> q and section q -> dim for the quotient by span(sub).
-
-    The quotient basis is the image of the non-pivot standard basis vectors;
-    a vector is reduced by the rref rows of the subspace and then read off at
-    the free coordinates.
-    """
-    red, rank, pivots = rref(sub.transpose())
-    free = [c for c in range(dim) if c not in pivots]
-    rows = red.a[:rank]
-    # x  ->  x - sum_i x[p_i] * row_i, then select free coordinates
-    reducer = np.eye(dim, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        reducer -= np.outer(rows[i], _unit(dim, c))
-    reducer %= field.p
-    proj = reducer[free, :]
-    sec = np.zeros((dim, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        sec[f, k] = 1
-    return PrimeMatrix(field, proj), PrimeMatrix(field, sec)
-
-
-def _unit(dim: int, j: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=np.int64)
-    v[j] = 1
-    return v
 
 
 def quotient_module(m: ModuleRep, sub: PrimeMatrix) -> tuple[ModuleRep, Morphism, PrimeMatrix]:
@@ -243,7 +211,7 @@ def quotient_module(m: ModuleRep, sub: PrimeMatrix) -> tuple[ModuleRep, Morphism
     picks the deterministic complement basis (non-pivot coordinates).
     """
     alg = m.algebra
-    proj, sec = _complement_projection(alg.field, sub, m.dim)
+    proj, sec = complement_projection(sub)
     q = proj.rows
     free = np.flatnonzero(sec.a.any(axis=1))  # right multiplication by sec selects these columns
     action = np.zeros((alg.dim, q, q), dtype=np.int64)
@@ -276,10 +244,13 @@ class HomSpace:
     deterministic nullspace basis of the stacked intertwining constraints.
     That basis is the identity on its free rows ``free`` (the free row of a
     basis column is its last nonzero row), so the coordinates of a member f
-    are the entries of vec(f) on those rows.  ``coords`` gathers them and
-    checks membership exactly: ``matrix @ c == vec(f)`` mod p holds iff f
-    intertwines, since the columns span the whole hom space.  No
-    elimination runs after construction.
+    are the entries of vec(f) on those rows, and membership is exact:
+    ``matrix @ c == vec(f)`` mod p holds iff f intertwines, since the columns
+    span the whole hom space.  Reads are batched: ``read`` takes a stack of
+    maps, typically every basis map composed with one fixed map
+    (``precompose``, ``postcompose``), and returns all their coordinates
+    from one gather and one membership product.  No elimination runs after
+    construction.
     """
 
     def __init__(self, m: ModuleRep, n: ModuleRep):
@@ -294,6 +265,7 @@ class HomSpace:
             self.matrix = alg.field.zeros(0, 0)
             self.dim = 0
             self.free = np.zeros(0, dtype=np.intp)
+            self._reader = Coordinates(self.matrix, self.free)
             return
         blocks = []
         for g in _generators(alg):
@@ -307,25 +279,43 @@ class HomSpace:
         self.matrix = nullspace(constraints)
         self.dim = self.matrix.cols
         self.free = nm - 1 - np.argmax(self.matrix.a[::-1] != 0, axis=0)
+        self._reader = Coordinates(self.matrix, self.free)
 
     def basis_map(self, j: int) -> PrimeMatrix:
-        return PrimeMatrix(
-            self.source.algebra.field,
-            self.matrix.a[:, j].reshape(self.target.dim, self.source.dim).copy(),
-        )
+        return PrimeMatrix(self.matrix.field, self.maps()[j].copy())
 
     def morphisms(self) -> list[Morphism]:
         return [Morphism(self.source, self.target, self.basis_map(j)) for j in range(self.dim)]
 
-    def coords(self, f: PrimeMatrix) -> np.ndarray:
-        """Coordinates of an intertwiner in this basis; InputError if f is
-        not one.  f need not be reduced mod p."""
+    def maps(self) -> np.ndarray:
+        """The basis maps as one (dim, target.dim, source.dim) array."""
+        return self.matrix.a.T.reshape(self.dim, self.target.dim, self.source.dim)
+
+    def precompose(self, g: np.ndarray) -> np.ndarray:
+        """The stack f o g over the basis maps f; g is source.dim x k."""
         p = self.matrix.field.p
-        vec = f.a.reshape(-1) % p
-        c = vec[self.free]
-        if not np.array_equal(mulmod(self.matrix.a, c, p), vec):
+        stacked = self.maps().reshape(self.dim * self.target.dim, self.source.dim)
+        return mulmod(stacked, g, p).reshape(self.dim, self.target.dim, g.shape[1])
+
+    def postcompose(self, g: np.ndarray) -> np.ndarray:
+        """The stack g o f over the basis maps f; g is k x target.dim."""
+        p = self.matrix.field.p
+        side_by_side = self.maps().transpose(1, 0, 2).reshape(self.target.dim, self.dim * self.source.dim)
+        return mulmod(g, side_by_side, p).reshape(g.shape[0], self.dim, self.source.dim).transpose(1, 0, 2)
+
+    def read(self, maps: np.ndarray) -> np.ndarray:
+        """Coordinates of a stack of k intertwiners (k, target.dim,
+        source.dim) as the columns of a dim x k array; InputError if any is
+        not one.  Entries need not be reduced mod p."""
+        c = self._reader.read(maps.reshape(len(maps), self.target.dim * self.source.dim).T)
+        if c is None:
             raise InputError("map is not in the hom space")
         return c
+
+    def coords(self, f: PrimeMatrix) -> np.ndarray:
+        """Coordinates of one intertwiner in this basis, checked as ``read``
+        checks a stack."""
+        return self.read(f.a[None])[:, 0]
 
     def from_coords(self, c: np.ndarray) -> PrimeMatrix:
         p = self.matrix.field.p
@@ -514,13 +504,12 @@ def injective_envelope(m: ModuleRep) -> Cover:
 
 
 def endo_structure_constants(hs: HomSpace) -> np.ndarray:
-    """Structure constants of End(m) in the hom basis, with f*g = f o g."""
+    """Structure constants of End(m) in the hom basis, with f*g = f o g:
+    row i is one read of the products f_i o f_j over all j."""
     d = hs.dim
     mult = np.zeros((d, d, d), dtype=np.int64)
-    maps = [hs.basis_map(j) for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            mult[i, j] = hs.coords(maps[i] @ maps[j])
+    for i, f in enumerate(hs.maps()):
+        mult[i] = hs.read(hs.postcompose(f)).T
     return mult
 
 
@@ -655,7 +644,7 @@ def tensor_over_algebra(
         rels.append(r)
     relmat = PrimeMatrix(field, np.hstack(rels) if rels else np.zeros((big, 0), dtype=np.int64))
     sub = column_span_basis(relmat)
-    proj, sec = _complement_projection(field, sub, big)
+    proj, sec = complement_projection(sub)
     module = None
     if left is not None:
         b_alg, left_action = left

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+
+from quivalg import corpus
 
 from quivalg.algebra import (
     Algebra,
@@ -269,3 +273,53 @@ def test_algebra_products_match_python_integers_or_refuse(p):
                 continue
             checked += 1
     assert checked >= 10
+
+
+# Algebra.content_hash() of build_from_quiver results, recorded while the
+# quiver build still reduced every path vector by a loop over the pivots
+BUILD_SHA256 = {
+    "A3": "5f1e258e34092081cde0d34150f006e2a56ee54069302e4f8d28e9ec886cad18",
+    "A4": "678b7c0b29890250c5074c167b9e2cb4b7e459fbe80f296d5852a40dca278e35",
+    "A5": "23acb12a44043d016982b145e2d6c00d47a084da00d86cb07285345b09c3acbe",
+    "A6": "464ac45a87f34f2e9c5a63baea000f4010ccf4d118781884b104f156e353304b",
+    "A7": "7206c6bdf3956f87a49aa365073d19dd17abda128d1a53b513311ca7b59b6162",
+    "A8": "53a830701f9c6bcf3372464317a6c780fe3fcfb6d3a955ae7007473fc5f9f260",
+    "k[x]/(x^2)": "bebb6829b44e9ab82a33b61cbb4f3df1f2281a33061edddb58751b4595f558a3",
+    "k[x]/(x^3)": "f1c685aa486ef1676586ad1bd077c52c677989ad78513fa2481442d056715d8a",
+    "k[x]/(x^4)": "1283a890d0f0c2e7687459edac80b6461b00e2dfb6b2a675d77549af40d55977",
+    "k[x]/(x^5)": "4977d7ea0db71b358644cf9b717f2afc5a50df31a0a550054179e7618188bf97",
+    "k[x]/(x^6)": "1c619e4bb28df2dcb85dd064db14d9fb72b0c9ae019ccdbd00d0c61fb6b099cf",
+    "k[x,y]/(x^2,y^2,xy-yx)": "31b5c8edd4d7ecbffc394b2b40aa772f8e4a81090e28dd78d79da2fd08121467",
+    "fixture k2": "bebb6829b44e9ab82a33b61cbb4f3df1f2281a33061edddb58751b4595f558a3",
+    "fixture k3": "f1c685aa486ef1676586ad1bd077c52c677989ad78513fa2481442d056715d8a",
+    "fixture k4": "1283a890d0f0c2e7687459edac80b6461b00e2dfb6b2a675d77549af40d55977",
+    "fixture ka2": "8d17b0fd553f71d2889005fde98ace4c876a0ad6998937a3fd3654b785da7478",
+    "fixture ka3": "5f1e258e34092081cde0d34150f006e2a56ee54069302e4f8d28e9ec886cad18",
+    "fixture aus": "e826d334521ec997a94b074911692a9e0b7f42b03655af0272050df2c8b74922",
+}
+
+
+def build_pin_algebras():
+    algebras = {}
+    for n in range(3, 9):
+        verts = tuple(str(i) for i in range(1, n + 1))
+        arrows = tuple((f"a{i}", str(i), str(i + 1)) for i in range(1, n))
+        algebras[f"A{n}"] = quiver(verts, arrows, (), n - 1)
+    for n in range(2, 7):
+        algebras[f"k[x]/(x^{n})"] = quiver(("1",), (("x", "1", "1"),), (((1, ("x",) * n),),), n - 1)
+    algebras["k[x,y]/(x^2,y^2,xy-yx)"] = quiver(
+        ("1",),
+        (("x", "1", "1"), ("y", "1", "1")),
+        (((1, ("x", "x")),), ((1, ("y", "y")),), ((1, ("x", "y")), (-1, ("y", "x")))),
+        2,
+    )
+    for entry in corpus.ENTRIES:
+        loaded = corpus.load_entry(entry.name)
+        if loaded.doc.mode == "quiver":
+            algebras[f"fixture {entry.name}"] = loaded.algebra
+    return algebras
+
+
+def test_quiver_builds_are_pinned():
+    got = {name: a.content_hash() for name, a in build_pin_algebras().items()}
+    assert got == BUILD_SHA256

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import sys
 
 import numpy as np
@@ -8,6 +10,7 @@ import quivalg.homology
 import quivalg.modules
 from quivalg import corpus
 from quivalg.checks import (
+    _graded_data,
     bar_ext_oracle,
     diamond,
     kunneth_check,
@@ -133,6 +136,34 @@ def test_bar_oracle_runs_no_resolution_cover_or_hom(corpus_loaded, monkeypatch):
     for pool, want in cases:
         got = [bar_ext_oracle(m, n, corpus.BAR_SWEEP_DEGREE).dims for m in pool for n in pool]
         assert got == want
+
+
+# sha256 of the graded radical basis and of its product table, recorded
+# while each product was read by its own solve in the basis of its cell
+GRADED_DATA_SHA256 = {
+    "k": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "k2": "f1a6f49caa7032df3e74c227806e77144f8da12785462870782f147c5bccb1ac",
+    "k3": "3d36d8bff147cbe2502e57c629ceca5378ee803b636d5607841aacafedddca5d",
+    "k4": "bfe07bb8895fd583f8c42dab09bc84f94b761225fdad0fba754a07862e272028",
+    "ka2": "5abd5044bc899c0e12ea8f85a5c0ba0c7a1a17793906628610188e865f035e75",
+    "ka3": "b5b1ea45022283baad7ac424330a6ac4b129de258aa49b26e8da5f105b047d9b",
+    "aus": "7e274329e8da062ecea1051a922db2880f61c6f6bef702ecfc5a53a2b2a05095",
+    "k2xk2": "dcf5788c54469de1d3988f2f66f0e377601988785bfa7f3b54ef94b4f2838909",
+    "ka2xk2": "87b6a053c529eafea45f2d496257ac94dc42a20fc92b710c16223be08fc4fd97",
+}
+
+
+def graded_data_digest(a):
+    g = _graded_data(a)
+    h = hashlib.sha256(np.array(g.j_vectors, dtype=np.int64).reshape(-1, a.dim).tobytes())
+    table = [[i, j, [[int(t), int(c)] for t, c in terms]] for (i, j), terms in sorted(g.products.items())]
+    h.update(json.dumps(table).encode())
+    return h.hexdigest()
+
+
+def test_graded_data_is_pinned(corpus_loaded):
+    got = {name: graded_data_digest(loaded.algebra) for name, loaded in corpus_loaded.items()}
+    assert got == GRADED_DATA_SHA256
 
 
 def test_bar_oracle_matches_minimal_route(corpus_algebras):

@@ -349,12 +349,32 @@ def test_cache_key_names_every_argument(capsys, tmp_path, first, second):
     assert cached == fresh
 
 
-@pytest.mark.parametrize("case", ["directory", "not-utf8", "field-option", "field-line", "out-missing-dir", "module-missing"])
+# malformed lines, each appended to a document of the named mode
+MALFORMED = {
+    "dim-word": ("table", "[table]\ndim two\n"),
+    "dim-negative": ("table", "[table]\ndim -2\n"),
+    "vertex-dim-word": ("quiver", "[module M]\nvertex 1 dim two\n"),
+    "vertex-dim-negative": ("quiver", "[module M]\nvertex 1 dim -1\n"),
+    "action-index-word": ("table", "[module M]\naction z [1]\n"),
+    "arrow-without-matrix": ("quiver", "[module M]\nvertex 1 dim 1\narrow x\n"),
+    "ragged-quiver-matrix": ("quiver", "[module M]\nvertex 1 dim 2\narrow x [0,1;0]\n"),
+    "ragged-table-matrix": ("table", "[module M]\naction 0 [1,0;1]\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["directory", "not-utf8", "field-option", "field-line", "out-missing-dir", "module-missing", *MALFORMED],
+)
 def test_bad_outside_input_exits_2(capsys, tmp_path, case):
     bad = tmp_path / "bad.alg"
     k2 = catalog.serialize(corpus.load_entry("k2").doc)
     argv = ["domdim", str(bad)]
-    if case == "directory":
+    if case in MALFORMED:
+        mode, lines = MALFORMED[case]
+        bad.write_text(catalog.serialize(corpus.load_entry("k2" if mode == "quiver" else "k").doc) + "\n" + lines)
+        argv = ["inspect", str(bad)]
+    elif case == "directory":
         argv = ["domdim", str(tmp_path)]
     elif case == "not-utf8":
         bad.write_bytes(k2.encode().replace(b"32003", b"\xff"))
@@ -370,6 +390,8 @@ def test_bad_outside_input_exits_2(capsys, tmp_path, case):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+    if case in MALFORMED:
+        assert err.startswith("error: line ")
 
 
 def test_catalog_from_environment_set_after_import(capsys, tmp_path, monkeypatch):

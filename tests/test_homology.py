@@ -11,6 +11,7 @@ import quivalg.linalg
 from quivalg import corpus
 from quivalg.algebra import opposite
 from quivalg.catalog import named_modules, resolve_expression
+from quivalg.checks import bar_ext_oracle
 from quivalg.errors import InputError, InternalCheckError, UnsupportedFieldError
 from quivalg.homology import (
     DecomposedModule,
@@ -179,13 +180,8 @@ def test_ext_tables_are_pinned(corpus_loaded):
     assert got == EXT_TABLES_SHA256
 
 
-def test_ext_and_covers_run_no_solve(corpus_loaded, monkeypatch):
-    cases = []
-    for loaded in corpus_loaded.values():
-        mods = standard_module_list(loaded.algebra)
-        ext_dims(mods[0], mods[0], 0)  # memoizes the generator coordinates
-        # fresh copies carry no memoized resolution
-        cases.append([ModuleRep(m.algebra, m.action) for m in mods])
+def forbid_solve(monkeypatch):
+    """Make every quivalg binding of linalg.solve raise."""
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solve called")
@@ -196,11 +192,38 @@ def test_ext_and_covers_run_no_solve(corpus_loaded, monkeypatch):
             for key, value in list(vars(mod).items()):
                 if value is real:
                     monkeypatch.setattr(mod, key, no_solve)
+
+
+def test_ext_and_covers_run_no_solve(corpus_loaded, monkeypatch):
+    cases = []
+    for loaded in corpus_loaded.values():
+        mods = standard_module_list(loaded.algebra)
+        ext_dims(mods[0], mods[0], 0)  # memoizes the generator coordinates
+        # fresh copies carry no memoized resolution
+        cases.append([ModuleRep(m.algebra, m.action) for m in mods])
+    forbid_solve(monkeypatch)
     for mods in cases:
         for m in mods:
             projective_cover(m)
             for n in mods:
                 ext_dims(m, n, 3)
+
+
+def test_coordinate_reads_run_no_solve(monkeypatch):
+    # coordinates are read through linalg.coordinates and HomSpace.read, so on
+    # fresh corpus algebras, with nothing memoized, the bar oracle, End of the
+    # minimal generator-cogenerator, the Nakayama map and approximations run
+    # no solve (the extension predicates still solve one system each)
+    forbid_solve(monkeypatch)
+    for entry in corpus.ENTRIES:
+        a = corpus.load_entry(entry.name).algebra
+        std = standard_modules(a)
+        dm = minimal_gen_cogen(a)
+        endomorphism_algebra(dm)
+        for m in std.simples + [std.coregular]:
+            assert bar_ext_oracle(m, std.regular, 2).dims == ext_dims(m, std.regular, 2).dims
+            nakayama(m)
+            min_add_approximation(dm.module, m)
 
 
 def test_minimality_witness(corpus_algebras):
@@ -511,7 +534,7 @@ END_MULT_SHA256 = {
 }
 
 
-def test_end_structure_constants_are_pinned():
+def end_pin_modules():
     modules = {}
     for n in (3, 4, 5):
         verts = [str(i) for i in range(1, n + 1)]
@@ -519,8 +542,88 @@ def test_end_structure_constants_are_pinned():
         modules[f"A{n} gencogen"] = minimal_gen_cogen(quiver(verts, arrows, (), n - 1))
     for name, expr in (("k2", "regular+S"), ("aus", "gencogen")):
         modules[f"{name} {expr}"] = resolve_expression(corpus.load_entry(name), expr)
+    return modules
+
+
+def test_end_structure_constants_are_pinned():
     got = {
         key: hashlib.sha256(endomorphism_algebra(dm).algebra.mult.tobytes()).hexdigest()
-        for key, dm in modules.items()
+        for key, dm in end_pin_modules().items()
     }
     assert got == END_MULT_SHA256
+
+
+def array_digest(arrays):
+    """sha256 over the shape and the int64 bytes of each array in turn."""
+    h = hashlib.sha256()
+    for x in arrays:
+        x = np.asarray(x, dtype=np.int64)
+        h.update(np.array(x.shape, dtype=np.int64).tobytes())
+        h.update(x.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the End action on M and of End's unit and idempotents, for the
+# modules of END_MULT_SHA256, recorded while each was read by its own
+# HomSpace.coords call
+END_ACTION_SHA256 = {
+    "A3 gencogen": "7251aff1e99ca4ab5e69d133a0e3951a2d08ab0176adf6d8576be89a8fcab9bc",
+    "A4 gencogen": "4497ffebd4a165c1697cd9c03a53121d3ffb95800bc91d9c7cd21376bfcbbd42",
+    "A5 gencogen": "3856bf5f4cf41941e62863ec44213b5b0ee3780d3d45a769d3b2ab840e4e3442",
+    "k2 regular+S": "dc11b9e98261cc47c832c8e7e834c4de46fa8bd74586607486947ec62d169163",
+    "aus gencogen": "23b7d4573a735c8dcbbaa58af13d1432bbc8974cd99af05e3091e8cf75fba041",
+}
+
+
+def test_end_action_and_idempotents_are_pinned():
+    got = {}
+    for key, dm in end_pin_modules().items():
+        b = endomorphism_algebra(dm)
+        got[key] = array_digest([b.end_action, b.algebra.unit] + b.algebra.idempotents)
+    assert got == END_ACTION_SHA256
+
+
+# sha256 of the Nakayama map eta and of the action on the Hom route, over
+# standard_module_list, recorded while the Hom route was read one
+# HomSpace.coords call per element
+NAKAYAMA_SHA256 = {
+    "k": "036b147c383432a13cea95c541458cf67bddf7b07752c4afb92585284e9b36a2",
+    "k2": "102fb80e7a55cd85510734ac799a3ef01f15aaf9b7c36503727d317462ac9624",
+    "k3": "e013294630b05454d6ee80fb2ae13894d1373f262fb7906fc5cfb80d39ec623f",
+    "k4": "4a9915cc189c8f5034ed566077384cc224179826d734119f756df624ac7bbaee",
+    "ka2": "f4d2bb75cb45fe87217d34d6e8ccca8f055746b8847f3e5d927759a4a36f2eea",
+    "ka3": "14f84d9ce2641523f337e8fb845f821d8a0180d770e715554d60a52c6303ee3b",
+    "aus": "3b29be7aafc47c39c77baecbf72f4d345e20513ad33f8d5462374d843a451dd3",
+    "k2xk2": "0ca51ef77ed48fa46889234dc09172bc4cf43aa0d522dcefc50eb5c155719278",
+    "ka2xk2": "279062f0759c1f4d330d78e04893494b04f9042fdc63da0523006ec84b9879e3",
+}
+
+
+def test_nakayama_maps_are_pinned(corpus_loaded):
+    got = {}
+    for name, loaded in corpus_loaded.items():
+        results = [nakayama(m) for m in standard_module_list(loaded.algebra)]
+        got[name] = array_digest([x for r in results for x in (r.eta.a, r.hom_route.action)])
+    assert got == NAKAYAMA_SHA256
+
+
+# sha256 of the map of min_add_approximation(M, X) for X the simples and
+# D(A), recorded while the radical composites were read one
+# HomSpace.coords call per element
+APPROX_SHA256 = {
+    "k2 regular+S": "815cdd3f56cf5de471831c840d274b46cc9ce6237a08c9f42edeed4d3cbaf580",
+    "ka3 gencogen": "2025042faf70ed4fad252f005176950cc56ef9df69284a81adac242796bb6ad7",
+    "aus gencogen": "966defadf12ff8c845a385f8be0e2de749b6195d50979b55276a4f23ae8dc9ae",
+    "ka2xk2 gencogen": "6c1785e954a702473be51235ed8a385c237458baf2949838bc767b8e396b07c8",
+}
+
+
+def test_approximation_maps_are_pinned(corpus_loaded):
+    got = {}
+    for name, expr in (("k2", "regular+S"), ("ka3", "gencogen"), ("aus", "gencogen"), ("ka2xk2", "gencogen")):
+        loaded = corpus_loaded[name]
+        m = resolve_expression(loaded, expr).module
+        std = standard_modules(loaded.algebra)
+        maps = [min_add_approximation(m, x).morphism.map.a for x in std.simples + [std.coregular]]
+        got[f"{name} {expr}"] = array_digest(maps)
+    assert got == APPROX_SHA256

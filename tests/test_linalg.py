@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from quivalg.errors import UnsupportedFieldError
-from quivalg.linalg import PrimeField, PrimeMatrix, _product_route, mulmod, nullspace, rref, solve
+from quivalg.linalg import (
+    Coordinates,
+    PrimeField,
+    PrimeMatrix,
+    _product_route,
+    complement_projection,
+    coordinates,
+    mulmod,
+    nullspace,
+    rref,
+    solve,
+)
 
 F5 = PrimeField(5)
 F = PrimeField(32003)
@@ -259,3 +270,91 @@ def test_field_range_is_refused_before_the_primality_test():
         with pytest.raises(UnsupportedFieldError):
             PrimeField(p)
     assert time.perf_counter() - t < 1.0
+
+
+# ---------------------------------------------------------------------------
+# coordinates in a subspace, projection onto a quotient
+
+
+def test_coordinates_agree_with_solve():
+    rng = np.random.default_rng(7)
+    p = F.p
+    checked = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        c, k = int(rng.integers(0, n + 1)), int(rng.integers(0, 4))
+        basis = PrimeMatrix(F, rng.integers(0, p, size=(n, c)))
+        if basis.rank() < c:
+            continue
+        reader = coordinates(basis)
+        # members, given unreduced: any multiple of p may be added
+        x = rng.integers(0, p, size=(c, k))
+        v = mulmod(basis.a, x, p)
+        got = reader.read(v + p * rng.integers(-3, 4, size=v.shape))
+        assert np.array_equal(got, x)
+        assert np.array_equal(got, solve(basis, PrimeMatrix(F, v)).a)
+        if k:
+            assert np.array_equal(reader.read(v[:, 0]), x[:, 0])
+        # a random vector, a member exactly when solve finds a solution; a
+        # stack with one non-member is refused whole
+        w = rng.integers(0, p, size=(n, 1))
+        want = solve(basis, PrimeMatrix(F, w))
+        if want is None:
+            assert reader.read(w) is None
+            assert reader.read(np.hstack([v, w])) is None
+        else:
+            assert np.array_equal(reader.read(w), want.a)
+        checked += 1
+    assert checked >= 40
+
+
+def test_coordinates_of_empty_bases_and_stacks():
+    reader = coordinates(F.zeros(3, 0))
+    assert reader.read(np.zeros((3, 2), dtype=np.int64)).shape == (0, 2)
+    assert reader.read(np.array([0, F.p, 0])).shape == (0,)
+    assert reader.read(np.array([0, 1, 0])) is None
+    reader = coordinates(F.matrix([[1], [2], [3]]))
+    assert reader.read(np.zeros((3, 0), dtype=np.int64)).shape == (1, 0)
+    assert coordinates(F.zeros(0, 0)).read(np.zeros((0, 4), dtype=np.int64)).shape == (0, 4)
+
+
+def test_coordinates_refuse_a_dependent_basis():
+    assert coordinates(F.matrix([[1, 2], [2, 4], [3, 6]])) is None
+    assert coordinates(F.zeros(3, 1)) is None
+    rng = np.random.default_rng(5)
+    b = rng.integers(0, F.p, size=(6, 3))
+    assert coordinates(PrimeMatrix(F, np.hstack([b, mulmod(b, np.array([[2], [0], [7]]), F.p)]))) is None
+
+
+def test_coordinates_on_identity_rows_skip_the_inverse():
+    # a nullspace basis is the identity on its free rows, the last nonzero
+    # row of each column
+    rng = np.random.default_rng(9)
+    m = PrimeMatrix(F, rng.integers(0, 3, size=(4, 7)))
+    ns = nullspace(m)
+    free = ns.rows - 1 - np.argmax(ns.a[::-1] != 0, axis=0)
+    reader = Coordinates(ns, free)
+    x = rng.integers(0, F.p, size=(ns.cols, 5))
+    assert np.array_equal(reader.read(mulmod(ns.a, x, F.p)), x)
+    assert np.array_equal(reader.read(mulmod(ns.a, x, F.p)), coordinates(ns).read(mulmod(ns.a, x, F.p)))
+
+
+def test_complement_projection_reduces_by_the_echelon_rows():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n, c = int(rng.integers(1, 8)), int(rng.integers(0, 9))
+        sub = PrimeMatrix(F, rng.integers(0, 2, size=(n, c)) * rng.integers(0, F.p, size=(n, c)))
+        proj, sec = complement_projection(sub)
+        red, rank, pivots = rref(sub.transpose())
+        assert proj.rows == n - rank
+        assert (proj @ sub).is_zero()
+        assert proj @ sec == F.identity(n - rank)
+        # reference: subtract the echelon row of each pivot in turn, then
+        # read the free coordinates
+        free = [j for j in range(n) if j not in pivots]
+        for q in range(n):
+            w = np.zeros(n, dtype=np.int64)
+            w[q] = 1
+            for i, col in enumerate(pivots):
+                w = (w - w[col] * red.a[i]) % F.p
+            assert np.array_equal(proj.a[:, q], w[free])
