@@ -15,7 +15,8 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -46,8 +47,33 @@ __all__ = [
 
 FORMAT_NAME = "quivalg-algebra"
 FORMAT_VERSION = 1
-ENGINE_VERSION = "quivalg-0.1.0"
 DEFAULT_FIELD = 32003
+
+
+@cache
+def _source_digest() -> str:
+    """12 hex digits of sha256 over the package's .py and fixture files,
+    each as its relative path and its bytes, sorted by path.  A change to
+    any of them changes ``ENGINE_VERSION``, so no record written by other
+    sources is read back."""
+    root = Path(__file__).parent
+    h = hashlib.sha256()
+    for path in sorted([*root.glob("*.py"), *root.glob("fixtures/*.alg")]):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()[:12]
+
+
+def _engine_version() -> str:
+    return f"quivalg-0.1.0+{_source_digest()}"
+
+
+def __getattr__(name: str) -> str:
+    """``ENGINE_VERSION``, the package version plus the source digest,
+    derived on first use, so importing the package reads no file."""
+    if name == "ENGINE_VERSION":
+        return _engine_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +185,8 @@ def parse(text: str) -> AlgebraDoc:
         return _parse_matrix(line.split(None, 2)[2], i + 1)
 
     body_started = False
+    # (line index, kind, name) of each module line, checked once the whole algebra is read
+    module_lines: list[tuple[int, str, object]] = []
     for i, raw in enumerate(lines):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -254,19 +282,30 @@ def parse(text: str) -> AlgebraDoc:
             if doc.mode == "quiver" and parts[0] == "vertex":
                 if len(parts) != 4 or parts[2] != "dim":
                     err(i, "module vertex line must be 'vertex v dim n'")
-                current_module.vertex_dims[parts[1]] = count(i, parts, 3, "vertex dim")
+                value = count(i, parts, 3, "vertex dim")
+                entries, key = current_module.vertex_dims, parts[1]
             elif doc.mode == "quiver" and parts[0] == "arrow":
-                current_module.arrow_mats[parts[1]] = module_matrix(i, parts, line)
+                value = module_matrix(i, parts, line)
+                entries, key = current_module.arrow_mats, parts[1]
             elif doc.mode == "table" and parts[0] == "action":
-                current_module.actions[count(i, parts, 1, "action index")] = module_matrix(i, parts, line)
+                value = module_matrix(i, parts, line)
+                entries, key = current_module.actions, count(i, parts, 1, "action index")
             else:
                 err(i, f"unknown module key {parts[0]!r} for mode {doc.mode}")
+            if key in entries:
+                err(i, f"repeated line '{parts[0]} {key}' in module {current_module.name!r}")
+            entries[key] = value
+            module_lines.append((i, parts[0], key))
         else:
             err(i, "content outside any section")
     if doc is None:
         raise ParseError(1, 1, "empty document")
     if doc.mode not in ("quiver", "table"):
         raise ParseError(1, 1, "missing or bad mode header")
+    known = {"vertex": doc.vertices, "arrow": [a[0] for a in doc.arrows], "action": range(doc.dim)}
+    for i, kind, key in module_lines:
+        if key not in known[kind]:
+            err(i, f"module line '{kind} {key}' names nothing in the algebra")
     return doc
 
 
@@ -527,7 +566,7 @@ def record_key(
     extra: Optional[dict[str, str]] = None,
 ) -> dict:
     key = {
-        "engine": ENGINE_VERSION,
+        "engine": _engine_version(),
         "name": name,
         "input": input_hash,
         "cutoff": cutoff,

@@ -32,6 +32,7 @@ from .modules import (
     standard_modules,
     summand_test,
     tensor_over_algebra,
+    top_multiplicities,
     zero_module,
 )
 
@@ -276,14 +277,15 @@ def id_bounded(m: ModuleRep, cutoff: int) -> DimBound:
 
 
 def is_projective(m: ModuleRep) -> bool:
-    """A module is projective iff its projective cover is an isomorphism,
-    which for a cover means equal dimensions."""
-    return projective_cover(m).projective.dim == m.dim
+    """m is projective iff its projective cover, the sum of mult_i copies of
+    P(i) onto m (mult_i the top multiplicities), has dimension dim m."""
+    std = standard_modules(m.algebra)
+    return sum(k * q.dim for k, q in zip(top_multiplicities(m), std.projectives)) == m.dim
 
 
 def is_injective(m: ModuleRep) -> bool:
-    """Dual test: the injective envelope is an isomorphism."""
-    return projective_cover(dualize(m)).projective.dim == m.dim
+    """Dual test: the dual module is projective over the opposite algebra."""
+    return is_projective(dualize(m))
 
 
 # ---------------------------------------------------------------------------

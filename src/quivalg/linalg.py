@@ -5,7 +5,12 @@ operations here: row reduction, solving and nullspaces, and the two
 routines every layer reads vectors against a subspace with:
 ``coordinates`` (coordinates in a fixed basis, for a whole stack of vectors
 at once) and ``complement_projection`` (reduction modulo a subspace, onto a
-basis of the quotient).  Entries are int64 numpy arrays reduced mod p.
+basis of the quotient).  ``coordinates`` is the one place that chooses how a
+basis is read: by a gather on the rows where it is the identity (nullspace
+and unit-vector bases), and by one elimination otherwise.
+``complement_projection`` takes any spanning set of the subspace, since the
+reduced echelon form of a row space is unique; no basis is extracted first.
+Entries are int64 numpy arrays reduced mod p.
 Elimination is integer arithmetic; matrix products (``mulmod``) run through
 float64 BLAS while every partial sum is an integer below 2^53, which float64
 holds exactly, and through int64 otherwise.  Nothing is rounded and there
@@ -342,9 +347,19 @@ class Coordinates:
 
 def coordinates(basis: PrimeMatrix) -> Optional[Coordinates]:
     """The coordinates of a basis B, or None when its columns are dependent.
-    One elimination E [B^T | I] = [rref(B^T) | E] gives the pivot rows R of
-    B and E = B[R]^-T, since rref(B^T) is the identity on the columns R."""
+
+    When B is the identity on the last nonzero row of each column (every
+    ``nullspace`` basis is, on its free rows, and so is a basis of unit
+    vectors), those rows are read by a gather and nothing is eliminated.
+    Otherwise one elimination E [B^T | I] = [rref(B^T) | E] gives the pivot
+    rows R of B and E = B[R]^-T, since rref(B^T) is the identity on the
+    columns R.  Both readers return the unique coordinates of a member.
+    """
+    a = basis.a
     n = basis.rows
+    last = n - 1 - np.argmax(a[::-1] != 0, axis=0) if a.size else np.zeros(0, dtype=np.intp)
+    if np.array_equal(a[last], np.eye(basis.cols, dtype=np.int64)):
+        return Coordinates(basis, last)
     red, _, pivots = rref(basis.transpose().hstack(basis.field.identity(basis.cols)))
     if pivots and pivots[-1] >= n:
         return None
@@ -353,7 +368,8 @@ def coordinates(basis: PrimeMatrix) -> Optional[Coordinates]:
 
 def complement_projection(sub: PrimeMatrix) -> tuple[PrimeMatrix, PrimeMatrix]:
     """Projection F_p^n -> F_p^q and section back for the quotient by the
-    span of sub's columns, whose basis is the standard vectors at the free
+    span of sub's columns (dependent columns allowed: only the row space of
+    sub^T enters), whose basis is the standard vectors at the free
     (non-pivot) coordinates of rref(sub^T).  A vector is reduced by
     subtracting, at each pivot c, its entry times the echelon row of c, and
     read at the free coordinates; echelon rows vanish on the other pivots,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import Algebra, column_span_basis, opposite, trace_form_radical
 from .errors import InputError, UnsupportedFieldError
-from .linalg import Coordinates, PrimeMatrix, complement_projection, coordinates, mulmod, nullspace
+from .linalg import PrimeMatrix, complement_projection, coordinates, mulmod, nullspace
 from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test reads modules.solve)
 
 __all__ = [
@@ -246,7 +246,8 @@ class HomSpace:
     basis column is its last nonzero row), so the coordinates of a member f
     are the entries of vec(f) on those rows, and membership is exact:
     ``matrix @ c == vec(f)`` mod p holds iff f intertwines, since the columns
-    span the whole hom space.  Reads are batched: ``read`` takes a stack of
+    span the whole hom space.  ``linalg.coordinates`` finds those rows and
+    reads by that gather.  Reads are batched: ``read`` takes a stack of
     maps, typically every basis map composed with one fixed map
     (``precompose``, ``postcompose``), and returns all their coordinates
     from one gather and one membership product.  No elimination runs after
@@ -261,12 +262,6 @@ class HomSpace:
         alg = m.algebra
         p = alg.field.p
         nm = n.dim * m.dim
-        if nm == 0:
-            self.matrix = alg.field.zeros(0, 0)
-            self.dim = 0
-            self.free = np.zeros(0, dtype=np.intp)
-            self._reader = Coordinates(self.matrix, self.free)
-            return
         blocks = []
         for g in _generators(alg):
             rho_m = m.act(g)
@@ -278,8 +273,8 @@ class HomSpace:
         constraints = PrimeMatrix(alg.field, np.vstack(blocks) if blocks else np.zeros((0, nm), dtype=np.int64))
         self.matrix = nullspace(constraints)
         self.dim = self.matrix.cols
-        self.free = nm - 1 - np.argmax(self.matrix.a[::-1] != 0, axis=0)
-        self._reader = Coordinates(self.matrix, self.free)
+        self._reader = coordinates(self.matrix)
+        self.free = self._reader.rows
 
     def basis_map(self, j: int) -> PrimeMatrix:
         return PrimeMatrix(self.matrix.field, self.maps()[j].copy())
@@ -338,8 +333,7 @@ def image(f: Morphism) -> tuple[ModuleRep, Morphism]:
 
 
 def cokernel(f: Morphism) -> tuple[ModuleRep, Morphism]:
-    basis = column_span_basis(f.map)
-    quot, proj, _ = quotient_module(f.target, basis)
+    quot, proj, _ = quotient_module(f.target, f.map)
     return quot, proj
 
 
@@ -353,49 +347,60 @@ def dualize(m: ModuleRep) -> ModuleRep:
 # socle, top, radical of a module
 
 
+def _radical_action(m: ModuleRep) -> np.ndarray:
+    """The action on m of each radical basis element, r x dim x dim."""
+    alg = m.algebra
+    r = alg.radical()
+    return mulmod(r.a.T, m.action.reshape(alg.dim, -1), alg.field.p).reshape(r.cols, m.dim, m.dim)
+
+
+def _radical_span(m: ModuleRep) -> PrimeMatrix:
+    """Columns spanning rad(m): the radical's actions side by side."""
+    rad = _radical_action(m)
+    return PrimeMatrix(m.algebra.field, rad.transpose(1, 0, 2).reshape(m.dim, len(rad) * m.dim))
+
+
 def rad_module(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
     """rad(m) = (radical of the algebra) . m, as a submodule."""
-    r = m.algebra.radical()
-    if r.cols == 0 or m.dim == 0:
-        sub = zero_module(m.algebra)
-        return sub, Morphism(sub, m, m.algebra.field.zeros(m.dim, 0))
-    cols = np.hstack([m.act(r.a[:, j]) for j in range(r.cols)])
-    basis = column_span_basis(PrimeMatrix(m.algebra.field, cols % m.algebra.field.p))
-    return submodule(m, basis)
+    return submodule(m, column_span_basis(_radical_span(m)))
 
 
 def top(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
-    _, inc = rad_module(m)
-    quot, proj, _ = quotient_module(m, inc.map)
+    quot, proj, _ = quotient_module(m, _radical_span(m))
     return quot, proj
 
 
 def soc(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
     """Joint kernel of the radical action."""
-    r = m.algebra.radical()
-    if r.cols == 0:
-        return submodule(m, m.algebra.field.identity(m.dim))
-    stacked = np.vstack([m.act(r.a[:, j]) for j in range(r.cols)])
-    basis = nullspace(PrimeMatrix(m.algebra.field, stacked))
-    return submodule(m, basis)
+    rad = _radical_action(m)
+    stacked = rad.reshape(len(rad) * m.dim, m.dim)
+    return submodule(m, nullspace(PrimeMatrix(m.algebra.field, stacked)))
 
 
-def _semisimple_multiplicities(m: ModuleRep) -> list[int]:
-    """Multiplicity of each simple S(i) in a semisimple module: dim e_i.m."""
-    out = []
-    for e in m.algebra.idempotents:
-        out.append(PrimeMatrix(m.algebra.field, m.act(e)).rank())
-    return out
+def _top_lifts(m: ModuleRep) -> list[np.ndarray]:
+    """Per vertex i, lifts to e_i.m of a basis of e_i.top(m), as columns.
+    With the projection and section of top(m) = m/rad(m), e_i acts on top(m)
+    by proj.e_i.sec, and e_i.sec lifts a basis of its column span."""
+    alg = m.algebra
+    p = alg.field.p
+    proj, sec = complement_projection(_radical_span(m))
+    lifts = []
+    for e in alg.idempotents:
+        e_sec = mulmod(m.act(e), sec.a, p)
+        block = column_span_basis(PrimeMatrix(alg.field, mulmod(proj.a, e_sec, p)))
+        lifts.append(mulmod(e_sec, block.a, p))
+    return lifts
 
 
 def top_multiplicities(m: ModuleRep) -> list[int]:
-    t, _ = top(m)
-    return _semisimple_multiplicities(t)
+    """Multiplicity of each simple S(i) in top(m)."""
+    return [lift.shape[1] for lift in _top_lifts(m)]
 
 
 def soc_multiplicities(m: ModuleRep) -> list[int]:
+    """Multiplicity of each simple S(i) in soc(m): dim e_i.soc(m)."""
     s, _ = soc(m)
-    return _semisimple_multiplicities(s)
+    return [PrimeMatrix(s.algebra.field, s.act(e)).rank() for e in s.algebra.idempotents]
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +465,20 @@ class Cover:
 def projective_cover(m: ModuleRep) -> Cover:
     """Cover by one P(i) per basis vector of e_i.top(m).
 
-    The section of m -> top(m) lifts each such vector to m, e_i times the
-    lift is a generator w in e_i.m, and the summand P(i) = A.e_i maps by
-    x -> x.w; with aw[a] = action[a] @ w the images of the basis of A.e_i
-    are aw^T @ basis.
+    Each such vector lifts to a generator w in e_i.m (``_top_lifts``), and
+    the summand P(i) = A.e_i maps by x -> x.w; with aw[a] = action[a] @ w
+    the images of the basis of A.e_i are aw^T @ basis.
     """
     alg = m.algebra
     p = alg.field.p
     std = standard_modules(alg)
-    _, rad_inc = rad_module(m)
-    t, _, sec = quotient_module(m, rad_inc.map)
-    vertex_of: list[int] = []
-    gens = []
-    for i, e in enumerate(alg.idempotents):
-        block = column_span_basis(PrimeMatrix(alg.field, t.act(e)))
-        if block.cols == 0:
-            continue
-        gens.append(mulmod(mulmod(m.act(e), sec.a, p), block.a, p))
-        vertex_of += [i] * block.cols
+    lifts = _top_lifts(m)
+    vertex_of = [i for i, lift in enumerate(lifts) for _ in range(lift.shape[1])]
     if not vertex_of:
         z = zero_module(alg)
         return Cover(Morphism(z, m, alg.field.zeros(m.dim, 0)), [])
     big, _, _ = direct_sum([std.projectives[i] for i in vertex_of])
-    w = np.hstack(gens)
+    w = np.hstack(lifts)
     aw = np.zeros((alg.dim, m.dim, w.shape[1]), dtype=np.int64)
     for a in range(alg.dim):
         aw[a] = mulmod(m.action[a], w, p)
@@ -643,8 +639,7 @@ def tensor_over_algebra(
         r = (np.kron(x_right.act(g), eye_y) - np.kron(eye_x, y.act(g))) % p
         rels.append(r)
     relmat = PrimeMatrix(field, np.hstack(rels) if rels else np.zeros((big, 0), dtype=np.int64))
-    sub = column_span_basis(relmat)
-    proj, sec = complement_projection(sub)
+    proj, sec = complement_projection(relmat)
     module = None
     if left is not None:
         b_alg, left_action = left

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from quivalg import corpus
+from quivalg import catalog, corpus
 from quivalg.catalog import (
     AlgebraDoc,
     ParseError,
@@ -164,6 +166,26 @@ def test_cache_version_miss(tmp_path):
     cache_put(cat, key, {"x": 1})
     other = dict(key, engine="quivalg-9.9.9")
     assert cache_get(cat, other) is None
+
+
+def test_cache_misses_under_another_source_digest(tmp_path, monkeypatch):
+    cat = str(tmp_path / "cat")
+    monkeypatch.setattr(catalog, "_source_digest", lambda: "0" * 12)
+    cache_put(cat, record_key("domdim", "abc", 6, 32003), {"x": 1})
+    assert cache_get(cat, record_key("domdim", "abc", 6, 32003)) == {"x": 1}
+    monkeypatch.setattr(catalog, "_source_digest", lambda: "1" * 12)
+    assert cache_get(cat, record_key("domdim", "abc", 6, 32003)) is None
+
+
+def test_engine_version_is_derived_from_the_sources(capsys):
+    from quivalg.cli import main
+
+    digest = catalog._source_digest()
+    assert re.fullmatch("[0-9a-f]{12}", digest)
+    assert catalog.ENGINE_VERSION == f"quivalg-0.1.0+{digest}"
+    assert record_key("domdim", "abc", 6, 32003)["engine"] == catalog.ENGINE_VERSION
+    assert main(["domdim", "k2"]) == 0
+    assert f"\nengine = quivalg-0.1.0+{digest}\n" in capsys.readouterr().out
 
 
 def test_cache_corruption_ignored(tmp_path, capsys):

@@ -359,6 +359,12 @@ MALFORMED = {
     "arrow-without-matrix": ("quiver", "[module M]\nvertex 1 dim 1\narrow x\n"),
     "ragged-quiver-matrix": ("quiver", "[module M]\nvertex 1 dim 2\narrow x [0,1;0]\n"),
     "ragged-table-matrix": ("table", "[module M]\naction 0 [1,0;1]\n"),
+    "action-unknown": ("table", "[module M]\naction 0 [1]\naction 7 [5]\n"),
+    "vertex-unknown": ("quiver", "[module M]\nvertex 9 dim 2\n"),
+    "arrow-unknown": ("quiver", "[module M]\narrow zz [1]\n"),
+    "action-repeated": ("table", "[module M]\naction 0 [1]\naction 0 [1]\n"),
+    "vertex-repeated": ("quiver", "[module M]\nvertex 1 dim 1\nvertex 1 dim 1\n"),
+    "arrow-repeated": ("quiver", "[module M]\nvertex 1 dim 1\narrow x [0]\narrow x [0]\n"),
 }
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import quivalg.linalg
+import quivalg.modules
 from quivalg import corpus
 from quivalg.algebra import opposite
 from quivalg.catalog import named_modules, resolve_expression
@@ -20,6 +21,7 @@ from quivalg.homology import (
     ext_dims,
     gen_cogen,
     id_bounded,
+    is_injective,
     is_projective,
     min_add_approximation,
     minimal_gen_cogen,
@@ -180,18 +182,22 @@ def test_ext_tables_are_pinned(corpus_loaded):
     assert got == EXT_TABLES_SHA256
 
 
-def forbid_solve(monkeypatch):
-    """Make every quivalg binding of linalg.solve raise."""
+def forbid_everywhere(monkeypatch, real):
+    """Make every quivalg binding of ``real`` raise."""
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve called")
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{real.__name__} called")
 
-    real = quivalg.linalg.solve
     for name, mod in list(sys.modules.items()):
         if name == "quivalg" or name.startswith("quivalg."):
             for key, value in list(vars(mod).items()):
                 if value is real:
-                    monkeypatch.setattr(mod, key, no_solve)
+                    monkeypatch.setattr(mod, key, forbidden)
+
+
+def forbid_solve(monkeypatch):
+    """Make every quivalg binding of linalg.solve raise."""
+    forbid_everywhere(monkeypatch, quivalg.linalg.solve)
 
 
 def test_ext_and_covers_run_no_solve(corpus_loaded, monkeypatch):
@@ -207,6 +213,27 @@ def test_ext_and_covers_run_no_solve(corpus_loaded, monkeypatch):
             projective_cover(m)
             for n in mods:
                 ext_dims(m, n, 3)
+
+
+def test_covers_and_projectivity_build_no_submodule(corpus_loaded, monkeypatch):
+    # tops, covers and projectivity read top(m) off one projection of the
+    # radical span: no rad submodule, top module, or cover to compare
+    cases = []
+    for loaded in corpus_loaded.values():
+        a = loaded.algebra
+        standard_modules(opposite(a))  # is_injective reads the opposite's P(i)
+        cases.append([ModuleRep(a, m.action) for m in small_corpus_modules(a)])
+    forbid_everywhere(monkeypatch, quivalg.modules.submodule)
+    for mods in cases:
+        for m in mods:
+            projective_cover(m)
+            top_multiplicities(m)
+    forbid_everywhere(monkeypatch, quivalg.modules.quotient_module)
+    forbid_everywhere(monkeypatch, quivalg.modules.direct_sum)
+    for mods in cases:
+        for m in mods:
+            is_projective(m)
+            is_injective(m)
 
 
 def test_coordinate_reads_run_no_solve(monkeypatch):

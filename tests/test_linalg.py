@@ -1,4 +1,6 @@
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +341,50 @@ def test_coordinates_on_identity_rows_skip_the_inverse():
     assert np.array_equal(reader.read(mulmod(ns.a, x, F.p)), coordinates(ns).read(mulmod(ns.a, x, F.p)))
 
 
+@pytest.mark.parametrize("p", [5, 32003])
+def test_coordinates_read_nullspace_bases_by_a_gather(p):
+    # a nullspace basis is the identity on its free rows, so its reader
+    # gathers them and holds no inverse; its reads equal the elimination's
+    f = PrimeField(p)
+    rng = np.random.default_rng(p + 2)
+    inputs = [PrimeMatrix(f, np.zeros(s, dtype=np.int64)) for s in [(0, 4), (4, 0), (0, 0), (7, 5)]]
+    for _ in range(40):
+        cols = int(rng.integers(1, 10))
+        inputs.append(PrimeMatrix(f, tall_sparse(rng, p, int(rng.integers(0, cols + 1)), cols)))
+    for m in inputs:
+        ns = nullspace(m)
+        reader = coordinates(ns)
+        assert reader.inverse is None
+        _, _, pivots = rref(m)
+        assert reader.rows.tolist() == [c for c in range(m.cols) if c not in pivots]
+        red, _, rows = rref(ns.transpose().hstack(f.identity(ns.cols)))
+        eliminated = Coordinates(ns, np.array(rows, dtype=np.intp), red.a[:, ns.rows :].T.copy())
+        x = rng.integers(0, p, size=(ns.cols, 3))
+        members = mulmod(ns.a, x, p)
+        assert np.array_equal(reader.read(members), x)
+        assert np.array_equal(eliminated.read(members), x)
+        other = rng.integers(0, p, size=(ns.rows, 2))
+        for w in (other, np.hstack([members, other])):
+            got, want = reader.read(w), eliminated.read(w)
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_coordinates_gather_only_where_the_basis_is_the_identity():
+    perm = F.matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    reader = coordinates(perm)
+    assert reader.inverse is None
+    assert reader.rows.tolist() == [2, 0, 1]
+    x = np.array([[3, 0], [4, 1], [5, 2]])
+    assert np.array_equal(reader.read(mulmod(perm.a, x, F.p)), x)
+    # 2 on the last nonzero row: eliminated, with the same reads
+    column = coordinates(F.matrix([[1], [2]]))
+    assert column.inverse is not None
+    assert np.array_equal(column.read(np.array([[3], [6]])), [[3]])
+    assert column.read(np.array([[3], [5]])) is None
+    # the last nonzero rows repeat: dependent, refused by the elimination
+    assert coordinates(F.matrix([[1, 1], [0, 0], [1, 1]])) is None
+
+
 def test_complement_projection_reduces_by_the_echelon_rows():
     rng = np.random.default_rng(11)
     for _ in range(30):
@@ -358,3 +404,51 @@ def test_complement_projection_reduces_by_the_echelon_rows():
             for i, col in enumerate(pivots):
                 w = (w - w[col] * red.a[i]) % F.p
             assert np.array_equal(proj.a[:, q], w[free])
+
+
+# ---------------------------------------------------------------------------
+# one product path and one basis reader, outside linalg
+
+# the `@` products outside linalg, by (module, function, expression); each
+# multiplies two PrimeMatrix values, so it runs through mulmod
+PRIME_MATRIX_PRODUCTS = {
+    ("homology", "_projective_resolution", "inc_prev.map @ cov.morphism.map"),
+    ("homology", "endomorphism_algebra", "inc.map @ proj.map"),
+    ("modules", "_splits_off", "g @ f"),
+}
+
+
+def walk_with_function(node, function=None):
+    """(innermost enclosing function name, node) for every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield inner, child
+        yield from walk_with_function(child, inner)
+
+
+def package_functions():
+    """(module, innermost function, node) for every AST node of the package
+    outside linalg.py."""
+    for path in sorted((Path(__file__).parent.parent / "src" / "quivalg").glob("*.py")):
+        if path.name != "linalg.py":
+            for function, node in walk_with_function(ast.parse(path.read_text(encoding="utf-8"))):
+                yield path.stem, function, node
+
+
+def test_matrix_products_outside_linalg_are_prime_matrix_products():
+    found = set()
+    for module, function, node in package_functions():
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.add((module, function, ast.unparse(node)))
+    # a raw ndarray product would skip mulmod's overflow bound
+    assert found == PRIME_MATRIX_PRODUCTS
+
+
+def test_only_linalg_chooses_how_a_basis_is_read():
+    calls = [
+        (module, node.lineno)
+        for module, _, node in package_functions()
+        if isinstance(node, ast.Call)
+        and "Coordinates" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == []

@@ -6,7 +6,7 @@ import pytest
 
 import quivalg.linalg
 import quivalg.modules
-from quivalg.algebra import QuiverPresentation, build_from_quiver
+from quivalg.algebra import QuiverPresentation, build_from_quiver, column_span_basis
 from quivalg.errors import InputError, UnsupportedFieldError
 from quivalg.homology import minimal_gen_cogen
 from quivalg.linalg import PrimeField, PrimeMatrix
@@ -313,6 +313,20 @@ def test_quotient_projection_times_section_is_identity(corpus_algebras):
             for sub in (rad_module(m)[1].map, soc(m)[1].map):
                 quot, proj, sec = quotient_module(m, sub)
                 assert proj.map @ sec == FIELD.identity(quot.dim)
+
+
+def test_quotient_by_a_spanning_set_equals_the_quotient_by_its_basis(corpus_algebras):
+    # the radical's actions side by side span rad(m) with dependent columns
+    for a in corpus_algebras.values():
+        r = a.radical()
+        for m in small_corpus_modules(a):
+            cols = [m.act(r.a[:, j]) for j in range(r.cols)]
+            span = PrimeMatrix(FIELD, np.hstack([np.zeros((m.dim, 0), dtype=np.int64), *cols, *cols]))
+            got = quotient_module(m, span)
+            want = quotient_module(m, column_span_basis(span))
+            assert got[0].action.tobytes() == want[0].action.tobytes()
+            assert got[1].map.tobytes() == want[1].map.tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
 
 
 def test_kernel_of_identity(K2):

@@ -10,7 +10,7 @@ import random
 import numpy as np
 
 from quivalg.checks import bar_ext_oracle
-from quivalg.homology import ext_dims, nakayama
+from quivalg.homology import ext_dims, is_injective, is_projective, nakayama
 from quivalg.linalg import PrimeMatrix
 from quivalg.modules import (
     HomSpace,
@@ -20,7 +20,10 @@ from quivalg.modules import (
     dualize,
     image,
     kernel,
+    projective_cover,
     standard_modules,
+    top,
+    top_multiplicities,
 )
 
 
@@ -93,3 +96,23 @@ def test_ext_additive_in_first_argument(corpus_algebras):
             for x, y in zip(ext_dims(m1, n, 3).dims, ext_dims(m2, n, 3).dims)
         ]
         assert lhs == rhs, name
+
+
+def test_projectivity_and_tops_equal_their_cover_definitions(corpus_algebras):
+    # the verdicts read dimensions off top(m); the definitions build the
+    # cover, the envelope and the top module
+    rng = random.Random(20240808)
+    verdicts = set()
+    for name, alg in corpus_algebras.items():
+        std = standard_modules(alg)
+        mods = [std.regular, std.coregular] + std.projectives + std.injectives + std.simples
+        for m in mods + random_modules(alg, rng):
+            cover = projective_cover(m)
+            t, _ = top(m)
+            mults = top_multiplicities(m)
+            assert mults == [cover.summands.count(i) for i in range(len(alg.idempotents))], name
+            assert mults == [PrimeMatrix(alg.field, t.act(e)).rank() for e in alg.idempotents], name
+            assert is_projective(m) == (cover.projective.dim == m.dim), name
+            assert is_injective(m) == (projective_cover(dualize(m)).projective.dim == m.dim), name
+            verdicts.add((is_projective(m), is_injective(m)))
+    assert len(verdicts) == 4
