@@ -67,9 +67,9 @@ class Algebra:
 
     ``memo`` caches values derived from the structure constants, which are
     immutable by convention, so an entry never goes stale.  Keys:
-    "radical", "content_hash", "opposite" (set here), "standard_modules",
-    "gen_coords" and "bar_graded" (set by the modules, homology and checks
-    layers).
+    "radical", "content_hash", "opposite" (set here), "projectives",
+    "standard_modules", "gen_coords" and "bar_graded" (set by the modules,
+    homology and checks layers).
     """
 
     def __init__(
@@ -166,18 +166,18 @@ class Algebra:
 
     def _validate(self):
         p, d = self.field.p, self.dim
-        # (ab)c and a(bc) as two products of inner dimension d, indexed abcd
-        pairs = self.mult.reshape(d * d, d)
-        lhs = mulmod(pairs, self.mult.reshape(d, d * d), p).reshape(d, d, d, d)
-        rhs = mulmod(pairs, self.mult.transpose(1, 0, 2).reshape(d, d * d), p)
-        rhs = rhs.reshape(d, d, d, d).transpose(2, 0, 1, 3)
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)[0]
-            a, b, c = int(bad[0]), int(bad[1]), int(bad[2])
-            raise InputError(
-                f"associativity fails on basis triple "
-                f"({self.labels[a]}, {self.labels[b]}, {self.labels[c]})"
-            )
+        # (ab)c and a(bc) for one left factor a at a time, indexed bcd: d^3
+        # entries live at once rather than d^4, and the first failing triple
+        # is still the first in (a, b, c) order
+        for a in range(d):
+            lhs = mulmod(self.mult[a], self.mult.reshape(d, d * d), p).reshape(d, d, d)
+            rhs = mulmod(self.mult.reshape(d * d, d), self.mult[a], p).reshape(d, d, d)
+            if not np.array_equal(lhs, rhs):
+                b, c = (int(i) for i in np.argwhere(lhs != rhs)[0][:2])
+                raise InputError(
+                    f"associativity fails on basis triple "
+                    f"({self.labels[a]}, {self.labels[b]}, {self.labels[c]})"
+                )
         ident = np.eye(self.dim, dtype=np.int64)
         if not np.array_equal(self.left_mult(self.unit), ident) or not np.array_equal(
             self.right_mult(self.unit), ident

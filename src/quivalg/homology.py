@@ -14,23 +14,19 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, opposite
+from .algebra import Algebra, opposite, trace_form_radical
 from .errors import InputError, InternalCheckError
 from .linalg import PrimeMatrix, coordinates, mulmod, rref
 from .modules import (
     HomSpace,
     ModuleRep,
     Morphism,
-    _endo_radical_dim,
-    _require_local_end,
-    _splits_off,
     direct_sum,
     dualize,
     endo_structure_constants,
     kernel,
     projective_cover,
     standard_modules,
-    summand_test,
     tensor_over_algebra,
     top_multiplicities,
     zero_module,
@@ -385,16 +381,25 @@ def self_orthogonal(m: ModuleRep, cutoff: int) -> SelfOrthReport:
     return SelfOrthReport(True, None, table)
 
 
+def _generates(m: ModuleRep) -> bool:
+    """Whether m generates: the images of Hom(m, A) span A (the trace
+    criterion; Anderson and Fuller, Rings and Categories of Modules, GTM 13,
+    section 8).  The Hom basis is row-major vec of dim A x dim m maps, so
+    reshaped to dim A rows it is the columns of every basis map side by
+    side."""
+    a = m.algebra
+    h = HomSpace(m, standard_modules(a).regular)
+    return PrimeMatrix(a.field, h.matrix.a.reshape(a.dim, -1)).rank() == a.dim
+
+
 def gen_cogen(m: ModuleRep) -> bool:
-    """True iff every P(i) and every I(i) splits off m."""
-    std = standard_modules(m.algebra)
-    for p in std.projectives:
-        if not summand_test(p, m):
-            return False
-    for i in std.injectives:
-        if not summand_test(i, m):
-            return False
-    return True
+    """True iff every P(i) and every I(i) splits off m.
+
+    m generates exactly when some sum of copies of m maps onto A; A is
+    projective, so that surjection splits and, by Krull-Schmidt, each P(i)
+    splits off m.  Dually m cogenerates exactly when D(m) generates over
+    the opposite algebra."""
+    return _generates(m) and _generates(dualize(m))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +429,7 @@ def min_add_approximation(m: ModuleRep, x: ModuleRep) -> ApproxResult:
         z = zero_module(alg)
         return ApproxResult(Morphism(z, x, field.zeros(x.dim, 0)), 0)
     end = HomSpace(m, m)
-    _, rad = _endo_radical_dim(end)
+    rad = trace_form_radical(field, endo_structure_constants(end))
     # Hom(m, x) o rad End(m), one read per radical basis element
     sub_cols = [h.read(h.precompose(end.from_coords(rad.a[:, s]).a)) for s in range(rad.cols)]
     sub = PrimeMatrix(field, np.hstack([np.zeros((h.dim, 0), dtype=np.int64)] + sub_cols))
@@ -453,7 +458,7 @@ def min_add_approximation(m: ModuleRep, x: ModuleRep) -> ApproxResult:
 @dataclass
 class DecomposedModule:
     """A module with a chosen direct sum decomposition into summands whose
-    endomorphism algebras are local (checked lazily by consumers)."""
+    endomorphism algebras are local (checked by ``endomorphism_algebra``)."""
 
     module: ModuleRep
     summands: list[ModuleRep]
@@ -479,27 +484,19 @@ class EndoAlgebra:
 def endomorphism_algebra(dm: DecomposedModule, seed: int = 0) -> EndoAlgebra:
     """End(m) of a decomposed module, checked to be basic and elementary.
 
-    Both checks are exact; ``seed`` is unused and kept for callers that
-    pass one.
+    With one idempotent per summand, End(m) is basic and elementary exactly
+    when dim End/rad End equals the number of summands (Assem, Simson and
+    Skowronski, Elements of the Representation Theory of Associative
+    Algebras 1, LMS 2006): every summand then has a local End and no two are
+    isomorphic.  ``Algebra`` validation counts this and refuses any other End
+    with an InputError.  The radical of End needs p > dim End; at a smaller
+    p the check cannot run and UnsupportedFieldError is raised.  ``seed`` is
+    unused and kept for callers that pass one.
     """
     m = dm.module
-    alg = m.algebra
-    field = alg.field
+    field = m.algebra.field
     if m.dim == 0:
         raise InputError("endomorphism algebra of the zero module is not basic")
-    # elementary: each End(summand) local
-    for i, s in enumerate(dm.summands):
-        _require_local_end(s, f"summand {i} does not have a local endomorphism algebra")
-    # basic: no two summands isomorphic.  Indecomposables of equal dimension
-    # are isomorphic iff one splits off the other.
-    for i, si in enumerate(dm.summands):
-        for j in range(i + 1, len(dm.summands)):
-            sj = dm.summands[j]
-            if si.dim == sj.dim and _splits_off(si, sj):
-                raise InputError(
-                    f"endomorphism algebra is not basic: summands {i} and {j} "
-                    "are isomorphic"
-                )
     h = HomSpace(m, m)
     mult = endo_structure_constants(h)
     # the unit, then the idempotent of each summand, in one read
@@ -507,6 +504,7 @@ def endomorphism_algebra(dm: DecomposedModule, seed: int = 0) -> EndoAlgebra:
     coords = h.read(np.stack([np.eye(m.dim, dtype=np.int64)] + idem))
     labels = [f"f{t}" for t in range(h.dim)]
     algebra = Algebra(field, labels, mult, coords[:, 0], list(coords[:, 1:].T))
+    algebra.radical()  # memoized by validation; raises where validation skipped the basic check
     return EndoAlgebra(algebra, h, h.maps())
 
 

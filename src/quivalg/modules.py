@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, column_span_basis, opposite, trace_form_radical
+from .algebra import Algebra, column_span_basis, opposite
 from .errors import InputError, UnsupportedFieldError
 from .linalg import PrimeMatrix, complement_projection, coordinates, mulmod, nullspace
 from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test reads modules.solve)
@@ -42,7 +42,6 @@ __all__ = [
     "soc_multiplicities",
     "projective_cover",
     "injective_envelope",
-    "summand_test",
     "is_isomorphic",
     "tensor_over_algebra",
     "TensorResult",
@@ -242,8 +241,8 @@ class HomSpace:
 
     Vectorisation is row-major on (n.dim, m.dim) matrices; the basis is the
     deterministic nullspace basis of the stacked intertwining constraints.
-    That basis is the identity on its free rows ``free`` (the free row of a
-    basis column is its last nonzero row), so the coordinates of a member f
+    That basis is the identity on its free rows (the free row of a basis
+    column is its last nonzero row), so the coordinates of a member f
     are the entries of vec(f) on those rows, and membership is exact:
     ``matrix @ c == vec(f)`` mod p holds iff f intertwines, since the columns
     span the whole hom space.  ``linalg.coordinates`` finds those rows and
@@ -274,7 +273,6 @@ class HomSpace:
         self.matrix = nullspace(constraints)
         self.dim = self.matrix.cols
         self._reader = coordinates(self.matrix)
-        self.free = self._reader.rows
 
     def basis_map(self, j: int) -> PrimeMatrix:
         return PrimeMatrix(self.matrix.field, self.maps()[j].copy())
@@ -419,28 +417,30 @@ class StandardModules:
     injectives: list[ModuleRep]
 
 
+def _projectives(a: Algebra) -> tuple[ModuleRep, list[ModuleRep], list[PrimeMatrix]]:
+    """The regular module, each P(i) = A.e_i and its basis in algebra
+    coordinates, memoized on the algebra: the injectives of A are the duals
+    of the P(i) of the opposite algebra, so both algebras read one build."""
+    if "projectives" not in a.memo:
+        reg = regular_module(a)
+        projectives, proj_bases = [], []
+        for e in a.idempotents:
+            basis = column_span_basis(PrimeMatrix(a.field, a.right_mult(e)))
+            pi, _ = submodule(reg, basis)
+            projectives.append(pi)
+            proj_bases.append(basis)
+        a.memo["projectives"] = (reg, projectives, proj_bases)
+    return a.memo["projectives"]
+
+
 def standard_modules(a: Algebra) -> StandardModules:
     if "standard_modules" in a.memo:
         return a.memo["standard_modules"]
-    reg = regular_module(a)
-    projectives, proj_bases, simples = [], [], []
-    for e in a.idempotents:
-        basis = column_span_basis(PrimeMatrix(a.field, a.right_mult(e)))
-        pi, _ = submodule(reg, basis)
-        projectives.append(pi)
-        proj_bases.append(basis)
-        si, _ = top(pi)
-        simples.append(si)
-    op = opposite(a)
-    op_std_proj = []
-    reg_op = regular_module(op)
-    for e in op.idempotents:
-        basis = column_span_basis(PrimeMatrix(a.field, op.right_mult(e)))
-        pi_op, _ = submodule(reg_op, basis)
-        op_std_proj.append(pi_op)
-    injectives = [dualize(pi_op) for pi_op in op_std_proj]
-    coregular = dualize(reg_op)
-    std = StandardModules(reg, coregular, projectives, proj_bases, simples, injectives)
+    reg, projectives, proj_bases = _projectives(a)
+    simples = [top(pi)[0] for pi in projectives]
+    reg_op, op_projectives, _ = _projectives(opposite(a))
+    injectives = [dualize(pi_op) for pi_op in op_projectives]
+    std = StandardModules(reg, dualize(reg_op), projectives, proj_bases, simples, injectives)
     a.memo["standard_modules"] = std
     return std
 
@@ -496,7 +496,7 @@ def injective_envelope(m: ModuleRep) -> Cover:
 
 
 # ---------------------------------------------------------------------------
-# summand and isomorphism tests
+# endomorphisms and isomorphism tests
 
 
 def endo_structure_constants(hs: HomSpace) -> np.ndarray:
@@ -507,49 +507,6 @@ def endo_structure_constants(hs: HomSpace) -> np.ndarray:
     for i, f in enumerate(hs.maps()):
         mult[i] = hs.read(hs.postcompose(f)).T
     return mult
-
-
-def _endo_radical_dim(hs: HomSpace) -> tuple[int, PrimeMatrix]:
-    """Dimension and basis of rad End(m) via the trace form; needs p > dim End."""
-    rad = trace_form_radical(hs.source.algebra.field, endo_structure_constants(hs))
-    return rad.cols, rad
-
-
-def _require_local_end(m: ModuleRep, what: str) -> None:
-    """Raise InputError, prefixed by ``what``, unless End(m) is local: its
-    radical has codimension one.  Needs p > dim End(m)."""
-    end = HomSpace(m, m)
-    rad_dim, _ = _endo_radical_dim(end)
-    if rad_dim != end.dim - 1:
-        raise InputError(f"{what}: dim End = {end.dim}, dim rad End = {rad_dim}")
-
-
-def summand_test(p_mod: ModuleRep, m: ModuleRep) -> bool:
-    """True iff p (with local endomorphism algebra) splits off m."""
-    if p_mod.dim == 0:
-        raise InputError("summand test needs a nonzero module with local endomorphisms")
-    _require_local_end(p_mod, "endomorphism algebra is not local (decompose the module first)")
-    return _splits_off(p_mod, m)
-
-
-def _splits_off(p_mod: ModuleRep, m: ModuleRep) -> bool:
-    """Whether some composite p -> m -> p of hom-basis elements is invertible.
-
-    For p with local End(p) the span of those composites is a two-sided
-    ideal of End(p), so it either meets the units or lies in the radical:
-    the test is exact, and true iff p is a direct summand of m.
-    """
-    if m.dim == 0:
-        return False
-    to_m = HomSpace(p_mod, m)
-    from_m = HomSpace(m, p_mod)
-    for i in range(from_m.dim):
-        g = from_m.basis_map(i)
-        for j in range(to_m.dim):
-            f = to_m.basis_map(j)
-            if (g @ f).is_invertible():
-                return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -657,14 +614,9 @@ def enveloping_module(a: Algebra, env: Optional[Algebra] = None) -> ModuleRep:
 
     if env is None:
         env = _env(a)
-    p = a.field.p
-    action = np.zeros((env.dim, a.dim, a.dim), dtype=np.int64)
-    for u in range(a.dim):
-        lu = a.left_mult(a.basis_vector(u))
-        for v in range(a.dim):
-            rv = a.right_mult(a.basis_vector(v))
-            action[u * a.dim + v] = mulmod(lu, rv, p)
-    return ModuleRep(env, action)
+    left = np.stack([a.left_mult(a.basis_vector(u)) for u in range(a.dim)])
+    right = np.stack([a.right_mult(a.basis_vector(v)) for v in range(a.dim)])
+    return module_over_tensor(env, a.dim, left, right)
 
 
 def module_over_tensor(axb: Algebra, left_dim_a: int, left_action: np.ndarray, right_action: np.ndarray) -> ModuleRep:

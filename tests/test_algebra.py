@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,28 @@ def test_associativity_rejection_names_triple():
     unit = np.array([1, 0, 0])
     with pytest.raises(InputError, match=r"associativity fails on basis triple \(x, x, y\)"):
         Algebra(FIELD, ["e", "x", "y"], mult, unit, [unit])
+
+
+def test_associativity_check_names_the_first_failing_triple(corpus_algebras):
+    # validation compares one left factor at a time; the triple it names is
+    # the first failing one of the whole d^4 comparison, in (a, b, c) order
+    rng = np.random.default_rng(0)
+    checked = 0
+    for a in corpus_algebras.values():
+        p = a.field.p
+        for _ in range(4):
+            mult = a.mult.copy()
+            i, j, k = rng.integers(0, a.dim, size=3)
+            mult[i, j, k] = (mult[i, j, k] + 1) % p
+            lhs = np.einsum("abk,kcl->abcl", mult, mult) % p
+            rhs = np.einsum("bck,akl->abcl", mult, mult) % p
+            bad = np.argwhere((lhs != rhs).any(axis=3))
+            if len(bad):
+                triple = ", ".join(a.labels[t] for t in bad[0])
+                with pytest.raises(InputError, match=re.escape(f"associativity fails on basis triple ({triple})")):
+                    Algebra(a.field, a.labels, mult, a.unit, a.idempotents)
+                checked += 1
+    assert checked >= 20
 
 
 def test_opposite_involution(corpus_algebras):

@@ -162,6 +162,13 @@ def test_tensor_writes_doc(capsys, tmp_path):
     assert loaded.algebra.dim == 4
 
 
+def test_gencogen_answers_at_field_2(capsys):
+    # the trace criterion needs no trace form, so p = 2 <= dim End(P) is fine
+    code, out, _ = run_cli(capsys, "gencogen", "k2", "regular+S", "--field", "2")
+    assert code == 0
+    assert results_dict(out)["generator_cogenerator"] == "true"
+
+
 def test_selforth_gencogen_nakayama_endo_approx(capsys):
     code, out, _ = run_cli(capsys, "selforth", "k2", "regular+S", "--cutoff", "4")
     assert code == 0

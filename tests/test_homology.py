@@ -448,6 +448,35 @@ def test_gen_cogen(corpus_algebras, K2, KA2):
     assert not gen_cogen(standard_modules(KA2).regular)
 
 
+def gen_cogen_pool(a):
+    std = standard_modules(a)
+    return standard_module_list(a) + [direct_sum([std.regular, std.coregular])[0]]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_gen_cogen_at_small_primes_matches_32003(corpus_loaded, p):
+    # the trace criterion takes ranks only, so it needs no bound on p
+    for name, loaded in corpus_loaded.items():
+        try:
+            pool = gen_cogen_pool(corpus.load_entry(name, p).algebra)
+        except UnsupportedFieldError:
+            continue  # an entry whose own radical needs p > dim
+        want = [gen_cogen(m) for m in gen_cogen_pool(loaded.algebra)]
+        assert [gen_cogen(m) for m in pool] == want, name
+
+
+def test_standard_modules_share_the_opposite_projectives(monkeypatch):
+    # the injectives of A are the duals of the opposite's P(i): once A's
+    # standard modules are built, the opposite's build no submodule
+    algebras = [corpus.load_entry(e.name).algebra for e in corpus.ENTRIES]
+    for a in algebras:
+        standard_modules(a)
+    forbid_everywhere(monkeypatch, quivalg.modules.submodule)
+    for a in algebras:
+        std = standard_modules(opposite(a))
+        assert [q.dim for q in std.injectives] == [q.dim for q in standard_modules(a).projectives]
+
+
 # ---------------------------------------------------------------------------
 # approximations
 
@@ -501,10 +530,22 @@ def test_endo_of_regular_commutative(K2):
     assert e.radical().cols == 1  # local with one-dimensional radical: k[x]/(x^2)
 
 
-def test_endo_nonbasic_rejected(K2):
+def test_endo_nonbasic_rejected(K2, KA2):
     std = standard_modules(K2)
     dm = DecomposedModule.from_summands([std.regular, std.regular])
     with pytest.raises(InputError, match="not basic"):
+        endomorphism_algebra(dm)
+    # one summand whose End is not local: dim End/rad End = 2, one idempotent
+    dm = DecomposedModule.from_summands([standard_modules(KA2).regular])
+    with pytest.raises(InputError, match="not basic"):
+        endomorphism_algebra(dm)
+
+
+def test_endo_refuses_where_the_radical_needs_a_larger_prime():
+    # dim End(regular + S) = 5 over k[x]/(x^2), so at p = 5 the basic check
+    # has no radical to count
+    dm = resolve_expression(corpus.load_entry("k2", 5), "regular+S")
+    with pytest.raises(UnsupportedFieldError):
         endomorphism_algebra(dm)
 
 

@@ -414,7 +414,6 @@ def test_complement_projection_reduces_by_the_echelon_rows():
 PRIME_MATRIX_PRODUCTS = {
     ("homology", "_projective_resolution", "inc_prev.map @ cov.morphism.map"),
     ("homology", "endomorphism_algebra", "inc.map @ proj.map"),
-    ("modules", "_splits_off", "g @ f"),
 }
 
 

@@ -8,7 +8,7 @@ import quivalg.linalg
 import quivalg.modules
 from quivalg.algebra import QuiverPresentation, build_from_quiver, column_span_basis
 from quivalg.errors import InputError, UnsupportedFieldError
-from quivalg.homology import minimal_gen_cogen
+from quivalg.homology import gen_cogen, minimal_gen_cogen
 from quivalg.linalg import PrimeField, PrimeMatrix
 from quivalg.modules import (
     HomSpace,
@@ -30,7 +30,6 @@ from quivalg.modules import (
     soc_multiplicities,
     standard_modules,
     submodule,
-    summand_test,
     tensor_over_algebra,
     top_multiplicities,
     zero_module,
@@ -194,9 +193,10 @@ def corpus_hom_spaces(corpus_algebras):
 
 def test_hom_basis_is_identity_on_free_rows(corpus_algebras):
     for h in corpus_hom_spaces(corpus_algebras):
-        assert np.array_equal(h.matrix.a[h.free], np.eye(h.dim, dtype=np.int64))
+        free = quivalg.linalg.coordinates(h.matrix).rows
+        assert np.array_equal(h.matrix.a[free], np.eye(h.dim, dtype=np.int64))
         # the free row of each basis column is its last nonzero row
-        for j, f in enumerate(h.free):
+        for j, f in enumerate(free):
             assert not h.matrix.a[f + 1 :, j].any()
 
 
@@ -496,23 +496,7 @@ def test_envelope_in_socle_terms(corpus_algebras):
 
 
 # ---------------------------------------------------------------------------
-# summand tests
-
-
-def test_summand_examples(KA2):
-    std = standard_modules(KA2)
-    reg = std.regular
-    assert summand_test(std.projectives[0], reg)
-    assert not summand_test(std.simples[0], reg)
-    both, _, _ = direct_sum([std.simples[0], reg])
-    assert summand_test(std.simples[0], both)
-
-
-def test_summand_nonlocal_rejected(K2):
-    std = standard_modules(K2)
-    both, _, _ = direct_sum([std.regular, std.regular])
-    with pytest.raises(InputError, match="local"):
-        summand_test(both, std.regular)
+# generator-cogenerators against a brute-force summand search
 
 
 def brute_force_summand(p_mod, m, grid=range(7)):
@@ -535,21 +519,18 @@ def brute_force_summand(p_mod, m, grid=range(7)):
     return False
 
 
-def test_summand_matches_brute_force(K2, KA2, AUS):
-    cases = []
-    for alg in (K2, KA2):
+def test_gen_cogen_matches_brute_force(K2, KA2, AUS):
+    # the trace criterion against "every P(i) and I(i) splits off m", each
+    # split found by a composite q -> m -> q that is invertible.  End(q) is
+    # local and the composites map bilinearly onto End(q)/rad = k, so a grid
+    # holding 0 and 1 is enough to find a split when there is one
+    for alg in (K2, KA2, AUS):
         std = standard_modules(alg)
-        pool = [m for m in std.projectives + std.simples + std.injectives if m.dim <= 4]
-        targets = [std.regular] + std.projectives + std.simples
-        for p in pool:
-            for m in targets:
-                if m.dim <= 4:
-                    cases.append((p, m))
-    std = standard_modules(AUS)
-    cases.append((std.projectives[1], std.regular))
-    cases.append((std.simples[0], std.regular))
-    for p, m in cases:
-        assert summand_test(p, m) == brute_force_summand(p, m)
+        pool = list({m.content_hash(): m for m in small_corpus_modules(alg, max_dim=4)}.values())
+        mods = pool + [direct_sum([x, y])[0] for x, y in itertools.combinations_with_replacement(pool, 2)]
+        for m in mods:
+            want = all(brute_force_summand(q, m, range(3)) for q in std.projectives + std.injectives)
+            assert gen_cogen(m) == want
 
 
 # ---------------------------------------------------------------------------
