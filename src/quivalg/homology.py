@@ -1,15 +1,18 @@
 """Resolutions, Ext groups, dominant dimension, Nakayama functor.
 
 Minimal resolutions iterate projective covers (injective coresolutions go
-through the dual); Ext dimensions are cohomology ranks of the induced hom
-complex.  Dominant dimension is reported as evidence: an exact value below
-the cutoff, an at-least-cutoff marker, or infinity certified by
-self-injectivity.  Truncation is never silently treated as a final answer.
+through the dual); every term is a ``StandardSum`` given by its vertex list,
+and Ext, projective dimension and dominant dimension read the vertex lists
+and the maps, never a term's action.  Ext dimensions are cohomology ranks
+of the induced hom complex.  Dominant dimension is reported as evidence: an
+exact value below the cutoff, an at-least-cutoff marker, or infinity
+certified by self-injectivity.  Truncation is never silently treated as a
+final answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -21,6 +24,7 @@ from .modules import (
     HomSpace,
     ModuleRep,
     Morphism,
+    StandardSum,
     direct_sum,
     dualize,
     endo_structure_constants,
@@ -130,34 +134,41 @@ class DomDimEvidence:
 
 
 def minimal_resolution(m: ModuleRep, kind: str, depth: int) -> Resolution:
+    """The minimal resolution of m to ``depth``, every term a ``StandardSum``.
+
+    The deepest one computed is memoized in ``m.memo["resolutions"]`` without
+    any reference to m (the first map is kept as its bare matrix), so a
+    resolved module is freed by reference counting alone.
+    """
     if depth < 0:
         raise InputError("resolution depth must be nonnegative")
-    cache = m.memo.setdefault("resolutions", {})
-    hit = cache.get(kind)
-    if hit is not None and len(hit.terms) >= depth + 1:
-        return Resolution(
-            hit.kind,
-            hit.base,
-            hit.terms[: depth + 1],
-            hit.maps[: depth + 1],
-            hit.syzygies[: depth + 1],
-            hit.term_summands[: depth + 1],
-        )
-    if kind == "projective":
-        res = _projective_resolution(m, depth)
-    elif kind == "injective":
-        md = dualize(m)
-        pres = _projective_resolution(md, depth)
-        terms = [dualize(t) for t in pres.terms]
-        maps = [Morphism(m, terms[0], pres.maps[0].map.transpose())]
-        for i in range(1, len(pres.maps)):
-            maps.append(Morphism(terms[i - 1], terms[i], pres.maps[i].map.transpose()))
-        syz = [dualize(s) for s in pres.syzygies]
-        res = Resolution("injective", m, terms, maps, syz, pres.term_summands)
-    else:
+    if kind not in ("projective", "injective"):
         raise InputError(f"unknown resolution kind {kind!r}")
-    cache[kind] = res
-    return res
+    cache = m.memo.setdefault("resolutions", {})
+    if kind not in cache or len(cache[kind].terms) < depth + 1:
+        if kind == "projective":
+            res = _projective_resolution(m, depth)
+        else:
+            pres = _projective_resolution(dualize(m), depth)
+            injectives = standard_modules(m.algebra).injectives
+            terms = [StandardSum(m.algebra, injectives, s) for s in pres.term_summands]
+            maps = [Morphism(m, terms[0], pres.maps[0].map.transpose())]
+            for i in range(1, len(pres.maps)):
+                maps.append(Morphism(terms[i - 1], terms[i], pres.maps[i].map.transpose()))
+            syz = [dualize(s) for s in pres.syzygies]
+            res = Resolution("injective", m, terms, maps, syz, pres.term_summands)
+        # the memo: no base, and the first map as its matrix
+        cache[kind] = replace(res, base=None, maps=[res.maps[0].map] + res.maps[1:])
+    hit = cache[kind]
+    source, target = (hit.terms[0], m) if kind == "projective" else (m, hit.terms[0])
+    return Resolution(
+        kind,
+        m,
+        hit.terms[: depth + 1],
+        [Morphism(source, target, hit.maps[0])] + hit.maps[1 : depth + 1],
+        hit.syzygies[: depth + 1],
+        hit.term_summands[: depth + 1],
+    )
 
 
 def _projective_resolution(m: ModuleRep, depth: int) -> Resolution:
@@ -293,7 +304,8 @@ def dominant_dimension(a: Algebra, cutoff: int) -> DomDimEvidence:
 
     Infinity is certified only by self-injectivity (every indecomposable
     projective has an isomorphic injective envelope); otherwise terms are
-    scanned up to the cutoff for a non-projective one.
+    scanned up to the cutoff for a non-projective one, by one projectivity
+    test per injective I(v).
     """
     if cutoff < 1:
         raise InputError("cutoff must be at least 1")
@@ -301,8 +313,10 @@ def dominant_dimension(a: Algebra, cutoff: int) -> DomDimEvidence:
     if all(is_injective(p) for p in std.projectives):
         return DomDimEvidence("infinity", None, cutoff)
     res = minimal_resolution(std.regular, "injective", cutoff - 1)
-    for i, term in enumerate(res.terms):
-        if not is_projective(term):
+    # a term is projective iff each of its summands I(v) is
+    projective = [is_projective(inj) for inj in std.injectives]
+    for i, summands in enumerate(res.term_summands):
+        if not all(projective[v] for v in summands):
             return DomDimEvidence("exact", i, cutoff)
     return DomDimEvidence("at-least", cutoff, cutoff)
 

@@ -13,8 +13,9 @@ reduced echelon form of a row space is unique; no basis is extracted first.
 Entries are int64 numpy arrays reduced mod p.
 Elimination is integer arithmetic; matrix products (``mulmod``) run through
 float64 BLAS while every partial sum is an integer below 2^53, which float64
-holds exactly, and through int64 otherwise.  Nothing is rounded and there
-is no tolerance anywhere.  Pivoting is deterministic (leftmost pivot
+holds exactly, and otherwise through int64 in blocks of the inner dimension,
+reduced mod p between blocks, so no modulus below 2^31 is refused.  Nothing
+is rounded and there is no tolerance anywhere.  Pivoting is deterministic (leftmost pivot
 column, topmost row, free variables set to zero) so every derived
 invariant is bit-reproducible.
 
@@ -33,6 +34,7 @@ basis is the one a full ``rref`` would give, bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,31 +57,38 @@ __all__ = [
 
 def _product_route(k: int, p: int) -> str:
     """The dtype, "float64" or "int64", in which a product of inner dimension
-    k mod p is exact.  Every partial sum is at most k*(p-1)^2."""
-    bound = k * (p - 1) ** 2
-    if bound < 2**53:
-        return "float64"
-    if bound < 2**63:
-        return "int64"
-    raise UnsupportedFieldError(f"a product of inner dimension {k} mod {p} could overflow int64")
+    k mod p runs.  float64 is exact while every partial sum, at most
+    k*(p-1)^2, is below 2^53; int64 runs in blocks (``mulmod``)."""
+    return "float64" if k * (p - 1) ** 2 < 2**53 else "int64"
 
 
 def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p as int64, for integer operands with entries in [0, p).
+    """(a @ b) mod p as int64, for operands holding integers in [0, p), as
+    int64 or float64.
 
     The float64 route runs on BLAS and is exact because every partial sum is
     an integer below 2^53 (Dumas, Giorgi and Pernet, "Dense linear algebra
     over word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS
-    35(3), 2008).
+    35(3), 2008).  The int64 route sums blocks of inner dimension at most
+    ``step`` and reduces mod p between blocks: with the carried remainder
+    below p <= (p-1)^2, every partial sum is below (step+1)*(p-1)^2 < 2^63.
+    A field has p < 2^31, so (p-1)^2 < 2^62 and step is at least 1.
     """
-    if _product_route(a.shape[-1], p) == "float64":
+    k = a.shape[-1]
+    if _product_route(k, p) == "float64":
         # the product is a nonnegative integer below 2^53: reduce it in int64.
         # Holding `prod` until then measured 4 MB less peak RSS on perfbench's
         # ext-tensor workload than releasing it before the reduction.
-        prod = a.astype(np.float64) @ b.astype(np.float64)
+        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
         out = prod.astype(np.int64)
         return np.remainder(out, p, out=out)
-    return (a @ b) % p
+    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+    step = (2**63 - 1) // (p - 1) ** 2 - 1
+    out = (a[..., :step] @ b[:step]) % p
+    for i in range(step, k, step):
+        out += a[..., i : i + step] @ b[i : i + step]
+        out %= p
+    return out
 
 
 def _is_prime(n: int) -> bool:
@@ -325,22 +334,28 @@ def nullspace(m: PrimeMatrix) -> PrimeMatrix:
 class Coordinates:
     """Coordinates in a fixed basis B (the columns of ``basis``): B[rows] is
     invertible with inverse ``inverse``, or is the identity when that is None
-    (a ``nullspace`` basis on its free rows)."""
+    (a ``nullspace`` basis on its free rows).  ``others`` are the remaining
+    rows, the only ones a read checks."""
 
     basis: PrimeMatrix
     rows: np.ndarray
     inverse: Optional[np.ndarray] = None
+    others: np.ndarray = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "others", np.delete(np.arange(self.basis.rows), self.rows))
 
     def read(self, v: np.ndarray) -> Optional[np.ndarray]:
         """c = B[rows]^-1 v[rows] for one vector or for the columns of v
         (entries need not be reduced), or None unless B c = v, that is,
-        unless every column lies in the span of B."""
+        unless every column lies in the span of B.  On ``rows`` B c = v holds
+        by the choice of c, so only ``others`` are compared."""
         p = self.basis.field.p
-        v = np.asarray(v, dtype=np.int64) % p
-        c = v[self.rows]
+        v = np.asarray(v, dtype=np.int64)
+        c = v[self.rows] % p
         if self.inverse is not None:
             c = mulmod(self.inverse, c, p)
-        if not np.array_equal(mulmod(self.basis.a, c, p), v):
+        if not np.array_equal(mulmod(self.basis.a[self.others], c, p), v[self.others] % p):
             return None
         return c
 

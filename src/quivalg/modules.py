@@ -1,6 +1,12 @@
 """Finite-dimensional left modules and their morphisms.
 
 A ModuleRep stores one dim x dim action matrix per algebra basis element.
+A ``StandardSum`` is a direct sum of standard modules (P(v) or I(v)) given
+by its vertex list: projective covers, injective envelopes and resolution
+terms are kept that way, and its action matrices are built only when some
+caller reads them.  Submodules read the moved copies of their basis from
+``ModuleRep.moved``, one product for a dense module and one per vertex for
+a sum, so a kernel out of a sum never touches the sum's zero blocks.
 All constructions (kernels, quotients, duals, covers, envelopes) produce
 explicit matrices with deterministic bases, so downstream invariants are
 bit-reproducible.
@@ -8,6 +14,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -22,6 +29,7 @@ from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test r
 
 __all__ = [
     "ModuleRep",
+    "StandardSum",
     "Morphism",
     "IsoVerdict",
     "StandardModules",
@@ -75,11 +83,19 @@ class ModuleRep:
         x = np.asarray(x, dtype=np.int64) % p
         return mulmod(x[None, :], self.action.reshape(self.algebra.dim, -1), p).reshape(self.dim, self.dim)
 
+    def moved(self, basis: np.ndarray) -> np.ndarray:
+        """The copies of basis (dim x k) moved by every algebra basis
+        element, side by side: [a_0.basis | a_1.basis | ...], from one
+        product."""
+        d, n, k = self.algebra.dim, self.dim, basis.shape[1]
+        prod = mulmod(self.action.reshape(d * n, n), basis, self.algebra.field.p)
+        return prod.reshape(d, n, k).transpose(1, 0, 2).reshape(n, d * k)
+
     def check(self):
         """Assert the action respects structure constants and the unit.
 
-        Both sides are products mod p, so a modulus at which they could
-        overflow int64 raises UnsupportedFieldError rather than a verdict.
+        Both sides are products mod p (``mulmod``), exact at every modulus
+        a field accepts.
         """
         alg = self.algebra
         p = alg.field.p
@@ -107,6 +123,40 @@ class ModuleRep:
 
     def __repr__(self) -> str:
         return f"ModuleRep(dim={self.dim} over dim-{self.algebra.dim} algebra)"
+
+
+class StandardSum(ModuleRep):
+    """Direct sum of standard modules given by its vertex list: summand s is
+    ``blocks[vertices[s]]``, with ``blocks`` the P(v) or the I(v) of the
+    algebra.  ``action`` is built when first read and equals the action of
+    ``direct_sum`` of the summands, byte for byte."""
+
+    def __init__(self, algebra: Algebra, blocks: list[ModuleRep], vertices: list[int]):
+        self.algebra = algebra
+        self.blocks = blocks
+        self.vertices = list(vertices)
+        self.offsets = np.cumsum([0] + [blocks[v].dim for v in self.vertices])
+        self.dim = int(self.offsets[-1])
+        self.memo: dict = {}
+
+    @functools.cached_property
+    def action(self) -> np.ndarray:
+        return _block_action(self.algebra, [self.blocks[v] for v in self.vertices])
+
+    def moved(self, basis: np.ndarray) -> np.ndarray:
+        """As ``ModuleRep.moved``, with one product per vertex v: the stacked
+        action of blocks[v] times the rows of basis on every summand at v,
+        placed side by side."""
+        d, k = self.algebra.dim, basis.shape[1]
+        out = np.empty((self.dim, d, k), dtype=np.int64)
+        for v in dict.fromkeys(self.vertices):
+            block = self.blocks[v]
+            slots = [s for s, w in enumerate(self.vertices) if w == v]
+            rows = np.concatenate([np.arange(self.offsets[s], self.offsets[s + 1]) for s in slots])
+            side = basis[rows].reshape(len(slots), block.dim, k).transpose(1, 0, 2).reshape(block.dim, -1)
+            prod = mulmod(block.action.reshape(d * block.dim, block.dim), side, self.algebra.field.p)
+            out[rows] = prod.reshape(d, block.dim, len(slots), k).transpose(2, 1, 0, 3).reshape(-1, d, k)
+        return out.reshape(self.dim, d * k)
 
 
 @dataclass
@@ -152,6 +202,15 @@ def regular_module(algebra: Algebra) -> ModuleRep:
     return ModuleRep(algebra, algebra.regular_action())
 
 
+def _block_action(alg: Algebra, mods: list[ModuleRep]) -> np.ndarray:
+    """The block-diagonal action of the direct sum of mods."""
+    offs = np.cumsum([0] + [m.dim for m in mods])
+    action = np.zeros((alg.dim, offs[-1], offs[-1]), dtype=np.int64)
+    for t, m in enumerate(mods):
+        action[:, offs[t] : offs[t + 1], offs[t] : offs[t + 1]] = m.action
+    return action
+
+
 def direct_sum(mods: list[ModuleRep]) -> tuple[ModuleRep, list[Morphism], list[Morphism]]:
     """Block sum with the canonical inclusions and projections."""
     if not mods:
@@ -160,16 +219,11 @@ def direct_sum(mods: list[ModuleRep]) -> tuple[ModuleRep, list[Morphism], list[M
     for m in mods:
         if m.algebra is not alg and m.algebra.content_hash() != alg.content_hash():
             raise InputError("direct sum of modules over different algebras")
-    dims = [m.dim for m in mods]
-    total = sum(dims)
-    action = np.zeros((alg.dim, total, total), dtype=np.int64)
-    offs = np.cumsum([0] + dims)
-    for t, m in enumerate(mods):
-        action[:, offs[t] : offs[t + 1], offs[t] : offs[t + 1]] = m.action
-    big = ModuleRep(alg, action)
+    big = ModuleRep(alg, _block_action(alg, mods))
+    offs = np.cumsum([0] + [m.dim for m in mods])
     incs, projs = [], []
     for t, m in enumerate(mods):
-        inc = np.zeros((total, m.dim), dtype=np.int64)
+        inc = np.zeros((big.dim, m.dim), dtype=np.int64)
         inc[offs[t] : offs[t + 1]] = np.eye(m.dim, dtype=np.int64)
         incs.append(Morphism(m, big, PrimeMatrix(alg.field, inc)))
         projs.append(Morphism(big, m, PrimeMatrix(alg.field, inc.T.copy())))
@@ -181,11 +235,10 @@ def submodule(m: ModuleRep, basis: PrimeMatrix) -> tuple[ModuleRep, Morphism]:
     independent and closed under the action.
 
     The action of each algebra basis element on the subspace is the
-    coordinates of the moved basis, read one element at a time (stacking
-    all of them would hold dim A moved copies of the basis at once).
+    coordinates of the moved basis, all of them read at once from
+    ``m.moved``.
     """
     alg = m.algebra
-    p = alg.field.p
     c = basis.cols
     if c == 0:
         sub = zero_module(alg)
@@ -193,13 +246,10 @@ def submodule(m: ModuleRep, basis: PrimeMatrix) -> tuple[ModuleRep, Morphism]:
     reader = coordinates(basis)
     if reader is None:
         raise InputError("submodule basis has dependent columns")
-    action = np.zeros((alg.dim, c, c), dtype=np.int64)
-    for a in range(alg.dim):
-        coords = reader.read(mulmod(m.action[a], basis.a, p))
-        if coords is None:
-            raise InputError("subspace is not invariant under the action")
-        action[a] = coords
-    sub = ModuleRep(alg, action)
+    coords = reader.read(m.moved(basis.a))
+    if coords is None:
+        raise InputError("subspace is not invariant under the action")
+    sub = ModuleRep(alg, np.ascontiguousarray(coords.reshape(c, alg.dim, c).transpose(1, 0, 2)))
     return sub, Morphism(sub, m, basis)
 
 
@@ -290,11 +340,18 @@ class HomSpace:
         stacked = self.maps().reshape(self.dim * self.target.dim, self.source.dim)
         return mulmod(stacked, g, p).reshape(self.dim, self.target.dim, g.shape[1])
 
+    @functools.cached_property
+    def _side_by_side(self) -> np.ndarray:
+        """The basis maps side by side, [F_0 | ... | F_{d-1}], in float64
+        (``mulmod`` reads float64 operands without converting them)."""
+        stack = self.maps().transpose(1, 0, 2).reshape(self.target.dim, self.dim * self.source.dim)
+        return stack.astype(np.float64)
+
     def postcompose(self, g: np.ndarray) -> np.ndarray:
         """The stack g o f over the basis maps f; g is k x target.dim."""
         p = self.matrix.field.p
-        side_by_side = self.maps().transpose(1, 0, 2).reshape(self.target.dim, self.dim * self.source.dim)
-        return mulmod(g, side_by_side, p).reshape(g.shape[0], self.dim, self.source.dim).transpose(1, 0, 2)
+        prod = mulmod(g, self._side_by_side, p)
+        return prod.reshape(g.shape[0], self.dim, self.source.dim).transpose(1, 0, 2)
 
     def read(self, maps: np.ndarray) -> np.ndarray:
         """Coordinates of a stack of k intertwiners (k, target.dim,
@@ -463,34 +520,30 @@ class Cover:
 
 
 def projective_cover(m: ModuleRep) -> Cover:
-    """Cover by one P(i) per basis vector of e_i.top(m).
+    """Cover by one P(i) per basis vector of e_i.top(m), as a ``StandardSum``.
 
     Each such vector lifts to a generator w in e_i.m (``_top_lifts``), and
-    the summand P(i) = A.e_i maps by x -> x.w; with aw[a] = action[a] @ w
-    the images of the basis of A.e_i are aw^T @ basis.
+    the summand P(i) = A.e_i maps by x -> x.w; with aw[:, a] = action[a] @ w
+    the images of the basis of A.e_i are aw @ basis.
     """
     alg = m.algebra
     p = alg.field.p
     std = standard_modules(alg)
     lifts = _top_lifts(m)
     vertex_of = [i for i, lift in enumerate(lifts) for _ in range(lift.shape[1])]
+    big = StandardSum(alg, std.projectives, vertex_of)
     if not vertex_of:
-        z = zero_module(alg)
-        return Cover(Morphism(z, m, alg.field.zeros(m.dim, 0)), [])
-    big, _, _ = direct_sum([std.projectives[i] for i in vertex_of])
-    w = np.hstack(lifts)
-    aw = np.zeros((alg.dim, m.dim, w.shape[1]), dtype=np.int64)
-    for a in range(alg.dim):
-        aw[a] = mulmod(m.action[a], w, p)
-    cols = [mulmod(aw[:, :, g].T, std.proj_bases[i].a, p) for g, i in enumerate(vertex_of)]
+        return Cover(Morphism(big, m, alg.field.zeros(m.dim, 0)), [])
+    aw = m.moved(np.hstack(lifts)).reshape(m.dim, alg.dim, len(vertex_of))
+    cols = [mulmod(aw[:, :, g], std.proj_bases[i].a, p) for g, i in enumerate(vertex_of)]
     return Cover(Morphism(big, m, PrimeMatrix(alg.field, np.hstack(cols))), vertex_of)
 
 
 def injective_envelope(m: ModuleRep) -> Cover:
-    """Essential embedding of m into a sum of I(i), via the dual cover."""
-    md = dualize(m)
-    cov = projective_cover(md)
-    target = dualize(cov.projective)
+    """Essential embedding of m into a sum of I(i), via the dual cover: the
+    dual of the sum of P(i) over the opposite algebra is the sum of the I(i)."""
+    cov = projective_cover(dualize(m))
+    target = StandardSum(m.algebra, standard_modules(m.algebra).injectives, cov.summands)
     emb = Morphism(m, target, cov.morphism.map.transpose())
     return Cover(emb, list(cov.summands))
 

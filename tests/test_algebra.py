@@ -298,6 +298,17 @@ def test_algebra_products_match_python_integers_or_refuse(p):
     assert checked >= 10
 
 
+@pytest.mark.parametrize("name", ["ka3", "ka2xk2"])
+def test_trace_form_radical_near_two_to_the_29(name):
+    # in a random basis the trace form's product has inner dimension
+    # dim^2 = 36, past one int64 product at p = 536870923: it runs in blocks
+    # and the radical, checked by validation, has its dimension at 32003
+    p = 536870923
+    a = rebased(corpus.load_entry(name, p).algebra, np.random.default_rng(2))
+    want = corpus.load_entry(name).algebra
+    assert a.radical().cols == want.radical().cols == a.dim - len(a.idempotents)
+
+
 # Algebra.content_hash() of build_from_quiver results, recorded while the
 # quiver build still reduced every path vector by a loop over the pivots
 BUILD_SHA256 = {

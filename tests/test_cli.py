@@ -120,13 +120,10 @@ def test_field_of_2_61_minus_1_exits_3_at_once(capsys):
 
 @pytest.mark.parametrize("argv", [("domdim", "ka2"), ("domdim", "k2"), ("nakayama", "k2", "S")])
 def test_field_of_2_31_minus_1_exits_3_or_agrees_with_32003(capsys, argv):
-    """At p = 2^31 - 1 every product of inner dimension 3 or more is refused;
-    a command that needs none gives the verdict of p = 32003."""
+    """At p = 2^31 - 1 products of inner dimension 3 or more run in int64
+    blocks instead of exiting 3, so each command gives the verdict of
+    p = 32003."""
     code, out, err = run_cli(capsys, *argv, "--field", str(2**31 - 1))
-    if code == 3:
-        assert out == ""
-        assert "could overflow int64" in err
-        return
     want_code, want_out, _ = run_cli(capsys, *argv)
     got, want = results_dict(out), results_dict(want_out)
     assert (code, got.pop("field")) == (want_code, str(2**31 - 1))

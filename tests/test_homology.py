@@ -1,8 +1,11 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
+import random
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from quivalg.algebra import opposite
 from quivalg.catalog import named_modules, resolve_expression
 from quivalg.checks import bar_ext_oracle
 from quivalg.errors import InputError, InternalCheckError, UnsupportedFieldError
+from quivalg.linalg import coordinates, mulmod, nullspace
 from quivalg.homology import (
     DecomposedModule,
     dominant_dimension,
@@ -46,6 +50,7 @@ from quivalg.modules import (
 
 from conftest import quiver
 from test_algebra import rebased
+from test_random_modules import random_modules
 
 
 def small_corpus_modules(alg, max_dim=6):
@@ -111,6 +116,94 @@ def test_injective_coresolution_structure(KA2):
     assert res.term_summands[0] == [1, 1]
     res.maps[0].check()
     res.maps[1].check()
+
+
+def dense_resolution(m, depth):
+    """Reference for a minimal projective resolution: each cover source
+    materialised by ``direct_sum`` and each syzygy read one algebra element
+    at a time.  Returns the terms' and syzygies' actions and the maps."""
+    a = m.algebra
+    p = a.field.p
+    std = standard_modules(a)
+    terms, maps, syzygies = [], [], []
+    cur, inc_prev = m, None
+    for i in range(depth + 1):
+        cov = projective_cover(cur)
+        if cov.summands:
+            big = direct_sum([std.projectives[v] for v in cov.summands])[0]
+        else:
+            big = zero_module(a)
+        f = cov.morphism.map
+        Morphism(big, cur, f).check()
+        terms.append(big.action)
+        maps.append(f if i == 0 else inc_prev @ f)
+        basis = nullspace(f)
+        action = np.zeros((a.dim, basis.cols, basis.cols), dtype=np.int64)
+        if basis.cols:
+            reader = coordinates(basis)
+            for x in range(a.dim):
+                action[x] = reader.read(mulmod(big.action[x], basis.a, p))
+        syzygies.append(action)
+        cur, inc_prev = ModuleRep(a, action), basis
+    return terms, maps, syzygies
+
+
+def resolution_test_modules(corpus_loaded):
+    rng = random.Random(20240808)
+    for name, loaded in corpus_loaded.items():
+        a = loaded.algebra
+        for m in standard_module_list(a) + random_modules(a, rng):
+            # a fresh copy carries no memoized resolution
+            yield name, ModuleRep(a, m.action)
+
+
+def test_resolutions_equal_the_dense_route(corpus_loaded):
+    for name, m in resolution_test_modules(corpus_loaded):
+        terms, maps, syzygies = dense_resolution(m, 3)
+        res = minimal_resolution(m, "projective", 3)
+        assert [t.action.tobytes() for t in res.terms] == [t.tobytes() for t in terms], name
+        assert [f.map for f in res.maps] == maps, name
+        assert [s.action.tobytes() for s in res.syzygies] == [s.tobytes() for s in syzygies], name
+        # injective: the transposes of the dense route over the opposite algebra
+        terms, maps, syzygies = dense_resolution(dualize(m), 3)
+        res = minimal_resolution(m, "injective", 3)
+        assert [t.action.tobytes() for t in res.terms] == [t.transpose(0, 2, 1).tobytes() for t in terms], name
+        assert [f.map for f in res.maps] == [f.transpose() for f in maps], name
+        assert [s.action.tobytes() for s in res.syzygies] == [s.transpose(0, 2, 1).tobytes() for s in syzygies], name
+
+
+def test_ext_pd_and_domdim_never_build_a_term_action():
+    for entry in corpus.ENTRIES:
+        a = corpus.load_entry(entry.name).algebra
+        mods = standard_module_list(a)
+        for m in mods:
+            ext_dims(m, mods[0], 3)
+            pd_bounded(m, 5)
+            assert all("action" not in t.__dict__ for t in minimal_resolution(m, "projective", 5).terms), entry.name
+        dominant_dimension(a, 5)
+        res = minimal_resolution(standard_modules(a).regular, "injective", 4)
+        assert all("action" not in t.__dict__ for t in res.terms), entry.name
+        # read once, a term's action is the block sum of its summands
+        t = res.terms[0]
+        assert t.action.tobytes() == direct_sum([t.blocks[v] for v in t.vertices])[0].action.tobytes()
+
+
+def test_a_resolved_module_is_freed_without_the_cycle_collector(KA2):
+    std = standard_modules(KA2)
+    m = ModuleRep(KA2, std.simples[0].action)
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in ("projective", "injective"):
+            minimal_resolution(m, kind, 3)
+            res = minimal_resolution(m, kind, 2)  # a memo hit rebuilds base and the first map
+            assert res.base is m and m in (res.maps[0].source, res.maps[0].target)
+        del res
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +458,16 @@ def test_nakayama_verifies_eta_near_two_to_the_29(no_randomized_iso):
     rng = np.random.default_rng(1)
     checked = 0
     for entry in corpus.ENTRIES:
-        try:
-            a = rebased(corpus.load_entry(entry.name, p).algebra, rng)
-            simples = standard_modules(a).simples
-        except UnsupportedFieldError:
-            continue  # the trace-form radical of a dim-6 algebra is refused
-        for s in simples:
+        a = rebased(corpus.load_entry(entry.name, p).algebra, rng)
+        for s in standard_modules(a).simples:
             nk = nakayama(s)
             eta = Morphism(nk.module, nk.hom_route, nk.eta)
             eta.check()
             assert eta.is_iso(), entry.name
             checked += 1
-    assert checked == 9  # one simple each over k, k2, k3, k4 and k2xk2, two over ka2 and aus
+    # one simple each over k, k2, k3, k4 and k2xk2, two over ka2, aus and
+    # ka2xk2, three over ka3
+    assert checked == 14
 
 
 @pytest.mark.parametrize(

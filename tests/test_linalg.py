@@ -200,7 +200,8 @@ def test_matrix_ops():
 
 P21 = 2097143  # largest prime below 2^21: float64 holds k*(P21-1)^2 up to k = 2048
 P26 = 67108879  # smallest prime above 2^26: float64 only at k = 1
-M31 = 2**31 - 1  # int64 only up to k = 2
+P29 = 536870923  # smallest prime above 2^29: one int64 product up to k = 31
+M31 = 2**31 - 1  # one int64 product only up to k = 2
 
 
 def reference_product(a, b, p):
@@ -216,6 +217,7 @@ def reference_product(a, b, p):
         (P26, 1, "float64"),
         (P26, 2, "int64"),
         (M31, 2, "int64"),
+        (M31, 64, "int64"),
         (32003, 8794993, "float64"),
         (32003, 8794994, "int64"),
     ],
@@ -245,18 +247,25 @@ def test_mulmod_random_operands_match_python_integers(p):
         assert np.array_equal(mulmod(a, v, p), reference_product(a, v, p).astype(np.int64))
 
 
-def test_mulmod_refuses_products_that_could_overflow():
-    with pytest.raises(UnsupportedFieldError):
-        _product_route(3, M31)
-    with pytest.raises(UnsupportedFieldError):
-        mulmod(np.full((1, 3), M31 - 1), np.full((3, 1), M31 - 1), M31)
-    f = PrimeField(M31)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = PrimeMatrix(f, rng.integers(0, M31, size=(6, 6), dtype=np.int64))
-        b = PrimeMatrix(f, rng.integers(0, M31, size=(6, 6), dtype=np.int64))
-        with pytest.raises(UnsupportedFieldError):
-            a @ b
+@pytest.mark.parametrize("p", [P29, M31])
+def test_mulmod_sums_int64_blocks_where_one_product_could_overflow(p):
+    # k*(p-1)^2 >= 2^63 from k = 32 at P29 and k = 3 at M31: the product runs
+    # in blocks reduced mod p between them, and matches Python integers
+    rng = np.random.default_rng(p)
+    for k in (3, 31, 32, 64, 65):
+        worst = mulmod(np.full((2, k), p - 1), np.full((k, 3), p - 1), p)
+        assert np.array_equal(worst, np.full((2, 3), k * (p - 1) ** 2 % p))
+        a = rng.integers(0, p, size=(5, k), dtype=np.int64)
+        b = rng.integers(0, p, size=(k, 4), dtype=np.int64)
+        got = mulmod(a, b, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_product(a, b, p).astype(np.int64))
+        assert np.array_equal(mulmod(a, b[:, 0], p), reference_product(a, b[:, 0], p).astype(np.int64))
+    f = PrimeField(p)
+    for _ in range(20):
+        a = PrimeMatrix(f, rng.integers(0, p, size=(6, 6), dtype=np.int64))
+        b = PrimeMatrix(f, rng.integers(0, p, size=(6, 6), dtype=np.int64))
+        assert np.array_equal((a @ b).a, reference_product(a.a, b.a, p).astype(np.int64))
 
 
 def test_mulmod_empty_inner_dimension():
@@ -383,6 +392,32 @@ def test_coordinates_gather_only_where_the_basis_is_the_identity():
     assert column.read(np.array([[3], [5]])) is None
     # the last nonzero rows repeat: dependent, refused by the elimination
     assert coordinates(F.matrix([[1, 1], [0, 0], [1, 1]])) is None
+
+
+@pytest.mark.parametrize("p", [5, 32003])
+def test_coordinates_check_membership_off_the_gathered_rows(p):
+    # a read checks B c = v only on the rows outside the gather, where it can
+    # fail; a change on one of those rows alone is refused, a member given
+    # with multiples of p added is read
+    f = PrimeField(p)
+    rng = np.random.default_rng(p + 4)
+    checked = 0
+    for _ in range(30):
+        ns = nullspace(PrimeMatrix(f, tall_sparse(rng, p, int(rng.integers(1, 6)), int(rng.integers(2, 10)))))
+        reader = coordinates(ns)
+        if reader.others.size == 0 or ns.cols == 0:
+            continue
+        assert sorted(reader.rows.tolist() + reader.others.tolist()) == list(range(ns.rows))
+        x = rng.integers(0, p, size=(ns.cols, 3))
+        members = mulmod(ns.a, x, p)
+        assert np.array_equal(reader.read(members + p * rng.integers(-2, 3, size=members.shape)), x)
+        for row in reader.others:
+            bad = members.copy()
+            bad[row, 1] = (bad[row, 1] + 1) % p
+            assert reader.read(bad) is None
+            assert reader.read(bad[:, 1]) is None
+        checked += 1
+    assert checked >= 10
 
 
 def test_complement_projection_reduces_by_the_echelon_rows():
