@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, UnsupportedFieldError
-from .linalg import PrimeField, PrimeMatrix, complement_projection, mulmod, nullspace, rref
+from .errors import InputError
+from .linalg import PrimeField, PrimeMatrix, complement_projection, coordinates, mulmod, nullspace, rref
 
 __all__ = [
     "QuiverPresentation",
@@ -28,7 +28,7 @@ __all__ = [
     "tensor_product",
     "enveloping",
     "column_span_basis",
-    "trace_form_radical",
+    "radical",
 ]
 
 
@@ -61,9 +61,9 @@ class Algebra:
     """Basic elementary algebra given by structure constants.
 
     mult[a, b, c] is the coefficient of basis element c in (e_a * e_b).
-    ``basis_path_lengths`` marks a basis adapted to the radical filtration
-    (length 0 spans a complement of the radical); tensor constructions keep
-    it so those algebras retain an exact radical without the trace form.
+    ``basis_path_lengths`` gives the path length of each basis element of a
+    quiver build, kept by tensor products and opposites (length 0 spans a
+    complement of the radical); no computation here reads it.
 
     ``memo`` caches values derived from the structure constants, which are
     immutable by convention, so an entry never goes stale.  Keys:
@@ -127,22 +127,9 @@ class Algebra:
     # -- structural data -----------------------------------------------------
 
     def radical(self) -> PrimeMatrix:
-        """Columns form a basis of the Jacobson radical.
-
-        With a radical-adapted basis this is the span of the positive-length
-        basis vectors; otherwise the radical of the trace form trace(L_x L_y),
-        which is exact for p > dim.
-        """
-        if "radical" in self.memo:
-            return self.memo["radical"]
-        if self.basis_path_lengths is not None:
-            idx = [i for i, l in enumerate(self.basis_path_lengths) if l > 0]
-            basis = np.zeros((self.dim, len(idx)), dtype=np.int64)
-            for k, i in enumerate(idx):
-                basis[i, k] = 1
-            self.memo["radical"] = PrimeMatrix(self.field, basis)
-            return self.memo["radical"]
-        self.memo["radical"] = trace_form_radical(self.field, self.mult)
+        """Columns form a basis of the Jacobson radical (``radical`` below)."""
+        if "radical" not in self.memo:
+            self.memo["radical"] = radical(self.field, self.mult, self.idempotents)
         return self.memo["radical"]
 
     def content_hash(self) -> str:
@@ -166,17 +153,18 @@ class Algebra:
 
     def _validate(self):
         p, d = self.field.p, self.dim
-        # (ab)c and a(bc) for one left factor a at a time, indexed bcd: d^3
-        # entries live at once rather than d^4, and the first failing triple
-        # is still the first in (a, b, c) order
-        for a in range(d):
-            lhs = mulmod(self.mult[a], self.mult.reshape(d, d * d), p).reshape(d, d, d)
-            rhs = mulmod(self.mult.reshape(d * d, d), self.mult[a], p).reshape(d, d, d)
+        # (ab)c and a(bc) for a chunk of left factors a at a time, indexed
+        # abcd: at most max(d^3, 2^16) entries live at once rather than d^4,
+        # and the first failing triple is still the first in (a, b, c) order
+        chunk = max(1, 2**16 // d**3)
+        for a0 in range(0, d, chunk):
+            lhs = mulmod(self.mult[a0 : a0 + chunk], self.mult.reshape(d, d * d), p).reshape(-1, d, d, d)
+            rhs = mulmod(self.mult.reshape(d * d, d), self.mult[a0 : a0 + chunk], p).reshape(-1, d, d, d)
             if not np.array_equal(lhs, rhs):
-                b, c = (int(i) for i in np.argwhere(lhs != rhs)[0][:2])
+                a, b, c = (int(i) for i in np.argwhere(lhs != rhs)[0][:3])
                 raise InputError(
                     f"associativity fails on basis triple "
-                    f"({self.labels[a]}, {self.labels[b]}, {self.labels[c]})"
+                    f"({self.labels[a0 + a]}, {self.labels[b]}, {self.labels[c]})"
                 )
         ident = np.eye(self.dim, dtype=np.int64)
         if not np.array_equal(self.left_mult(self.unit), ident) or not np.array_equal(
@@ -185,11 +173,14 @@ class Algebra:
             raise InputError("unit is not a two-sided identity")
         if not self.idempotents:
             raise InputError("a complete idempotent list is required")
+        # products[i, j] = e_i * e_j, every pair from two products
+        idem = np.array(self.idempotents)
+        products = mulmod(idem, mulmod(idem, self.mult.reshape(d, d * d), p).reshape(-1, d, d), p)
         for i, e in enumerate(self.idempotents):
-            if not np.array_equal(self.multiply(e, e), e):
+            if not np.array_equal(products[i, i], e):
                 raise InputError(f"idempotent {i} is not idempotent")
-            for j, f in enumerate(self.idempotents):
-                if i != j and self.multiply(e, f).any():
+            for j in range(len(idem)):
+                if i != j and products[i, j].any():
                     raise InputError(f"idempotents {i} and {j} are not orthogonal")
         total = np.zeros(self.dim, dtype=np.int64)
         for e in self.idempotents:
@@ -197,10 +188,7 @@ class Algebra:
         if not np.array_equal(total, self.unit):
             raise InputError("idempotents do not sum to the unit")
         # basic elementary: A/rad is one copy of k per idempotent
-        try:
-            r = self.radical()
-        except UnsupportedFieldError:
-            return
+        r = self.radical()
         if r.cols != self.dim - len(self.idempotents):
             raise InputError(
                 f"algebra is not basic elementary: dim rad = {r.cols}, "
@@ -426,6 +414,8 @@ def opposite(a: Algebra) -> Algebra:
     )
     op.memo["opposite"] = a
     a.memo["opposite"] = op
+    if "radical" in a.memo:  # rad A^op = rad A as a subspace
+        op.memo["radical"] = a.memo["radical"]
     return op
 
 
@@ -466,17 +456,70 @@ def column_span_basis(m: PrimeMatrix) -> PrimeMatrix:
     return m.take_cols(pivots)
 
 
-def trace_form_radical(field: PrimeField, mult: np.ndarray) -> PrimeMatrix:
-    """Basis of the radical of the trace form trace(L_x L_y) of the algebra
-    with structure constants ``mult`` (entries reduced mod p).  It is the
-    Jacobson radical when p > dim; smaller p raises UnsupportedFieldError."""
-    d = mult.shape[0]
-    p = field.p
-    if p <= d:
-        raise UnsupportedFieldError(f"trace-form radical needs p > dim, got p={p}, dim={d}")
-    # L_a[i, j] = mult[a, j, i], so trace(L_a L_b) = sum_ij mult[a, j, i] mult[b, i, j]
-    left = np.transpose(mult, (0, 2, 1)).reshape(d, d * d)
-    gram = mulmod(left, mult.reshape(d, d * d).T, p)
+def radical(field: PrimeField, mult: np.ndarray, idempotents: list[np.ndarray]) -> PrimeMatrix:
+    """Basis of the Jacobson radical of the algebra A with structure constants
+    ``mult`` (entries reduced mod p) and complete orthogonal idempotents e_u,
+    at every prime p; InputError unless each corner e_u*A*e_u is local with
+    residue field F_p.
+
+    If it is, x = c*e_u + n (n nilpotent) has x^q = c*e_u for every power q
+    of p at least the corner's dimension (the least one at least the number
+    of coordinates the corners use is taken).  So the residue map l_u is
+    read from x^q on elements spanning the corner, and it is certified by the
+    nilpotency of the span K of the x - l_u(x)*e_u: then K is the corner's
+    radical, of codimension one.  l(x) = sum_u l_u(e_u*x*e_u) vanishes on
+    rad A (Assem, Simson and Skowronski, Elements 1, I.4) and is the reduced
+    trace on A/rad A, whose form l(xy) is nondegenerate in every
+    characteristic (Curtis and Reiner, Methods of Representation Theory I),
+    so rad A is the nullspace of the Gram matrix l(b_a*b_b).
+    """
+    p, d = field.p, mult.shape[0]
+    flat, idem = mult.reshape(d, d * d), np.array(idempotents, dtype=np.int64)
+    left = mulmod(idem, flat, p).reshape(-1, d, d)  # [u, j] = e_u*b_j
+    right = mulmod(idem, mult.transpose(1, 0, 2).reshape(d, d * d), p).reshape(-1, d, d)  # [u, j] = b_j*e_u
+    corners = mulmod(left, right, p)  # [u, j] = e_u*b_j*e_u
+    owner, of = np.nonzero(corners.any(axis=2))
+    x, e = corners[owner, of], idem[owner]  # the nonzero ones, each with its e_u
+    # a corner has at most as many dimensions as coordinates its elements use
+    q, longest = 1, int(corners.any(axis=1).sum(axis=1).max())
+    while q < longest:
+        q *= p
+    at = np.argmax(idem != 0, axis=1)[owner]  # a coordinate where e_u is nonzero
+    inverse = np.array([pow(int(c), p - 2, p) for c in e[np.arange(len(x)), at]], dtype=np.int64)
+
+    def scalar(y):  # c with y = c*e_u, if y is such a multiple
+        return y[np.arange(len(x)), at] * inverse % p
+
+    # x^q by squaring: power = x^(q mod 2^j), square = left multiplication
+    # by x^(2^j).  Once every x^(2^j) is some c*e_u, x^q = c^(q >> j)*power
+    power, square = e, mulmod(x, flat, p).reshape(-1, d, d)
+    while q:
+        top = mulmod(e[:, None, :], square, p)[:, 0]  # x^(2^j)
+        if np.array_equal(top, scalar(top)[:, None] * e % p):
+            power = power * np.array([pow(int(c), q, p) for c in scalar(top)], dtype=np.int64)[:, None] % p
+            break
+        if q & 1:
+            power = mulmod(power[:, None, :], square, p)[:, 0]
+        q >>= 1
+        square = mulmod(square, square, p) if q else square
+    residue = scalar(power)
+    # K^(2^j) = 0 for 2^j >= dim e_u*A*e_u iff K is nilpotent; the spanning
+    # rows are reduced only when there are more than d
+    kernel, reach = (x - residue[:, None] * e) % p, 1
+    while reach < longest and kernel.any():
+        kernel = kernel[kernel.any(axis=1)]
+        if len(kernel) > d:
+            red, rank, _ = rref(PrimeMatrix(field, kernel))
+            kernel = red.a[:rank]
+        kernel, reach = mulmod(kernel, mulmod(kernel, flat, p).reshape(-1, d, d), p).reshape(-1, d), 2 * reach
+    if kernel.any():
+        u = np.flatnonzero(mulmod(kernel, corners, p).any(axis=(1, 2)))[0]
+        raise InputError(
+            f"algebra is not basic elementary: the corner of idempotent {u} is not local with residue field F_{p}"
+        )
+    trace = np.zeros(d, dtype=np.int64)
+    np.add.at(trace, of, residue)  # l(b_j) = sum_u l_u(e_u*b_j*e_u)
+    gram = mulmod(flat.reshape(d * d, d), trace % p, p).reshape(d, d)
     return nullspace(PrimeMatrix(field, gram))
 
 

@@ -181,7 +181,7 @@ def _endo(args) -> tuple[Rows, int]:
 
 
 def _approx(args) -> tuple[Rows, int]:
-    ap = min_add_approximation(_module(args).module, _module(args, "target").module)
+    ap = min_add_approximation(_module(args), _module(args, "target").module)
     return [
         ("module", args.module),
         ("target", args.target),

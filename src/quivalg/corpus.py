@@ -48,7 +48,7 @@ class FixtureEntry:
     thick_names: list[str] = dc_field(default_factory=list)
     tensor_factors: Optional[tuple[str, str]] = None
     remark32: bool = True
-    note: str = "verdicts are characteristic-independent at p > dim (trace-form radical, path bases)"
+    note: str = "verdicts checked at p = 2, 3 and 32003 (the radical is exact at every p)"
 
 
 ENTRIES: list[FixtureEntry] = [

@@ -10,8 +10,7 @@ class InputError(QuivalgError):
 
 
 class UnsupportedFieldError(QuivalgError):
-    """The field modulus is out of range: too small for the requested
-    table-mode computation, or too large for exact int64 products."""
+    """The field modulus is too large for exact int64 products (p >= 2^31)."""
 
 
 class BudgetError(QuivalgError):

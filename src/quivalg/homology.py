@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, opposite, trace_form_radical
+from .algebra import Algebra, opposite, radical
 from .errors import InputError, InternalCheckError
 from .linalg import PrimeMatrix, coordinates, mulmod, rref
 from .modules import (
@@ -426,24 +426,22 @@ class ApproxResult:
     copies: int
 
 
-def min_add_approximation(m: ModuleRep, x: ModuleRep) -> ApproxResult:
+def min_add_approximation(dm: DecomposedModule, x: ModuleRep) -> ApproxResult:
     """Minimal right add(m)-approximation of x by copies of the whole of m.
 
     The number of copies is the dimension of Hom(m, x) modulo precomposition
     with rad End(m); representatives of a basis of that quotient assemble
     the map, and surjectivity of Hom(m, -) onto Hom(m, x) is verified.
+    rad End(m) is read at any prime with one idempotent per summand of ``dm``,
+    so each summand needs a local End with residue field F_p (InputError).
     """
-    alg = m.algebra
-    field = alg.field
-    if m.dim == 0 or x.dim == 0:
-        z = zero_module(alg)
-        return ApproxResult(Morphism(z, x, field.zeros(x.dim, 0)), 0)
+    m = dm.module
+    field = m.algebra.field
     h = HomSpace(m, x)
-    if h.dim == 0:
-        z = zero_module(alg)
-        return ApproxResult(Morphism(z, x, field.zeros(x.dim, 0)), 0)
-    end = HomSpace(m, m)
-    rad = trace_form_radical(field, endo_structure_constants(end))
+    if h.dim == 0:  # zero modules included
+        return ApproxResult(Morphism(zero_module(m.algebra), x, field.zeros(x.dim, 0)), 0)
+    end, mult, coords = _endo_data(dm)
+    rad = radical(field, mult, list(coords[:, 1:].T))
     # Hom(m, x) o rad End(m), one read per radical basis element
     sub_cols = [h.read(h.precompose(end.from_coords(rad.a[:, s]).a)) for s in range(rad.cols)]
     sub = PrimeMatrix(field, np.hstack([np.zeros((h.dim, 0), dtype=np.int64)] + sub_cols))
@@ -495,30 +493,31 @@ class EndoAlgebra:
     end_action: np.ndarray
 
 
+def _endo_data(dm: DecomposedModule) -> tuple[HomSpace, np.ndarray, np.ndarray]:
+    """Hom(m, m), End(m)'s structure constants, and the coordinates of the
+    unit followed by the idempotent of each summand (one column each)."""
+    m = dm.module
+    h = HomSpace(m, m)
+    idem = [(inc.map @ proj.map).a for inc, proj in zip(dm.inclusions, dm.projections)]
+    return h, endo_structure_constants(h), h.read(np.stack([np.eye(m.dim, dtype=np.int64)] + idem))
+
+
 def endomorphism_algebra(dm: DecomposedModule, seed: int = 0) -> EndoAlgebra:
     """End(m) of a decomposed module, checked to be basic and elementary.
 
     With one idempotent per summand, End(m) is basic and elementary exactly
-    when dim End/rad End equals the number of summands (Assem, Simson and
+    when every summand has a local End with residue field F_p and dim
+    End/rad End equals the number of summands (Assem, Simson and
     Skowronski, Elements of the Representation Theory of Associative
-    Algebras 1, LMS 2006): every summand then has a local End and no two are
-    isomorphic.  ``Algebra`` validation counts this and refuses any other End
-    with an InputError.  The radical of End needs p > dim End; at a smaller
-    p the check cannot run and UnsupportedFieldError is raised.  ``seed`` is
-    unused and kept for callers that pass one.
+    Algebras 1, LMS 2006): no two summands are then isomorphic.  ``Algebra``
+    validation decides both at every prime and refuses any other End with an
+    InputError.  ``seed`` is unused and kept for callers that pass one.
     """
     m = dm.module
-    field = m.algebra.field
     if m.dim == 0:
         raise InputError("endomorphism algebra of the zero module is not basic")
-    h = HomSpace(m, m)
-    mult = endo_structure_constants(h)
-    # the unit, then the idempotent of each summand, in one read
-    idem = [(inc.map @ proj.map).a for inc, proj in zip(dm.inclusions, dm.projections)]
-    coords = h.read(np.stack([np.eye(m.dim, dtype=np.int64)] + idem))
-    labels = [f"f{t}" for t in range(h.dim)]
-    algebra = Algebra(field, labels, mult, coords[:, 0], list(coords[:, 1:].T))
-    algebra.radical()  # memoized by validation; raises where validation skipped the basic check
+    h, mult, coords = _endo_data(dm)
+    algebra = Algebra(m.algebra.field, [f"f{t}" for t in range(h.dim)], mult, coords[:, 0], list(coords[:, 1:].T))
     return EndoAlgebra(algebra, h, h.maps())
 
 

@@ -64,7 +64,7 @@ def _product_route(k: int, p: int) -> str:
 
 def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p as int64, for operands holding integers in [0, p), as
-    int64 or float64.
+    int64 or float64; stacks of matrices multiply pairwise, as with ``@``.
 
     The float64 route runs on BLAS and is exact because every partial sum is
     an integer below 2^53 (Dumas, Giorgi and Pernet, "Dense linear algebra
@@ -83,10 +83,12 @@ def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         out = prod.astype(np.int64)
         return np.remainder(out, p, out=out)
     a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+    if b.ndim == 1:
+        return mulmod(a, b[:, None], p)[..., 0]
     step = (2**63 - 1) // (p - 1) ** 2 - 1
-    out = (a[..., :step] @ b[:step]) % p
+    out = (a[..., :step] @ b[..., :step, :]) % p
     for i in range(step, k, step):
-        out += a[..., i : i + step] @ b[i : i + step]
+        out += a[..., i : i + step] @ b[..., i : i + step, :]
         out %= p
     return out
 

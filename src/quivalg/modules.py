@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Algebra, column_span_basis, opposite
-from .errors import InputError, UnsupportedFieldError
+from .errors import InputError
 from .linalg import PrimeMatrix, complement_projection, coordinates, mulmod, nullspace
 from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test reads modules.solve)
 
@@ -274,18 +274,6 @@ def quotient_module(m: ModuleRep, sub: PrimeMatrix) -> tuple[ModuleRep, Morphism
 # hom spaces
 
 
-def _generators(alg: Algebra) -> list[np.ndarray]:
-    """Elements generating the algebra: idempotents plus a radical basis.
-    Intertwining with these implies intertwining with everything."""
-    gens = [e for e in alg.idempotents]
-    try:
-        r = alg.radical()
-    except UnsupportedFieldError:
-        return [alg.basis_vector(i) for i in range(alg.dim)]
-    gens.extend(r.a[:, j] for j in range(r.cols))
-    return gens
-
-
 class HomSpace:
     """Basis of Hom_A(m, n) with coordinate bookkeeping.
 
@@ -312,7 +300,9 @@ class HomSpace:
         p = alg.field.p
         nm = n.dim * m.dim
         blocks = []
-        for g in _generators(alg):
+        # the idempotents and a radical basis generate the algebra, so
+        # intertwining with them is intertwining with everything
+        for g in list(alg.idempotents) + list(alg.radical().a.T):
             rho_m = m.act(g)
             rho_n = n.act(g)
             blocks.append(

@@ -17,7 +17,7 @@ from quivalg.algebra import (
     tensor_product,
 )
 from quivalg.errors import InputError, UnsupportedFieldError
-from quivalg.linalg import PrimeField, PrimeMatrix
+from quivalg.linalg import PrimeField, PrimeMatrix, solve
 
 from conftest import FIELD, quiver
 
@@ -102,11 +102,24 @@ def test_radical_tensor(K2):
     assert t.radical().cols == 3
 
 
-def test_radical_modes_agree(corpus_algebras):
-    for name, a in corpus_algebras.items():
-        table = Algebra(a.field, a.labels, a.mult, a.unit, a.idempotents)
-        r1, r2 = a.radical(), table.radical()
-        assert r1.rank() == r2.rank() == r1.hstack(r2).rank(), name
+PRIMES = (2, 3, 5, 32003)
+
+
+def corpus_at(p):
+    return {e.name: corpus.load_entry(e.name, p).algebra for e in corpus.ENTRIES}
+
+
+def test_radical_modes_agree():
+    # the same constants as a table give the same radical; on a path basis it
+    # is the span of the paths of positive length, at every prime
+    for p in PRIMES:
+        for name, a in corpus_at(p).items():
+            table = Algebra(a.field, a.labels, a.mult, a.unit, a.idempotents)
+            r1, r2 = a.radical(), table.radical()
+            assert r1.rank() == r2.rank() == r1.hstack(r2).rank(), (name, p)
+            if a.basis_path_lengths is not None:
+                paths = [i for i, length in enumerate(a.basis_path_lengths) if length > 0]
+                assert r2 == PrimeMatrix(a.field, np.eye(a.dim, dtype=np.int64)[:, paths]), (name, p)
 
 
 def test_radical_nilpotent(corpus_algebras):
@@ -126,19 +139,43 @@ def test_radical_nilpotent(corpus_algebras):
         assert span.cols == 0, name
 
 
-def test_semisimple_quotient_dimension(corpus_algebras):
-    for name, a in corpus_algebras.items():
-        assert a.dim - a.radical().cols == len(a.idempotents), name
+def test_semisimple_quotient_dimension():
+    for p in PRIMES:
+        for name, a in corpus_at(p).items():
+            assert a.dim - a.radical().cols == len(a.idempotents), (name, p)
 
 
-def test_table_mode_needs_big_prime():
-    small = PrimeField(3)
-    one = np.array([1], dtype=np.int64)
-    a3 = Algebra(small, ["e", "x", "y"],
-                 np.zeros((3, 3, 3), dtype=np.int64), one, [one], validate=False)
-    # dim 3 over p=3: trace-form radical unsupported
-    with pytest.raises(UnsupportedFieldError):
-        a3.radical()
+def table_algebra(p, matrices):
+    """The algebra with basis ``matrices`` (square, closed under products,
+    the first the identity) and its unit as the only idempotent."""
+    f, d = PrimeField(p), len(matrices)
+    vecs = PrimeMatrix(f, np.array([np.ravel(m) for m in matrices]).T % p)
+    prods = PrimeMatrix(f, np.array([np.ravel(np.dot(x, y)) for x in matrices for y in matrices]).T % p)
+    mult = solve(vecs, prods).a.T.reshape(d, d, d)
+    one = np.eye(d, dtype=np.int64)[0]
+    return Algebra(f, [f"b{i}" for i in range(d)], mult, one, [one])
+
+
+def test_basic_check_at_primes_below_the_dimension():
+    # M_2(F_3) in a basis whose every element has a scalar 9th power: only
+    # the nilpotency of ker(residue map) refuses it (E12 * E21 = E11)
+    e12, e21, n = [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [-1, -1]]
+    with pytest.raises(InputError, match="not basic"):
+        table_algebra(3, [np.eye(2, dtype=np.int64), e12, e21, n])
+    # F_4 = F_2[x]/(x^2 + x + 1): x^2 = x + 1 is not in F_2
+    x = [[0, 1], [1, 1]]
+    with pytest.raises(InputError, match="not basic"):
+        table_algebra(2, [np.eye(2, dtype=np.int64), x])
+    # k[x]/(x^2) in the same way is accepted, with its radical
+    assert table_algebra(2, [np.eye(2, dtype=np.int64), [[0, 1], [0, 0]]]).radical().cols == 1
+
+
+def test_idempotent_checks_name_the_first_failure(KA2):
+    e1, e2 = KA2.idempotents
+    with pytest.raises(InputError, match="idempotents 0 and 1 are not orthogonal"):
+        Algebra(KA2.field, KA2.labels, KA2.mult, KA2.unit, [e1, e1])
+    with pytest.raises(InputError, match="idempotent 0 is not idempotent"):
+        Algebra(KA2.field, KA2.labels, KA2.mult, KA2.unit, [2 * e1, e2])
 
 
 def test_associativity_rejection_names_triple():
@@ -298,12 +335,14 @@ def test_algebra_products_match_python_integers_or_refuse(p):
     assert checked >= 10
 
 
+@pytest.mark.parametrize("p", [2, 3, 536870923])
 @pytest.mark.parametrize("name", ["ka3", "ka2xk2"])
-def test_trace_form_radical_near_two_to_the_29(name):
-    # in a random basis the trace form's product has inner dimension
-    # dim^2 = 36, past one int64 product at p = 536870923: it runs in blocks
-    # and the radical, checked by validation, has its dimension at 32003
-    p = 536870923
+def test_radical_in_a_random_basis(name, p):
+    # in a random basis no corner is spanned by basis vectors and the
+    # structure constants are dense: at p = 536870923 the Gram product, of
+    # inner dimension 36, runs in int64 blocks, and at p = 2 and 3, below the
+    # dimension, the residue maps are read from powers x^q with q a power of
+    # p.  The radical, checked by validation, has its dimension at 32003
     a = rebased(corpus.load_entry(name, p).algebra, np.random.default_rng(2))
     want = corpus.load_entry(name).algebra
     assert a.radical().cols == want.radical().cols == a.dim - len(a.idempotents)

@@ -196,6 +196,16 @@ def test_corpus_list(capsys):
     assert d["k2.dim"] == "2"
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_corpus_run_at_small_primes(capsys, p):
+    # p = 2 and 3 are below the dimension of most corpus algebras and of
+    # their End algebras; the radical is exact at every prime, so the
+    # verdicts still equal the expected column, written for the default prime
+    code, out, _ = run_cli(capsys, "corpus", "run", "--machine", "--field", str(p))
+    d = results_dict(out)
+    assert (code, d["checks"], d["mismatches"]) == (0, "80", "0")
+
+
 def test_cache_roundtrip_and_byte_identity(capsys, tmp_path):
     cat = str(tmp_path / "cat")
     code, plain, _ = run_cli(capsys, "domdim", "k4", "--machine")
@@ -232,7 +242,8 @@ def test_cache_requires_catalog(capsys):
 
 GOLDEN = Path(__file__).parent / "data" / "cli_results.txt"
 
-# Every subcommand, every verify check id and the exit-2 and exit-3 cases.
+# Every subcommand, every verify check id, answers below the algebra's
+# dimension at --field 2, and the exit-2 and exit-3 cases.
 # "{tmp}" stands for a per-test temporary directory.  `corpus run --machine`
 # is not listed: its stdout is tests/data/corpus_run_machine.txt, which
 # acceptance criterion 10 compares.
@@ -241,8 +252,10 @@ GOLDEN_COMMANDS = [
     "corpus run",
     "inspect aus",
     "inspect k2",
+    "inspect k2xk2 --field 2",
     "domdim k2.alg --cutoff 6",
     "domdim ka2xk2",
+    "domdim k2xk2 --field 2",
     "ext ka2.alg S1 S2 --cutoff 4",
     "selforth k2 regular+S --cutoff 6",
     "gencogen k2 regular+S",
@@ -250,7 +263,10 @@ GOLDEN_COMMANDS = [
     "nakayama k2 S",
     "nakayama ka2 S1",
     "endo k2 regular+S",
+    "endo k2 regular+S --field 2",
     "approx k2 regular+S S",
+    "approx k2 regular+S S --field 2",
+    "approx k2 regular+regular S",
     "tensor ka2 k2 --out {tmp}/ka2xk2.alg",
     "tensor k2 k2",
     "verify muller --algebra k2 --module M=regular+S --cutoff 6",
@@ -273,8 +289,7 @@ GOLDEN_COMMANDS = [
     "verify thick-shadow --algebra k2 --modules regular,NOPE",
     # exit 3
     "verify bar-oracle --algebra k4 --module regular --module2 regular --cutoff 6 --budget-dim 50",
-    "inspect k2xk2 --field 2",
-    "endo k2 regular+S --field 2",
+    "inspect k2 --field 2147483659",
     "cache info",
 ]
 

@@ -16,7 +16,7 @@ from quivalg import corpus
 from quivalg.algebra import opposite
 from quivalg.catalog import named_modules, resolve_expression
 from quivalg.checks import bar_ext_oracle
-from quivalg.errors import InputError, InternalCheckError, UnsupportedFieldError
+from quivalg.errors import InputError, InternalCheckError
 from quivalg.linalg import coordinates, mulmod, nullspace
 from quivalg.homology import (
     DecomposedModule,
@@ -343,7 +343,7 @@ def test_coordinate_reads_run_no_solve(monkeypatch):
         for m in std.simples + [std.coregular]:
             assert bar_ext_oracle(m, std.regular, 2).dims == ext_dims(m, std.regular, 2).dims
             nakayama(m)
-            min_add_approximation(dm.module, m)
+            min_add_approximation(dm, m)
 
 
 def test_minimality_witness(corpus_algebras):
@@ -548,10 +548,7 @@ def gen_cogen_pool(a):
 def test_gen_cogen_at_small_primes_matches_32003(corpus_loaded, p):
     # the trace criterion takes ranks only, so it needs no bound on p
     for name, loaded in corpus_loaded.items():
-        try:
-            pool = gen_cogen_pool(corpus.load_entry(name, p).algebra)
-        except UnsupportedFieldError:
-            continue  # an entry whose own radical needs p > dim
+        pool = gen_cogen_pool(corpus.load_entry(name, p).algebra)
         want = [gen_cogen(m) for m in gen_cogen_pool(loaded.algebra)]
         assert [gen_cogen(m) for m in pool] == want, name
 
@@ -574,23 +571,33 @@ def test_standard_modules_share_the_opposite_projectives(monkeypatch):
 
 def test_approx_zero_target(K2):
     std = standard_modules(K2)
-    ap = min_add_approximation(std.regular, zero_module(K2))
+    ap = min_add_approximation(DecomposedModule.from_summands([std.regular]), zero_module(K2))
     assert ap.copies == 0
 
 
 def test_approx_by_regular_is_cover(KA2):
     std = standard_modules(KA2)
+    regular = DecomposedModule.from_summands(list(std.projectives))
     for x in std.simples + std.injectives:
-        ap = min_add_approximation(std.regular, x)
+        ap = min_add_approximation(regular, x)
         assert ap.copies == sum(top_multiplicities(x))
         assert ap.morphism.map.rank() == x.dim
 
 
 def test_approx_k2_example(K2):
     std = standard_modules(K2)
-    both, _, _ = direct_sum([std.regular, std.simples[0]])
+    both = DecomposedModule.from_summands([std.regular, std.simples[0]])
     ap = min_add_approximation(both, std.simples[0])
     assert ap.copies == 1
+
+
+def test_approx_refuses_a_summand_whose_end_is_not_local(K2):
+    # End(S + S) = M_2(k): one idempotent for the one summand, so its corner
+    # is all of M_2(k), which is not local
+    std = standard_modules(K2)
+    s2, _, _ = direct_sum([std.simples[0], std.simples[0]])
+    with pytest.raises(InputError, match="not basic"):
+        min_add_approximation(DecomposedModule.from_summands([s2]), std.simples[0])
 
 
 # ---------------------------------------------------------------------------
@@ -632,22 +639,23 @@ def test_endo_nonbasic_rejected(K2, KA2):
         endomorphism_algebra(dm)
 
 
-def test_endo_refuses_where_the_radical_needs_a_larger_prime():
-    # dim End(regular + S) = 5 over k[x]/(x^2), so at p = 5 the basic check
-    # has no radical to count
-    dm = resolve_expression(corpus.load_entry("k2", 5), "regular+S")
-    with pytest.raises(UnsupportedFieldError):
-        endomorphism_algebra(dm)
+def test_endo_at_small_primes_matches_32003():
+    # dim End(regular + S) = 5 over k[x]/(x^2): at p = 5 and p = 2, not
+    # above dim End, the basic check counts the same radical as at 32003
+    def shape(p):
+        end = endomorphism_algebra(resolve_expression(corpus.load_entry("k2", p), "regular+S")).algebra
+        return end.dim, len(end.idempotents), end.radical().cols
+
+    assert shape(5) == shape(2) == shape(32003) == (5, 2, 3)
 
 
 def test_minimal_gen_cogen(corpus_algebras):
     for name, a in corpus_algebras.items():
         dm = minimal_gen_cogen(a)
         assert gen_cogen(dm.module), name
-        # pairwise non-isomorphic summands
-        for i in range(len(dm.summands)):
-            for j in range(i + 1, len(dm.summands)):
-                assert not is_isomorphic(dm.summands[i], dm.summands[j]).isomorphic
+        # pairwise non-isomorphic summands with local End: End(M) is basic,
+        # which endomorphism_algebra decides exactly at every prime
+        endomorphism_algebra(dm)
 
 
 def test_summand_verdicts_are_exact(no_randomized_iso, corpus_algebras):
@@ -781,8 +789,8 @@ def test_approximation_maps_are_pinned(corpus_loaded):
     got = {}
     for name, expr in (("k2", "regular+S"), ("ka3", "gencogen"), ("aus", "gencogen"), ("ka2xk2", "gencogen")):
         loaded = corpus_loaded[name]
-        m = resolve_expression(loaded, expr).module
+        dm = resolve_expression(loaded, expr)
         std = standard_modules(loaded.algebra)
-        maps = [min_add_approximation(m, x).morphism.map.a for x in std.simples + [std.coregular]]
+        maps = [min_add_approximation(dm, x).morphism.map.a for x in std.simples + [std.coregular]]
         got[f"{name} {expr}"] = array_digest(maps)
     assert got == APPROX_SHA256

@@ -245,6 +245,9 @@ def test_mulmod_random_operands_match_python_integers(p):
         assert np.array_equal(mulmod(a, b, p), reference_product(a, b, p).astype(np.int64))
         v = b[:, 0].copy()
         assert np.array_equal(mulmod(a, v, p), reference_product(a, v, p).astype(np.int64))
+        c = rng.integers(0, p, size=(k, cols), dtype=np.int64)
+        want = np.stack([reference_product(a, b, p), reference_product(a, c, p)]).astype(np.int64)
+        assert np.array_equal(mulmod(np.stack([a, a]), np.stack([b, c]), p), want)
 
 
 @pytest.mark.parametrize("p", [P29, M31])
@@ -261,6 +264,10 @@ def test_mulmod_sums_int64_blocks_where_one_product_could_overflow(p):
         assert got.dtype == np.int64
         assert np.array_equal(got, reference_product(a, b, p).astype(np.int64))
         assert np.array_equal(mulmod(a, b[:, 0], p), reference_product(a, b[:, 0], p).astype(np.int64))
+        # stacks multiply pairwise, with the blocks along their inner dimension
+        stack = rng.integers(0, p, size=(3, k, 4), dtype=np.int64)
+        want = np.stack([reference_product(a, s, p) for s in stack]).astype(np.int64)
+        assert np.array_equal(mulmod(np.stack([a] * 3), stack, p), want)
     f = PrimeField(p)
     for _ in range(20):
         a = PrimeMatrix(f, rng.integers(0, p, size=(6, 6), dtype=np.int64))
@@ -448,7 +455,7 @@ def test_complement_projection_reduces_by_the_echelon_rows():
 # multiplies two PrimeMatrix values, so it runs through mulmod
 PRIME_MATRIX_PRODUCTS = {
     ("homology", "_projective_resolution", "inc_prev.map @ cov.morphism.map"),
-    ("homology", "endomorphism_algebra", "inc.map @ proj.map"),
+    ("homology", "_endo_data", "inc.map @ proj.map"),
 }
 
 
@@ -486,3 +493,15 @@ def test_only_linalg_chooses_how_a_basis_is_read():
         and "Coordinates" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert calls == []
+
+
+def test_only_linalg_refuses_a_field():
+    # every radical is exact at every prime, so the only field a computation
+    # refuses is a modulus that int64 arithmetic cannot hold
+    raises = [
+        (module, node.lineno)
+        for module, _, node in package_functions()
+        if isinstance(node, ast.Raise)
+        and "UnsupportedFieldError" in {getattr(n, "id", None) for n in ast.walk(node)}
+    ]
+    assert raises == []
