@@ -276,10 +276,9 @@ def cmd_corpus(args) -> int:
         ]
         human = []
         for e in corpus.ENTRIES:
-            loaded = corpus.load_entry(e.name)
-            results.append((f"{e.name}.dim", str(loaded.algebra.dim)))
-            results.append((f"{e.name}.hash", loaded.input_hash))
-            human.append(f"{e.name:10s} dim {loaded.algebra.dim:2d}  {e.title}  [{e.note}]")
+            results.append((f"{e.name}.dim", str(e.dim)))
+            results.append((f"{e.name}.hash", catalog.parse(corpus.fixture_text(e.name)).content_hash()))
+            human.append(f"{e.name:10s} dim {e.dim:2d}  {e.title}  [{corpus.NOTE}]")
         _emit(results, human, args.machine)
         return 0
     # corpus run

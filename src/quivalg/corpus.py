@@ -33,28 +33,32 @@ from .checks import (
 from .homology import dominant_dimension, ext_dims
 from .modules import standard_modules
 
-__all__ = ["FixtureEntry", "ENTRIES", "fixture_text", "load_entry", "run_entry_checks"]
+__all__ = ["FixtureEntry", "ENTRIES", "NOTE", "fixture_text", "load_entry", "run_entry_checks"]
 
 BAR_SWEEP_DEGREE = 3
 BAR_SWEEP_MAX_DIM = 4
+
+
+# shown beside every entry by ``corpus list``
+NOTE = "verdicts checked at p = 2, 3 and 32003 (the radical is exact at every p)"
 
 
 @dataclass
 class FixtureEntry:
     name: str
     title: str
+    dim: int  # of the algebra, so that listing builds nothing
     expected: dict[str, str]
     muller_exprs: list[str] = dc_field(default_factory=list)
     thick_names: list[str] = dc_field(default_factory=list)
     tensor_factors: Optional[tuple[str, str]] = None
-    remark32: bool = True
-    note: str = "verdicts checked at p = 2, 3 and 32003 (the radical is exact at every p)"
 
 
 ENTRIES: list[FixtureEntry] = [
     FixtureEntry(
         name="k",
         title="the ground field",
+        dim=1,
         muller_exprs=["regular"],
         thick_names=["regular"],
         expected={
@@ -71,6 +75,7 @@ ENTRIES: list[FixtureEntry] = [
     FixtureEntry(
         name="k2",
         title="k[x]/(x^2)",
+        dim=2,
         muller_exprs=["regular", "regular+S"],
         thick_names=["regular", "S"],
         expected={
@@ -92,6 +97,7 @@ ENTRIES: list[FixtureEntry] = [
     FixtureEntry(
         name="k3",
         title="k[x]/(x^3)",
+        dim=3,
         muller_exprs=["regular", "regular+S"],
         thick_names=["regular", "S"],
         expected={
@@ -110,6 +116,7 @@ ENTRIES: list[FixtureEntry] = [
     FixtureEntry(
         name="k4",
         title="k[x]/(x^4)",
+        dim=4,
         muller_exprs=["regular", "regular+S"],
         thick_names=["regular", "S"],
         expected={
@@ -128,6 +135,7 @@ ENTRIES: list[FixtureEntry] = [
     FixtureEntry(
         name="ka2",
         title="path algebra of 1 -> 2",
+        dim=3,
         muller_exprs=["gencogen"],
         thick_names=["regular"],
         expected={
@@ -144,6 +152,7 @@ ENTRIES: list[FixtureEntry] = [
     FixtureEntry(
         name="ka3",
         title="path algebra of 1 -> 2 -> 3",
+        dim=6,
         muller_exprs=["gencogen"],
         thick_names=["regular"],
         expected={
@@ -160,6 +169,7 @@ ENTRIES: list[FixtureEntry] = [
     FixtureEntry(
         name="aus",
         title="endomorphism algebra of (free + simple) over k[x]/(x^2)",
+        dim=5,
         muller_exprs=["gencogen"],
         thick_names=["regular"],
         expected={
@@ -176,6 +186,7 @@ ENTRIES: list[FixtureEntry] = [
     FixtureEntry(
         name="k2xk2",
         title="k[x]/(x^2) (x) k[x]/(x^2)",
+        dim=4,
         muller_exprs=["regular"],
         thick_names=["regular"],
         tensor_factors=("k2", "k2"),
@@ -194,6 +205,7 @@ ENTRIES: list[FixtureEntry] = [
     FixtureEntry(
         name="ka2xk2",
         title="(path algebra of 1 -> 2) (x) k[x]/(x^2)",
+        dim=6,
         muller_exprs=["gencogen"],
         thick_names=["regular"],
         tensor_factors=("ka2", "k2"),
@@ -261,8 +273,7 @@ def run_entry_checks(
     out.append(("domdim", str(dominant_dimension(a, cutoff))))
     out.append(("diamond", diamond(a, cutoff).verdict))
     out.append(("nc-scan", nc_evidence_scan(a, cutoff).verdict))
-    if entry.remark32:
-        out.append(("remark32", remark32_check(a, cutoff).verdict))
+    out.append(("remark32", remark32_check(a, cutoff).verdict))
     if entry.tensor_factors is not None:
         fa = loader(entry.tensor_factors[0]).algebra
         fb = loader(entry.tensor_factors[1]).algebra

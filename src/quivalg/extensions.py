@@ -1,10 +1,11 @@
 """Predicates for subalgebra extensions B <= A.
 
 frobenius: the restriction of A is projective over B and A is isomorphic to
-Hom_B(A, B) as an A-B-bimodule (tested as left modules over A (x) B^op, with
-the seeded randomized isomorphism search).  separable: the multiplication
-A (x)_B A -> A admits a bimodule section, solved as one linear system.
-split: the inclusion admits a B-bimodule retraction, likewise one system.
+Hom_B(A, B) as an A-B-bimodule (Kasch, Math. Ann. 127, 1954), decided by the
+exact ``modules.is_isomorphic`` over A (x) B^op.  separable: A (x)_B A holds
+a separability idempotent (DeMeyer and Ingraham, Separable Algebras over
+Commutative Rings, LNM 181): one nullspace and one rank.  split: the
+inclusion admits a B-bimodule retraction, solved as one linear system.
 
 Semisimplicity of an extension quantifies over all modules and is not
 decided here; separable implies it.
@@ -13,19 +14,18 @@ decided here; separable implies it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .algebra import Extension, opposite, tensor_product
-from .linalg import PrimeMatrix, mulmod, solve
+from .algebra import Extension, column_span_basis, opposite, tensor_product
+from .linalg import PrimeMatrix, mulmod, nullspace, solve
 from .modules import (
     HomSpace,
-    IsoVerdict,
     ModuleRep,
     is_isomorphic,
     module_over_tensor,
     regular_module,
+    submodule,
     tensor_over_algebra,
 )
 
@@ -38,7 +38,6 @@ class ExtensionPredicates:
     separable: bool
     split: bool
     restriction_projective: bool
-    frobenius_iso: Optional[IsoVerdict]
 
 
 def restrict_to_sub(ext: Extension) -> ModuleRep:
@@ -56,25 +55,40 @@ def _restriction_projective(ext: Extension) -> bool:
     return is_projective(restrict_to_sub(ext))
 
 
-def _frobenius_iso(ext: Extension, seed: int, trials: int) -> IsoVerdict:
-    """A against Hom_B(A, B), compared over A (x) B^op."""
+def _frobenius_iso(ext: Extension) -> bool:
+    """A against Hom_B(A, B), compared over A (x) B^op.  A is the sum of the
+    A*e_P, e_P the sum of A's idempotents over a connected component of the
+    graph joining u and v when e_u*b*e_v != 0 for some b in B.  e_P commutes
+    with B, so right multiplication by it is an idempotent of End = C_A(B)^op;
+    ``is_isomorphic`` refuses where End is not basic elementary with them."""
     B, A = ext.sub, ext.amb
+    p, idem = A.field.p, A.idempotents
+    joined = [
+        [mulmod(mulmod(A.left_mult(eu), A.right_mult(ev), p), ext.embed.a, p).any() for ev in idem] for eu in idem
+    ]
+    blocks: list[set[int]] = []
+    for u in range(len(idem)):
+        touching = [blk for blk in blocks if any(joined[u][v] or joined[v][u] for v in blk)]
+        blocks = [blk for blk in blocks if blk not in touching] + [{u}.union(*touching)]
     e_alg = tensor_product(A, opposite(B))
-    # A as an A-B-bimodule
+    # A as an A-B-bimodule, and its summands A*e_P
     left_a = np.stack([A.left_mult(A.basis_vector(i)) for i in range(A.dim)])
     right_b = np.stack([A.right_mult(ext.embed.a[:, b]) for b in range(B.dim)])
     a_bimod = module_over_tensor(e_alg, A.dim, left_a, right_b)
+    e_p = [sum(idem[u] for u in blk) % p for blk in blocks]
+    summands = [submodule(a_bimod, column_span_basis(PrimeMatrix(A.field, A.right_mult(e))))[0] for e in e_p]
     # Hom_B(A, B) with (a.f.b)(x) = f(xa) b
-    restr = restrict_to_sub(ext)
-    h = HomSpace(restr, regular_module(B))
+    h = HomSpace(restrict_to_sub(ext), regular_module(B))
     left_on_h = np.stack([h.read(h.precompose(A.right_mult(A.basis_vector(i)))) for i in range(A.dim)])
     right_on_h = np.stack([h.read(h.postcompose(B.right_mult(B.basis_vector(b)))) for b in range(B.dim)])
     hom_bimod = module_over_tensor(e_alg, A.dim, left_on_h, right_on_h)
-    return is_isomorphic(a_bimod, hom_bimod, seed=seed, trials=trials)
+    return is_isomorphic(summands, hom_bimod)
 
 
 def _separable(ext: Extension) -> bool:
-    """Does the multiplication A (x)_B A -> A split as an A-A-bimodule map?"""
+    """Is there a separability idempotent: t in A (x)_B A with a*t = t*a for
+    every a and mu(t) = 1?  Such t are the images of 1 under the A-bimodule
+    sections of the multiplication mu, so one exists iff mu splits."""
     B, A = ext.sub, ext.amb
     p = A.field.p
     d = A.dim
@@ -82,32 +96,19 @@ def _separable(ext: Extension) -> bool:
     right_b = ModuleRep(
         opposite(B), np.stack([A.right_mult(ext.embed.a[:, b]) for b in range(B.dim)])
     )
-    left_b = restrict_to_sub(ext)
-    tens = tensor_over_algebra(right_b, left_b)
-    proj, sec = tens.proj, tens.sec
-    q = tens.dim
+    tens = tensor_over_algebra(right_b, restrict_to_sub(ext))
     eye = np.eye(d, dtype=np.int64)
-    mu_big = np.zeros((d, d * d), dtype=np.int64)
+    # t -> a*t - t*a on A (x)_B A, one block per basis element a
+    blocks = []
     for i in range(d):
-        for j in range(d):
-            mu_big[:, i * d + j] = A.mult[i, j]
-    mu_q = mulmod(mu_big, sec.a, p)
-    rows = []
-    rhs = []
-    for i in range(d):
-        la = A.left_mult(A.basis_vector(i))
-        ra = A.right_mult(A.basis_vector(i))
-        lq = mulmod(mulmod(proj.a, np.kron(la, eye), p), sec.a, p)
-        rq = mulmod(mulmod(proj.a, np.kron(eye, ra), p), sec.a, p)
-        rows.append((np.kron(np.eye(q, dtype=np.int64), la.T) - np.kron(lq, eye)) % p)
-        rhs.append(np.zeros(q * d, dtype=np.int64))
-        rows.append((np.kron(np.eye(q, dtype=np.int64), ra.T) - np.kron(rq, eye)) % p)
-        rhs.append(np.zeros(q * d, dtype=np.int64))
-    rows.append(np.kron(mu_q, eye) % p)
-    rhs.append(eye.reshape(-1))
-    big = PrimeMatrix(A.field, np.vstack(rows))
-    target = PrimeMatrix(A.field, np.concatenate(rhs).reshape(-1, 1))
-    return solve(big, target) is not None
+        x = A.basis_vector(i)
+        commutator = (np.kron(A.left_mult(x), eye) - np.kron(eye, A.right_mult(x))) % p
+        blocks.append(mulmod(mulmod(tens.proj.a, commutator, p), tens.sec.a, p))
+    central = nullspace(PrimeMatrix(A.field, np.vstack(blocks)))
+    # mu(x (x) y) = xy on A (x)_B A, then on its centralizing elements
+    mu = mulmod(A.mult.reshape(d * d, d).T, tens.sec.a, p)
+    image = PrimeMatrix(A.field, mulmod(mu, central.a, p))
+    return image.hstack(PrimeMatrix(A.field, A.unit.reshape(-1, 1))).rank() == image.rank()
 
 
 def _split(ext: Extension) -> bool:
@@ -134,17 +135,11 @@ def _split(ext: Extension) -> bool:
     return solve(big, target) is not None
 
 
-def extension_predicates(ext: Extension, seed: int = 0, trials: int = 24) -> ExtensionPredicates:
+def extension_predicates(ext: Extension) -> ExtensionPredicates:
     restr_proj = _restriction_projective(ext)
-    iso = None
-    frob = False
-    if restr_proj:
-        iso = _frobenius_iso(ext, seed, trials)
-        frob = iso.isomorphic
     return ExtensionPredicates(
-        frobenius=frob,
+        frobenius=restr_proj and _frobenius_iso(ext),
         separable=_separable(ext),
         split=_split(ext),
         restriction_projective=restr_proj,
-        frobenius_iso=iso,
     )

@@ -27,7 +27,7 @@ from .modules import (
     StandardSum,
     direct_sum,
     dualize,
-    endo_structure_constants,
+    endo_data,
     kernel,
     projective_cover,
     standard_modules,
@@ -440,7 +440,7 @@ def min_add_approximation(dm: DecomposedModule, x: ModuleRep) -> ApproxResult:
     h = HomSpace(m, x)
     if h.dim == 0:  # zero modules included
         return ApproxResult(Morphism(zero_module(m.algebra), x, field.zeros(x.dim, 0)), 0)
-    end, mult, coords = _endo_data(dm)
+    end, mult, coords = endo_data(dm.module, dm.inclusions, dm.projections)
     rad = radical(field, mult, list(coords[:, 1:].T))
     # Hom(m, x) o rad End(m), one read per radical basis element
     sub_cols = [h.read(h.precompose(end.from_coords(rad.a[:, s]).a)) for s in range(rad.cols)]
@@ -493,15 +493,6 @@ class EndoAlgebra:
     end_action: np.ndarray
 
 
-def _endo_data(dm: DecomposedModule) -> tuple[HomSpace, np.ndarray, np.ndarray]:
-    """Hom(m, m), End(m)'s structure constants, and the coordinates of the
-    unit followed by the idempotent of each summand (one column each)."""
-    m = dm.module
-    h = HomSpace(m, m)
-    idem = [(inc.map @ proj.map).a for inc, proj in zip(dm.inclusions, dm.projections)]
-    return h, endo_structure_constants(h), h.read(np.stack([np.eye(m.dim, dtype=np.int64)] + idem))
-
-
 def endomorphism_algebra(dm: DecomposedModule, seed: int = 0) -> EndoAlgebra:
     """End(m) of a decomposed module, checked to be basic and elementary.
 
@@ -514,9 +505,7 @@ def endomorphism_algebra(dm: DecomposedModule, seed: int = 0) -> EndoAlgebra:
     InputError.  ``seed`` is unused and kept for callers that pass one.
     """
     m = dm.module
-    if m.dim == 0:
-        raise InputError("endomorphism algebra of the zero module is not basic")
-    h, mult, coords = _endo_data(dm)
+    h, mult, coords = endo_data(m, dm.inclusions, dm.projections)
     algebra = Algebra(m.algebra.field, [f"f{t}" for t in range(h.dim)], mult, coords[:, 0], list(coords[:, 1:].T))
     return EndoAlgebra(algebra, h, h.maps())
 

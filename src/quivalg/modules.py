@@ -9,29 +9,28 @@ caller reads them.  Submodules read the moved copies of their basis from
 a sum, so a kernel out of a sum never touches the sum's zero blocks.
 All constructions (kernels, quotients, duals, covers, envelopes) produce
 explicit matrices with deterministic bases, so downstream invariants are
-bit-reproducible.
+bit-reproducible.  Isomorphism is decided exactly from End of a sum of
+summands and its radical (``is_isomorphic``); nothing here is randomized.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, column_span_basis, opposite
+from .algebra import Algebra, column_span_basis, opposite, radical
 from .errors import InputError
-from .linalg import PrimeMatrix, complement_projection, coordinates, mulmod, nullspace
+from .linalg import PrimeMatrix, complement_projection, coordinates, mulmod, nullspace, rref
 from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test reads modules.solve)
 
 __all__ = [
     "ModuleRep",
     "StandardSum",
     "Morphism",
-    "IsoVerdict",
     "StandardModules",
     "zero_module",
     "regular_module",
@@ -56,6 +55,7 @@ __all__ = [
     "enveloping_module",
     "module_over_tensor",
     "endo_structure_constants",
+    "endo_data",
 ]
 
 
@@ -552,50 +552,53 @@ def endo_structure_constants(hs: HomSpace) -> np.ndarray:
     return mult
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    """Result of the randomized isomorphism test ``is_isomorphic``.
-
-    No CLI verdict rests on it: the Frobenius-extension predicate is its
-    one caller in the engine, and tests use it as an independent check."""
-
-    isomorphic: bool
-    certified: bool  # exact verdict (dimension obstruction or explicit iso)
-    trials: int
-    seed: int
-    failure_bound: str  # probability bound when the negative is uncertified
-
-    def __bool__(self) -> bool:
-        return self.isomorphic
-
-
-def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 24) -> IsoVerdict:
-    """Randomized isomorphism test over a large prime field.
-
-    Searches for an invertible element among seeded random combinations of a
-    Hom(m, n) basis; a hit certifies isomorphism.  A miss after all trials is
-    declared non-isomorphic with failure probability at most (dim/p)^trials.
-    """
-    p = m.algebra.field.p
-    if m.dim != n.dim:
-        return IsoVerdict(False, True, 0, seed, "0")
+def endo_data(m: ModuleRep, incs: list[Morphism], projs: list[Morphism]) -> tuple[HomSpace, np.ndarray, np.ndarray]:
+    """Hom(m, m), End(m)'s structure constants, and the coordinates of the
+    unit followed by the idempotent of each summand (one column each), for m
+    the sum of summands with these inclusions and projections."""
     if m.dim == 0:
-        return IsoVerdict(True, True, 0, seed, "0")
-    h_mn = HomSpace(m, n)
-    h_nm = HomSpace(n, m)
-    if h_mn.dim != h_nm.dim or h_mn.dim == 0:
-        return IsoVerdict(False, True, 0, seed, "0")
-    rng = random.Random(seed)
-    for t in range(1, trials + 1):
-        coeffs = np.array([rng.randrange(p) for _ in range(h_mn.dim)], dtype=np.int64)
-        cand = h_mn.from_coords(coeffs)
-        if cand.is_invertible():
-            return IsoVerdict(True, True, t, seed, "0")
-    # isomorphic modules have Hom(m, n) of the same dimension as End(m),
-    # so a mismatch upgrades the negative to a certificate
-    if h_mn.dim != HomSpace(m, m).dim:
-        return IsoVerdict(False, True, trials, seed, "0")
-    return IsoVerdict(False, False, trials, seed, f"({m.dim}/{p})^{trials}")
+        raise InputError("endomorphism algebra of the zero module is not basic")
+    h = HomSpace(m, m)
+    idem = [(inc.map @ proj.map).a for inc, proj in zip(incs, projs)]
+    return h, endo_structure_constants(h), h.read(np.stack([np.eye(m.dim, dtype=np.int64)] + idem))
+
+
+def is_isomorphic(summands: list[ModuleRep], n: ModuleRep) -> bool:
+    """Is n isomorphic to the sum m of ``summands``?  Exact at every prime.
+
+    End(m) must be basic elementary with one idempotent e_i per summand, that
+    is the summands are pairwise non-isomorphic with local End of residue
+    field F_p; InputError otherwise.  With R = rad End(m) and H = Hom(m, n),
+    f_i is the first basis map of H*e_i outside H*R*e_i, and m is isomorphic
+    to n iff every f_i exists and f = sum f_i is invertible: an isomorphism
+    phi gives H = phi*End(m), and End(m)*e_i is spanned by e_i modulo R*e_i,
+    so each f_i = phi*u_i with u_i = c_i*e_i (c_i != 0) modulo R, and f =
+    phi*sum u_i with sum u_i a unit modulo R.
+    """
+    m, incs, projs = direct_sum(summands)
+    field, p, k = m.algebra.field, m.algebra.field.p, len(summands)
+    end, mult, coords = endo_data(m, incs, projs)
+    rad = radical(field, mult, list(coords[:, 1:].T))
+    if end.dim - rad.cols != k:
+        raise InputError("endomorphism algebra of the summands is not basic elementary")
+    if m.dim != n.dim:
+        return False
+    h = HomSpace(m, n)
+    # the idempotents e_i, then a basis of R, as endomorphisms of m
+    ends = mulmod(end.matrix.a, np.hstack([coords[:, 1:], rad.a]), p).T.reshape(-1, m.dim, m.dim)
+    f = np.zeros((n.dim, m.dim), dtype=np.int64)
+    for e in ends[:k]:
+        # r*e_i for each radical basis element r, then e_i, composed after H
+        g = np.concatenate([mulmod(ends[k:].reshape(-1, m.dim), e, p).reshape(-1, *e.shape), e[None]])
+        comp = h.precompose(g.transpose(1, 0, 2).reshape(m.dim, -1))
+        comp = comp.reshape(h.dim, n.dim, len(g), m.dim).transpose(2, 0, 1, 3)
+        # pivots past the H*R*e_i columns: maps of H*e_i outside H*R*e_i
+        _, _, pivots = rref(PrimeMatrix(field, h.read(comp.reshape(-1, n.dim, m.dim))))
+        outside = [c - rad.cols * h.dim for c in pivots if c >= rad.cols * h.dim]
+        if not outside:
+            return False
+        f = (f + comp[rad.cols, outside[0]]) % p
+    return PrimeMatrix(field, f).is_invertible()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,15 @@ def quiver(vertices, arrows, relations=(), bound=1):
     )
 
 
+def cyclic_nakayama(n, p):
+    """The self-injective cyclic Nakayama algebra with n vertices and
+    rad^2 = 0 over F_p, of dimension 2n."""
+    verts = tuple(str(i) for i in range(n))
+    arrows = tuple((f"a{i}", str(i), str((i + 1) % n)) for i in range(n))
+    relations = tuple(((1, (f"a{(i + 1) % n}", f"a{i}")),) for i in range(n))
+    return build_from_quiver(QuiverPresentation(verts, arrows, relations, 1), PrimeField(p))
+
+
 @pytest.fixture(scope="session")
 def K2():
     return quiver(("1",), (("x", "1", "1"),), (((1, ("x", "x")),),), 1)
@@ -82,18 +91,3 @@ def corpus_algebras(K2, K3, K4, KA2, KA3, AUS, GROUND, K2xK2, KA2xK2):
 @pytest.fixture(scope="session")
 def corpus_loaded():
     return {e.name: corpus.load_entry(e.name) for e in corpus.ENTRIES}
-
-
-@pytest.fixture
-def no_randomized_iso(monkeypatch):
-    """Make the randomized isomorphism search raise wherever the engine could
-    reach it, so a test shows that its verdicts are exact."""
-    import quivalg.homology
-    import quivalg.modules
-
-    def no_randomized_test(*args, **kwargs):
-        raise AssertionError("randomized isomorphism test used")
-
-    monkeypatch.setattr(quivalg.modules, "is_isomorphic", no_randomized_test)
-    # homology no longer imports the search; patch the name in case it returns
-    monkeypatch.setattr(quivalg.homology, "is_isomorphic", no_randomized_test, raising=False)

@@ -100,7 +100,7 @@ arrow a [1]
     from quivalg.modules import is_isomorphic, standard_modules
 
     p1 = standard_modules(loaded.algebra).projectives[0]
-    assert is_isomorphic(loaded.modules["N"], p1).isomorphic
+    assert is_isomorphic([p1], loaded.modules["N"])
 
 
 def test_quiver_module_violating_relations_rejected():

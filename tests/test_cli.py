@@ -196,6 +196,24 @@ def test_corpus_list(capsys):
     assert d["k2.dim"] == "2"
 
 
+def test_corpus_list_builds_no_algebra(capsys, monkeypatch):
+    # each dimension comes from the registry, which must agree with the
+    # built algebra; the hashes come from the parsed fixture text
+    for e in corpus.ENTRIES:
+        assert e.dim == corpus.load_entry(e.name).algebra.dim, e.name
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("corpus list built an algebra")
+
+    monkeypatch.setattr(catalog, "build_doc", refuse)
+    code, out, _ = run_cli(capsys, "corpus", "list")
+    assert code == 0
+    d = results_dict(out)
+    for e in corpus.ENTRIES:
+        assert d[f"{e.name}.dim"] == str(e.dim)
+        assert d[f"{e.name}.hash"] == catalog.parse(corpus.fixture_text(e.name)).content_hash()
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_corpus_run_at_small_primes(capsys, p):
     # p = 2 and 3 are below the dimension of most corpus algebras and of

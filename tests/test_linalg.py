@@ -455,7 +455,7 @@ def test_complement_projection_reduces_by_the_echelon_rows():
 # multiplies two PrimeMatrix values, so it runs through mulmod
 PRIME_MATRIX_PRODUCTS = {
     ("homology", "_projective_resolution", "inc_prev.map @ cov.morphism.map"),
-    ("homology", "_endo_data", "inc.map @ proj.map"),
+    ("modules", "endo_data", "inc.map @ proj.map"),
 }
 
 
@@ -493,6 +493,25 @@ def test_only_linalg_chooses_how_a_basis_is_read():
         and "Coordinates" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert calls == []
+
+
+def test_the_package_draws_no_random_numbers():
+    # every verdict is exact: no module imports random or reaches numpy's
+    # generators
+    found = []
+    for path in sorted((Path(__file__).parent.parent / "src" / "quivalg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {part for alias in node.names for part in alias.name.split(".")}
+            elif isinstance(node, ast.ImportFrom):
+                names = set((node.module or "").split(".")) | {alias.name for alias in node.names}
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            else:
+                continue
+            if names & {"random", "default_rng"}:
+                found.append((path.stem, node.lineno))
+    assert found == []
 
 
 def test_only_linalg_refuses_a_field():

@@ -35,7 +35,7 @@ from quivalg.modules import (
     zero_module,
 )
 
-from conftest import FIELD
+from conftest import FIELD, cyclic_nakayama
 
 
 def small_corpus_modules(alg, max_dim=10):
@@ -340,7 +340,7 @@ def test_cokernel_of_zero_map(K2):
     z = zero_module(K2)
     cok, proj = cokernel(Morphism(z, m, FIELD.zeros(m.dim, 0)))
     assert cok.dim == m.dim
-    assert is_isomorphic(cok, m).isomorphic
+    assert is_isomorphic([m], cok)
 
 
 def test_kernel_p1_to_s1_is_s2(KA2):
@@ -349,7 +349,7 @@ def test_kernel_p1_to_s1_is_s2(KA2):
     ker, inc = kernel(f)
     inc.check()
     assert ker.dim == 1
-    assert is_isomorphic(ker, std.simples[1]).isomorphic
+    assert is_isomorphic([std.simples[1]], ker)
 
 
 def test_image_composition(KA2):
@@ -401,7 +401,7 @@ def test_tensor_unit_law(K2):
     res = tensor_over_algebra(reg_op, std.simples[0], left=(K2, regular_module(K2).action))
     assert res.dim == 1
     res.module.check()
-    assert is_isomorphic(res.module, std.simples[0]).isomorphic
+    assert is_isomorphic([std.simples[0]], res.module)
 
 
 def test_tensor_dual_with_simple(K2):
@@ -457,7 +457,7 @@ def test_cover_of_simple_k2(K2):
     cov.morphism.check()
     assert cov.projective.dim == 2
     ker, _ = kernel(cov.morphism)
-    assert is_isomorphic(ker, std.simples[0]).isomorphic
+    assert is_isomorphic([std.simples[0]], ker)
 
 
 def test_cover_of_projective_is_iso(corpus_algebras):
@@ -539,32 +539,40 @@ def test_gen_cogen_matches_brute_force(K2, KA2, AUS):
 
 def test_iso_self(K2):
     m = standard_modules(K2).regular
-    v = is_isomorphic(m, m)
-    assert v.isomorphic and v.certified
+    assert is_isomorphic([m], m)
 
 
 def test_iso_different_simples(KA2):
     std = standard_modules(KA2)
-    v = is_isomorphic(std.simples[0], std.simples[1])
-    assert not v.isomorphic and v.certified
+    assert not is_isomorphic([std.simples[0]], std.simples[1])
 
 
 def test_k2_self_dual(K2):
     std = standard_modules(K2)
-    assert is_isomorphic(std.coregular, std.regular).isomorphic
+    assert is_isomorphic(std.injectives, std.regular)
 
 
-def test_iso_reproducible(K2):
-    std = standard_modules(K2)
-    a = is_isomorphic(std.coregular, std.regular, seed=5)
-    b = is_isomorphic(std.coregular, std.regular, seed=5)
-    assert a == b
-
-
-def test_iso_records_failure_bound(KA2):
+def test_iso_dimension_mismatch(KA2):
     std = standard_modules(KA2)
     p1 = std.projectives[0]
     i1 = std.injectives[0]
-    # dims differ: certified negative
-    v = is_isomorphic(p1, i1)
-    assert not v.isomorphic and v.certified
+    # the dimensions differ
+    assert not is_isomorphic([p1], i1)
+
+
+def test_iso_refuses_summands_that_are_not_basic(K2):
+    s = standard_modules(K2).simples[0]
+    twice, _, _ = direct_sum([s, s])
+    with pytest.raises(InputError, match="not basic"):
+        is_isomorphic([s, s], twice)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [6, 9])
+def test_iso_is_exact_at_small_primes(n, p):
+    # the cyclic Nakayama algebra with rad^2 = 0 is self-injective, so
+    # D(A) = A; a random map D(A) -> A is invertible with probability about
+    # (1 - 1/p)^n, which a search over random maps misses at p = 2 and 3
+    std = standard_modules(cyclic_nakayama(n, p))
+    assert is_isomorphic(std.injectives, std.regular)
+    assert is_isomorphic(std.projectives, std.coregular)

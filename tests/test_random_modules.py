@@ -49,7 +49,7 @@ def random_modules(alg, rng, count=6, max_dim=8):
     return out
 
 
-def test_random_module_properties(no_randomized_iso, corpus_algebras):
+def test_random_module_properties(corpus_algebras):
     rng = random.Random(20240808)
     for name, alg in corpus_algebras.items():
         std = standard_modules(alg)
