@@ -79,7 +79,6 @@ class Algebra:
         mult: np.ndarray,
         unit: np.ndarray,
         idempotents: list[np.ndarray],
-        presentation: Optional[QuiverPresentation] = None,
         basis_path_lengths: Optional[list[int]] = None,
         validate: bool = True,
     ):
@@ -89,7 +88,6 @@ class Algebra:
         self.mult = np.asarray(mult, dtype=np.int64) % field.p
         self.unit = np.asarray(unit, dtype=np.int64) % field.p
         self.idempotents = [np.asarray(e, dtype=np.int64) % field.p for e in idempotents]
-        self.presentation = presentation
         self.basis_path_lengths = list(basis_path_lengths) if basis_path_lengths is not None else None
         self.basis_paths: Optional[list[tuple]] = None  # set by build_from_quiver
         self.memo: dict = {}  # before _validate, which calls radical()
@@ -374,7 +372,6 @@ def build_from_quiver(pres: QuiverPresentation, field: PrimeField) -> Algebra:
         mult,
         unit,
         idem,
-        presentation=pres,
         basis_path_lengths=lengths_out,
     )
     alg.basis_paths = basis_paths
@@ -408,7 +405,6 @@ def opposite(a: Algebra) -> Algebra:
         np.transpose(a.mult, (1, 0, 2)).copy(),
         a.unit.copy(),
         [e.copy() for e in a.idempotents],
-        presentation=None,
         basis_path_lengths=a.basis_path_lengths,
         validate=False,
     )
@@ -420,7 +416,9 @@ def opposite(a: Algebra) -> Algebra:
 
 
 def tensor_product(a: Algebra, b: Algebra) -> Algebra:
-    """A (x) B with basis pairs ordered (a-index outer, b-index inner)."""
+    """A (x) B with basis pairs ordered (a-index outer, b-index inner); not
+    validated, since the product of two basic elementary algebras is one (rad
+    A (x) B + A (x) rad B is nilpotent with quotient F_p^(n*m))."""
     if a.field != b.field:
         raise InputError("tensor factors over different fields")
     p = a.field.p
@@ -437,7 +435,7 @@ def tensor_product(a: Algebra, b: Algebra) -> Algebra:
     lengths = None
     if a.basis_path_lengths is not None and b.basis_path_lengths is not None:
         lengths = [la + lb for la in a.basis_path_lengths for lb in b.basis_path_lengths]
-    return Algebra(a.field, labels, mult, unit, idem, basis_path_lengths=lengths)
+    return Algebra(a.field, labels, mult, unit, idem, basis_path_lengths=lengths, validate=False)
 
 
 def enveloping(a: Algebra) -> Algebra:
@@ -463,12 +461,12 @@ def radical(field: PrimeField, mult: np.ndarray, idempotents: list[np.ndarray]) 
     residue field F_p.
 
     If it is, x = c*e_u + n (n nilpotent) has x^q = c*e_u for every power q
-    of p at least the corner's dimension (the least one at least the number
-    of coordinates the corners use is taken).  So the residue map l_u is
-    read from x^q on elements spanning the corner, and it is certified by the
-    nilpotency of the span K of the x - l_u(x)*e_u: then K is the corner's
-    radical, of codimension one.  l(x) = sum_u l_u(e_u*x*e_u) vanishes on
-    rad A (Assem, Simson and Skowronski, Elements 1, I.4) and is the reduced
+    of p at least the corner's dimension (the least one at least the largest
+    corner's dimension is taken).  So the residue map l_u is read from x^q on
+    a basis of the corner, and it is certified by the nilpotency of the span
+    K of the x - l_u(x)*e_u: then K is the corner's radical, of codimension
+    one.  l(x) = sum_u l_u(e_u*x*e_u) vanishes on rad A (Assem, Simson and
+    Skowronski, Elements 1, I.4) and is the reduced
     trace on A/rad A, whose form l(xy) is nondegenerate in every
     characteristic (Curtis and Reiner, Methods of Representation Theory I),
     so rad A is the nullspace of the Gram matrix l(b_a*b_b).
@@ -478,10 +476,13 @@ def radical(field: PrimeField, mult: np.ndarray, idempotents: list[np.ndarray]) 
     left = mulmod(idem, flat, p).reshape(-1, d, d)  # [u, j] = e_u*b_j
     right = mulmod(idem, mult.transpose(1, 0, 2).reshape(d, d * d), p).reshape(-1, d, d)  # [u, j] = b_j*e_u
     corners = mulmod(left, right, p)  # [u, j] = e_u*b_j*e_u
-    owner, of = np.nonzero(corners.any(axis=2))
-    x, e = corners[owner, of], idem[owner]  # the nonzero ones, each with its e_u
-    # a corner has at most as many dimensions as coordinates its elements use
-    q, longest = 1, int(corners.any(axis=1).sum(axis=1).max())
+    # a basis x of each corner, and each e_u*b_j*e_u in it: read on the
+    # pivots, where the reduced rows are the identity
+    bases = [rref(PrimeMatrix(field, corner)) for corner in corners]
+    owner = np.repeat(np.arange(len(bases)), [rank for _, rank, _ in bases])
+    x, e = np.concatenate([red.a[:rank] for red, rank, _ in bases]), idem[owner]
+    coords = np.hstack([corner[:, pivots] for corner, (_, _, pivots) in zip(corners, bases)])
+    q, longest = 1, max(rank for _, rank, _ in bases)
     while q < longest:
         q *= p
     at = np.argmax(idem != 0, axis=1)[owner]  # a coordinate where e_u is nonzero
@@ -517,9 +518,8 @@ def radical(field: PrimeField, mult: np.ndarray, idempotents: list[np.ndarray]) 
         raise InputError(
             f"algebra is not basic elementary: the corner of idempotent {u} is not local with residue field F_{p}"
         )
-    trace = np.zeros(d, dtype=np.int64)
-    np.add.at(trace, of, residue)  # l(b_j) = sum_u l_u(e_u*b_j*e_u)
-    gram = mulmod(flat.reshape(d * d, d), trace % p, p).reshape(d, d)
+    trace = mulmod(coords, residue, p)  # l(b_j) = sum_u l_u(e_u*b_j*e_u)
+    gram = mulmod(flat.reshape(d * d, d), trace, p).reshape(d, d)
     return nullspace(PrimeMatrix(field, gram))
 
 

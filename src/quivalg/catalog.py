@@ -23,18 +23,22 @@ import numpy as np
 
 from .algebra import Algebra, QuiverPresentation, build_from_quiver
 from .errors import InputError
-from .homology import DecomposedModule, minimal_gen_cogen
+from .homology import minimal_gen_cogen
 from .linalg import PrimeField, mulmod
-from .modules import ModuleRep, standard_modules
+from .modules import DirectSum, ModuleRep, standard_modules
 
 __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "ENGINE_VERSION",
+    "ModuleDoc",
     "AlgebraDoc",
+    "ParseError",
     "parse",
     "serialize",
+    "doc_from_algebra",
     "LoadedAlgebra",
+    "build_doc",
     "load",
     "named_modules",
     "resolve_expression",
@@ -534,7 +538,7 @@ def named_modules(loaded: LoadedAlgebra) -> dict[str, list[ModuleRep]]:
     return names
 
 
-def resolve_expression(loaded: LoadedAlgebra, expr: str) -> DecomposedModule:
+def resolve_expression(loaded: LoadedAlgebra, expr: str) -> DirectSum:
     """A '+'-separated sum of named modules, for example 'regular+S'."""
     expr = expr.strip()
     if "=" in expr:
@@ -551,7 +555,7 @@ def resolve_expression(loaded: LoadedAlgebra, expr: str) -> DecomposedModule:
         summands.extend(table[token])
     if not summands:
         raise InputError("module expression resolves to nothing")
-    return DecomposedModule.from_summands(summands)
+    return DirectSum(loaded.algebra, summands)
 
 
 # ---------------------------------------------------------------------------

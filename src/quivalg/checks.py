@@ -31,7 +31,6 @@ import numpy as np
 from .algebra import Algebra, column_span_basis, enveloping, tensor_product
 from .errors import BudgetError, InputError, InternalCheckError
 from .homology import (
-    DecomposedModule,
     DomDimEvidence,
     ExtTable,
     dominant_dimension,
@@ -45,8 +44,8 @@ from .homology import (
 )
 from .linalg import PrimeMatrix, coordinates, mulmod
 from .modules import (
+    DirectSum,
     ModuleRep,
-    direct_sum,
     dualize,
     enveloping_module,
     regular_module,
@@ -309,13 +308,13 @@ def bar_ext_oracle(
 # Mueller correspondence
 
 
-def muller_check(lam: Algebra, dm: DecomposedModule, cutoff: int) -> CheckReport:
+def muller_check(lam: Algebra, dm: DirectSum, cutoff: int) -> CheckReport:
     """Dominant dimension of End(m) against the first self-extension degree."""
-    if not gen_cogen(dm.module):
+    if not gen_cogen(dm):
         raise InputError("muller check needs a generator-cogenerator")
-    inputs = {"algebra": lam.content_hash()[:16], "module": dm.module.content_hash()[:16]}
+    inputs = {"algebra": lam.content_hash()[:16], "module": dm.content_hash()[:16]}
     endo = endomorphism_algebra(dm)
-    table = ext_dims(dm.module, dm.module, max(cutoff - 2, 1))
+    table = ext_dims(dm, dm, max(cutoff - 2, 1))
     e = None
     for i in range(1, max(cutoff - 2, 0) + 1):
         if table.dims[i]:
@@ -340,7 +339,7 @@ def muller_check(lam: Algebra, dm: DecomposedModule, cutoff: int) -> CheckReport
 # coresolution identity)
 
 
-def wg_lemma_check(lam: Algebra, dm: DecomposedModule, cutoff: int) -> CheckReport:
+def wg_lemma_check(lam: Algebra, dm: DirectSum, cutoff: int) -> CheckReport:
     """Compare dim Ext^n_B(D(B), B) with dim Ext^n_Lam(nu(m), m) degreewise,
     for B = End(m); also evaluate the orthogonality biconditional at the
     cutoff.
@@ -351,20 +350,20 @@ def wg_lemma_check(lam: Algebra, dm: DecomposedModule, cutoff: int) -> CheckRepo
     defect: for m = regular+S over k[x]/(x^2) the left side vanishes above
     the global dimension 2 of B while the right side stays 1 in every
     positive degree.  The biconditional is expected to agree either way."""
-    if not gen_cogen(dm.module):
+    if not gen_cogen(dm):
         raise InputError("check needs a generator-cogenerator")
-    inputs = {"algebra": lam.content_hash()[:16], "module": dm.module.content_hash()[:16]}
+    inputs = {"algebra": lam.content_hash()[:16], "module": dm.content_hash()[:16]}
     endo = endomorphism_algebra(dm)
     b = endo.algebra
     std_b = standard_modules(b)
     lhs = ext_dims(std_b.coregular, std_b.regular, cutoff).dims
-    nu_m = nakayama(dm.module).module
-    rhs = ext_dims(nu_m, dm.module, cutoff).dims
+    nu_m = nakayama(dm).module
+    rhs = ext_dims(nu_m, dm, cutoff).dims
     mismatch = next((i for i in range(cutoff + 1) if lhs[i] != rhs[i]), None)
     # statement-level biconditional at the cutoff
     dd = dominant_dimension(b, cutoff)
     left_side = dd.at_least(cutoff) and all(x == 0 for x in lhs[1:])
-    ext_mm = ext_dims(dm.module, dm.module, cutoff).dims
+    ext_mm = ext_dims(dm, dm, cutoff).dims
     ext_num = rhs
     right_side = all(x == 0 for x in ext_mm[1:]) and all(x == 0 for x in ext_num[1:])
     witness = {
@@ -393,7 +392,7 @@ def remark32_check(b: Algebra, cutoff: int, budget: int = DEFAULT_BUDGET) -> Che
         )
     inputs = {"algebra": b.content_hash()[:16]}
     std = standard_modules(b)
-    both, _, _ = direct_sum([std.regular, std.coregular])
+    both = DirectSum(b, [std.regular, std.coregular])
     seq1 = ext_dims(both, both, cutoff).dims
     seq2 = ext_dims(std.coregular, std.regular, cutoff).dims
     env = enveloping(b)
@@ -550,7 +549,7 @@ def thick_shadow_check(
             if e_uv or e_vu:
                 failures.append(f"ext1({uname},{vname})={e_uv};ext1({vname},{uname})={e_vu}")
                 continue
-            both, _, _ = direct_sum([u, v])
+            both = DirectSum(a, [u, v])
             lhs = ext_dims(both, both, 1).dims[1]
             rhs = ext_dims(u, u, 1).dims[1] + ext_dims(v, v, 1).dims[1]
             if lhs != rhs:

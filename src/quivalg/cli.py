@@ -43,7 +43,6 @@ from .checks import (
 )
 from .errors import BudgetError, InputError, UnsupportedFieldError
 from .homology import (
-    DecomposedModule,
     dominant_dimension,
     endomorphism_algebra,
     ext_dims,
@@ -53,7 +52,7 @@ from .homology import (
     nakayama,
     self_orthogonal,
 )
-from .modules import standard_modules
+from .modules import DirectSum, standard_modules
 
 Rows = list[tuple[str, str]]
 
@@ -102,7 +101,7 @@ def _header(args, command: str, p: int, input_hash: str) -> Rows:
     ]
 
 
-def _module(args, dest: str = "module") -> DecomposedModule:
+def _module(args, dest: str = "module") -> DirectSum:
     """The module expression in argument ``dest``, over ``args.algebra``."""
     expr = getattr(args, dest)
     if expr is None:
@@ -134,7 +133,7 @@ def _domdim(args) -> tuple[Rows, int]:
 
 
 def _ext(args) -> tuple[Rows, int]:
-    table = ext_dims(_module(args).module, _module(args, "module2").module, args.cutoff)
+    table = ext_dims(_module(args), _module(args, "module2"), args.cutoff)
     return [
         ("source", args.module),
         ("target", args.module2),
@@ -143,7 +142,7 @@ def _ext(args) -> tuple[Rows, int]:
 
 
 def _selforth(args) -> tuple[Rows, int]:
-    rep = self_orthogonal(_module(args).module, args.cutoff)
+    rep = self_orthogonal(_module(args), args.cutoff)
     first = rep.first_nonzero_degree
     return [
         ("module", args.module),
@@ -154,12 +153,12 @@ def _selforth(args) -> tuple[Rows, int]:
 
 
 def _gencogen(args) -> tuple[Rows, int]:
-    flag = gen_cogen(_module(args).module)
+    flag = gen_cogen(_module(args))
     return [("module", args.module), ("generator_cogenerator", str(flag).lower())], 0
 
 
 def _nakayama(args) -> tuple[Rows, int]:
-    m = _module(args).module
+    m = _module(args)
     nk = nakayama(m)
     # nakayama raises unless its natural map between the routes is an iso
     return [
@@ -181,7 +180,7 @@ def _endo(args) -> tuple[Rows, int]:
 
 
 def _approx(args) -> tuple[Rows, int]:
-    ap = min_add_approximation(_module(args), _module(args, "target").module)
+    ap = min_add_approximation(_module(args), _module(args, "target"))
     return [
         ("module", args.module),
         ("target", args.target),
@@ -202,13 +201,13 @@ def _thick_shadow(args) -> CheckReport:
     for nm in (x.strip() for x in (args.modules or "regular").split(",")):
         if nm not in named:
             raise InputError(f"unknown module name {nm!r}")
-        mods.append((nm, catalog.resolve_expression(args.algebra, nm).module))
+        mods.append((nm, catalog.resolve_expression(args.algebra, nm)))
     return thick_shadow_check(args.algebra.algebra, mods, args.cutoff)
 
 
 def _bar_oracle(args) -> CheckReport:
-    m = _module(args).module
-    n = catalog.resolve_expression(args.algebra, args.module2 or args.module).module
+    m = _module(args)
+    n = catalog.resolve_expression(args.algebra, args.module2 or args.module)
     oracle = bar_ext_oracle(m, n, args.cutoff, budget=args.budget_dim)
     minimal = ext_dims(m, n, args.cutoff)
     return CheckReport(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 from . import catalog
 from .checks import (
@@ -258,7 +258,6 @@ def run_entry_checks(
     cutoff: int,
     seed: int = 0,
     field_override: Optional[int] = None,
-    loader: Optional[Callable[[str], catalog.LoadedAlgebra]] = None,
 ) -> list[tuple[str, str]]:
     """Run every applicable check for one corpus entry.
 
@@ -266,8 +265,7 @@ def run_entry_checks(
     compared against the registry's expected column by the caller.  Every
     check is exact; ``seed`` is unused and kept for callers that pass one.
     """
-    loader = loader or (lambda name: load_entry(name, field_override))
-    loaded = loader(entry.name)
+    loaded = load_entry(entry.name, field_override)
     a = loaded.algebra
     out: list[tuple[str, str]] = []
     out.append(("domdim", str(dominant_dimension(a, cutoff))))
@@ -275,11 +273,11 @@ def run_entry_checks(
     out.append(("nc-scan", nc_evidence_scan(a, cutoff).verdict))
     out.append(("remark32", remark32_check(a, cutoff).verdict))
     if entry.tensor_factors is not None:
-        fa = loader(entry.tensor_factors[0]).algebra
-        fb = loader(entry.tensor_factors[1]).algebra
+        fa = load_entry(entry.tensor_factors[0], field_override).algebra
+        fb = load_entry(entry.tensor_factors[1], field_override).algebra
         out.append(("kunneth", kunneth_check(fa, fb, cutoff).verdict))
     thick_mods = [
-        (nm, catalog.resolve_expression(loaded, nm).module) for nm in entry.thick_names
+        (nm, catalog.resolve_expression(loaded, nm)) for nm in entry.thick_names
     ]
     out.append(("thick-shadow", thick_shadow_check(a, thick_mods, cutoff).verdict))
     out.append(("bar-oracle", _bar_sweep(loaded)))

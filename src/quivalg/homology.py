@@ -1,13 +1,14 @@
 """Resolutions, Ext groups, dominant dimension, Nakayama functor.
 
 Minimal resolutions iterate projective covers (injective coresolutions go
-through the dual); every term is a ``StandardSum`` given by its vertex list,
-and Ext, projective dimension and dominant dimension read the vertex lists
-and the maps, never a term's action.  Ext dimensions are cohomology ranks
-of the induced hom complex.  Dominant dimension is reported as evidence: an
-exact value below the cutoff, an at-least-cutoff marker, or infinity
-certified by self-injectivity.  Truncation is never silently treated as a
-final answer.
+through the dual); every term is a ``DirectSum`` of P(v) or I(v) over its
+vertex list, and Ext, projective dimension and dominant dimension read the
+vertex lists and the maps, never a term's action.  End algebras and
+approximations take a ``DirectSum``, one idempotent per summand.  Ext
+dimensions are cohomology ranks of the induced hom complex.  Dominant
+dimension is reported as evidence: an exact value below the cutoff, an
+at-least-cutoff marker, or infinity certified by self-injectivity.
+Truncation is never silently treated as a final answer.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from .algebra import Algebra, opposite, radical
 from .errors import InputError, InternalCheckError
 from .linalg import PrimeMatrix, coordinates, mulmod, rref
 from .modules import (
+    DirectSum,
     HomSpace,
     ModuleRep,
     Morphism,
-    StandardSum,
-    direct_sum,
     dualize,
     endo_data,
     kernel,
@@ -41,14 +41,16 @@ __all__ = [
     "ExtTable",
     "DimBound",
     "DomDimEvidence",
-    "DecomposedModule",
     "NakayamaResult",
+    "SelfOrthReport",
     "ApproxResult",
     "EndoAlgebra",
     "minimal_resolution",
     "ext_dims",
     "pd_bounded",
     "id_bounded",
+    "is_projective",
+    "is_injective",
     "dominant_dimension",
     "nakayama",
     "self_orthogonal",
@@ -134,7 +136,7 @@ class DomDimEvidence:
 
 
 def minimal_resolution(m: ModuleRep, kind: str, depth: int) -> Resolution:
-    """The minimal resolution of m to ``depth``, every term a ``StandardSum``.
+    """The minimal resolution of m to ``depth``, every term a ``DirectSum``.
 
     The deepest one computed is memoized in ``m.memo["resolutions"]`` without
     any reference to m (the first map is kept as its bare matrix), so a
@@ -151,7 +153,7 @@ def minimal_resolution(m: ModuleRep, kind: str, depth: int) -> Resolution:
         else:
             pres = _projective_resolution(dualize(m), depth)
             injectives = standard_modules(m.algebra).injectives
-            terms = [StandardSum(m.algebra, injectives, s) for s in pres.term_summands]
+            terms = [DirectSum(m.algebra, [injectives[v] for v in s]) for s in pres.term_summands]
             maps = [Morphism(m, terms[0], pres.maps[0].map.transpose())]
             for i in range(1, len(pres.maps)):
                 maps.append(Morphism(terms[i - 1], terms[i], pres.maps[i].map.transpose()))
@@ -426,21 +428,20 @@ class ApproxResult:
     copies: int
 
 
-def min_add_approximation(dm: DecomposedModule, x: ModuleRep) -> ApproxResult:
+def min_add_approximation(m: DirectSum, x: ModuleRep) -> ApproxResult:
     """Minimal right add(m)-approximation of x by copies of the whole of m.
 
     The number of copies is the dimension of Hom(m, x) modulo precomposition
     with rad End(m); representatives of a basis of that quotient assemble
     the map, and surjectivity of Hom(m, -) onto Hom(m, x) is verified.
-    rad End(m) is read at any prime with one idempotent per summand of ``dm``,
-    so each summand needs a local End with residue field F_p (InputError).
+    rad End(m) is read at any prime with one idempotent per summand of m, so
+    each summand needs a local End with residue field F_p (InputError).
     """
-    m = dm.module
     field = m.algebra.field
     h = HomSpace(m, x)
     if h.dim == 0:  # zero modules included
         return ApproxResult(Morphism(zero_module(m.algebra), x, field.zeros(x.dim, 0)), 0)
-    end, mult, coords = endo_data(dm.module, dm.inclusions, dm.projections)
+    end, mult, coords = endo_data(m)
     rad = radical(field, mult, list(coords[:, 1:].T))
     # Hom(m, x) o rad End(m), one read per radical basis element
     sub_cols = [h.read(h.precompose(end.from_coords(rad.a[:, s]).a)) for s in range(rad.cols)]
@@ -453,9 +454,8 @@ def min_add_approximation(dm: DecomposedModule, x: ModuleRep) -> ApproxResult:
     if copies != h.dim - sub_rank:
         raise InternalCheckError("approximation quotient dimension mismatch")
     reps = [h.basis_map(j) for j in rep_indices]
-    big, _, _ = direct_sum([m] * copies)
     mat = PrimeMatrix(field, np.hstack([r.a for r in reps]))
-    phi = Morphism(big, x, mat)
+    phi = Morphism(DirectSum(m.algebra, [m] * copies), x, mat)
     # surjectivity of Hom(m, phi): composites rep_j o e span Hom(m, x)
     span = PrimeMatrix(field, np.hstack([h.read(end.postcompose(r.a)) for r in reps]))
     if span.rank() != h.dim:
@@ -468,22 +468,6 @@ def min_add_approximation(dm: DecomposedModule, x: ModuleRep) -> ApproxResult:
 
 
 @dataclass
-class DecomposedModule:
-    """A module with a chosen direct sum decomposition into summands whose
-    endomorphism algebras are local (checked by ``endomorphism_algebra``)."""
-
-    module: ModuleRep
-    summands: list[ModuleRep]
-    inclusions: list[Morphism]
-    projections: list[Morphism]
-
-    @staticmethod
-    def from_summands(mods: list[ModuleRep]) -> "DecomposedModule":
-        big, incs, projs = direct_sum(mods)
-        return DecomposedModule(big, mods, incs, projs)
-
-
-@dataclass
 class EndoAlgebra:
     """End(m) with multiplication f*g = f o g, plus the bimodule action of
     the endomorphisms on m (end_action[t] is the matrix of basis element t)."""
@@ -493,8 +477,8 @@ class EndoAlgebra:
     end_action: np.ndarray
 
 
-def endomorphism_algebra(dm: DecomposedModule, seed: int = 0) -> EndoAlgebra:
-    """End(m) of a decomposed module, checked to be basic and elementary.
+def endomorphism_algebra(m: DirectSum, seed: int = 0) -> EndoAlgebra:
+    """End(m) of a sum of summands, checked to be basic and elementary.
 
     With one idempotent per summand, End(m) is basic and elementary exactly
     when every summand has a local End with residue field F_p and dim
@@ -504,13 +488,12 @@ def endomorphism_algebra(dm: DecomposedModule, seed: int = 0) -> EndoAlgebra:
     validation decides both at every prime and refuses any other End with an
     InputError.  ``seed`` is unused and kept for callers that pass one.
     """
-    m = dm.module
-    h, mult, coords = endo_data(m, dm.inclusions, dm.projections)
+    h, mult, coords = endo_data(m)
     algebra = Algebra(m.algebra.field, [f"f{t}" for t in range(h.dim)], mult, coords[:, 0], list(coords[:, 1:].T))
     return EndoAlgebra(algebra, h, h.maps())
 
 
-def minimal_gen_cogen(a: Algebra, seed: int = 0) -> DecomposedModule:
+def minimal_gen_cogen(a: Algebra, seed: int = 0) -> DirectSum:
     """The generator-cogenerator with one copy of each P(i) and each I(j)
     not already isomorphic to an included summand.
 
@@ -521,4 +504,4 @@ def minimal_gen_cogen(a: Algebra, seed: int = 0) -> DecomposedModule:
     std = standard_modules(a)
     summands = list(std.projectives)
     summands.extend(inj for inj in std.injectives if not is_projective(inj))
-    return DecomposedModule.from_summands(summands)
+    return DirectSum(a, summands)

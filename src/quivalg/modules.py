@@ -1,12 +1,13 @@
 """Finite-dimensional left modules and their morphisms.
 
 A ModuleRep stores one dim x dim action matrix per algebra basis element.
-A ``StandardSum`` is a direct sum of standard modules (P(v) or I(v)) given
-by its vertex list: projective covers, injective envelopes and resolution
-terms are kept that way, and its action matrices are built only when some
-caller reads them.  Submodules read the moved copies of their basis from
-``ModuleRep.moved``, one product for a dense module and one per vertex for
-a sum, so a kernel out of a sum never touches the sum's zero blocks.
+A ``DirectSum`` is a direct sum kept as its list of summands: projective
+covers, injective envelopes, resolution terms and every named sum are kept
+that way, and its action matrices are built only when some caller reads
+them.  Submodules read the moved copies of their basis from
+``ModuleRep.moved``, one product for a dense module and one per distinct
+summand for a sum, so a kernel out of a sum never touches the sum's zero
+blocks.
 All constructions (kernels, quotients, duals, covers, envelopes) produce
 explicit matrices with deterministic bases, so downstream invariants are
 bit-reproducible.  Isomorphism is decided exactly from End of a sum of
@@ -29,19 +30,20 @@ from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test r
 
 __all__ = [
     "ModuleRep",
-    "StandardSum",
+    "DirectSum",
     "Morphism",
     "StandardModules",
     "zero_module",
     "regular_module",
-    "direct_sum",
     "submodule",
     "quotient_module",
+    "HomSpace",
     "kernel",
     "image",
     "cokernel",
     "dualize",
     "standard_modules",
+    "Cover",
     "rad_module",
     "top",
     "soc",
@@ -125,33 +127,41 @@ class ModuleRep:
         return f"ModuleRep(dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
 
-class StandardSum(ModuleRep):
-    """Direct sum of standard modules given by its vertex list: summand s is
-    ``blocks[vertices[s]]``, with ``blocks`` the P(v) or the I(v) of the
-    algebra.  ``action`` is built when first read and equals the action of
-    ``direct_sum`` of the summands, byte for byte."""
+class DirectSum(ModuleRep):
+    """Direct sum of ``summands``, kept as the list: summand s has the
+    coordinates ``offsets[s]`` to ``offsets[s + 1]``.  ``action``, the block
+    action, is built when first read."""
 
-    def __init__(self, algebra: Algebra, blocks: list[ModuleRep], vertices: list[int]):
+    def __init__(self, algebra: Algebra, summands: list[ModuleRep]):
+        for m in summands:
+            if m.algebra is not algebra and m.algebra.content_hash() != algebra.content_hash():
+                raise InputError("direct sum of modules over different algebras")
         self.algebra = algebra
-        self.blocks = blocks
-        self.vertices = list(vertices)
-        self.offsets = np.cumsum([0] + [blocks[v].dim for v in self.vertices])
+        self.summands = list(summands)
+        self.offsets = np.cumsum([0] + [m.dim for m in self.summands])
         self.dim = int(self.offsets[-1])
         self.memo: dict = {}
 
     @functools.cached_property
     def action(self) -> np.ndarray:
-        return _block_action(self.algebra, [self.blocks[v] for v in self.vertices])
+        offs = self.offsets
+        action = np.zeros((self.algebra.dim, self.dim, self.dim), dtype=np.int64)
+        for s, m in enumerate(self.summands):
+            action[:, offs[s] : offs[s + 1], offs[s] : offs[s + 1]] = m.action
+        return action
 
     def moved(self, basis: np.ndarray) -> np.ndarray:
-        """As ``ModuleRep.moved``, with one product per vertex v: the stacked
-        action of blocks[v] times the rows of basis on every summand at v,
-        placed side by side."""
+        """As ``ModuleRep.moved``, with one product per distinct summand
+        object: its stacked action times the rows of basis on every slot it
+        fills, placed side by side."""
         d, k = self.algebra.dim, basis.shape[1]
         out = np.empty((self.dim, d, k), dtype=np.int64)
-        for v in dict.fromkeys(self.vertices):
-            block = self.blocks[v]
-            slots = [s for s, w in enumerate(self.vertices) if w == v]
+        slots_of: dict[int, list[int]] = {}
+        for s, m in enumerate(self.summands):
+            if m.dim:
+                slots_of.setdefault(id(m), []).append(s)
+        for slots in slots_of.values():
+            block = self.summands[slots[0]]
             rows = np.concatenate([np.arange(self.offsets[s], self.offsets[s + 1]) for s in slots])
             side = basis[rows].reshape(len(slots), block.dim, k).transpose(1, 0, 2).reshape(block.dim, -1)
             prod = mulmod(block.action.reshape(d * block.dim, block.dim), side, self.algebra.field.p)
@@ -200,34 +210,6 @@ def zero_module(algebra: Algebra) -> ModuleRep:
 
 def regular_module(algebra: Algebra) -> ModuleRep:
     return ModuleRep(algebra, algebra.regular_action())
-
-
-def _block_action(alg: Algebra, mods: list[ModuleRep]) -> np.ndarray:
-    """The block-diagonal action of the direct sum of mods."""
-    offs = np.cumsum([0] + [m.dim for m in mods])
-    action = np.zeros((alg.dim, offs[-1], offs[-1]), dtype=np.int64)
-    for t, m in enumerate(mods):
-        action[:, offs[t] : offs[t + 1], offs[t] : offs[t + 1]] = m.action
-    return action
-
-
-def direct_sum(mods: list[ModuleRep]) -> tuple[ModuleRep, list[Morphism], list[Morphism]]:
-    """Block sum with the canonical inclusions and projections."""
-    if not mods:
-        raise InputError("direct sum of an empty list needs an algebra; use zero_module")
-    alg = mods[0].algebra
-    for m in mods:
-        if m.algebra is not alg and m.algebra.content_hash() != alg.content_hash():
-            raise InputError("direct sum of modules over different algebras")
-    big = ModuleRep(alg, _block_action(alg, mods))
-    offs = np.cumsum([0] + [m.dim for m in mods])
-    incs, projs = [], []
-    for t, m in enumerate(mods):
-        inc = np.zeros((big.dim, m.dim), dtype=np.int64)
-        inc[offs[t] : offs[t + 1]] = np.eye(m.dim, dtype=np.int64)
-        incs.append(Morphism(m, big, PrimeMatrix(alg.field, inc)))
-        projs.append(Morphism(big, m, PrimeMatrix(alg.field, inc.T.copy())))
-    return big, incs, projs
 
 
 def submodule(m: ModuleRep, basis: PrimeMatrix) -> tuple[ModuleRep, Morphism]:
@@ -510,7 +492,7 @@ class Cover:
 
 
 def projective_cover(m: ModuleRep) -> Cover:
-    """Cover by one P(i) per basis vector of e_i.top(m), as a ``StandardSum``.
+    """Cover by one P(i) per basis vector of e_i.top(m), as a ``DirectSum``.
 
     Each such vector lifts to a generator w in e_i.m (``_top_lifts``), and
     the summand P(i) = A.e_i maps by x -> x.w; with aw[:, a] = action[a] @ w
@@ -521,7 +503,7 @@ def projective_cover(m: ModuleRep) -> Cover:
     std = standard_modules(alg)
     lifts = _top_lifts(m)
     vertex_of = [i for i, lift in enumerate(lifts) for _ in range(lift.shape[1])]
-    big = StandardSum(alg, std.projectives, vertex_of)
+    big = DirectSum(alg, [std.projectives[v] for v in vertex_of])
     if not vertex_of:
         return Cover(Morphism(big, m, alg.field.zeros(m.dim, 0)), [])
     aw = m.moved(np.hstack(lifts)).reshape(m.dim, alg.dim, len(vertex_of))
@@ -533,7 +515,8 @@ def injective_envelope(m: ModuleRep) -> Cover:
     """Essential embedding of m into a sum of I(i), via the dual cover: the
     dual of the sum of P(i) over the opposite algebra is the sum of the I(i)."""
     cov = projective_cover(dualize(m))
-    target = StandardSum(m.algebra, standard_modules(m.algebra).injectives, cov.summands)
+    injectives = standard_modules(m.algebra).injectives
+    target = DirectSum(m.algebra, [injectives[v] for v in cov.summands])
     emb = Morphism(m, target, cov.morphism.map.transpose())
     return Cover(emb, list(cov.summands))
 
@@ -552,14 +535,14 @@ def endo_structure_constants(hs: HomSpace) -> np.ndarray:
     return mult
 
 
-def endo_data(m: ModuleRep, incs: list[Morphism], projs: list[Morphism]) -> tuple[HomSpace, np.ndarray, np.ndarray]:
+def endo_data(m: DirectSum) -> tuple[HomSpace, np.ndarray, np.ndarray]:
     """Hom(m, m), End(m)'s structure constants, and the coordinates of the
-    unit followed by the idempotent of each summand (one column each), for m
-    the sum of summands with these inclusions and projections."""
+    unit followed by the idempotent of each summand (one column each): the
+    identity on the summand's block of coordinates."""
     if m.dim == 0:
         raise InputError("endomorphism algebra of the zero module is not basic")
-    h = HomSpace(m, m)
-    idem = [(inc.map @ proj.map).a for inc, proj in zip(incs, projs)]
+    h, at = HomSpace(m, m), np.arange(m.dim)
+    idem = [np.diag((lo <= at) & (at < hi)).astype(np.int64) for lo, hi in zip(m.offsets, m.offsets[1:])]
     return h, endo_structure_constants(h), h.read(np.stack([np.eye(m.dim, dtype=np.int64)] + idem))
 
 
@@ -575,9 +558,9 @@ def is_isomorphic(summands: list[ModuleRep], n: ModuleRep) -> bool:
     so each f_i = phi*u_i with u_i = c_i*e_i (c_i != 0) modulo R, and f =
     phi*sum u_i with sum u_i a unit modulo R.
     """
-    m, incs, projs = direct_sum(summands)
+    m = DirectSum(n.algebra, summands)
     field, p, k = m.algebra.field, m.algebra.field.p, len(summands)
-    end, mult, coords = endo_data(m, incs, projs)
+    end, mult, coords = endo_data(m)
     rad = radical(field, mult, list(coords[:, 1:].T))
     if end.dim - rad.cols != k:
         raise InputError("endomorphism algebra of the summands is not basic elementary")

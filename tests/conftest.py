@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from quivalg import corpus
@@ -8,6 +9,7 @@ from quivalg.algebra import (
     tensor_product,
 )
 from quivalg.linalg import PrimeField
+from quivalg.modules import ModuleRep
 
 FIELD = PrimeField(32003)
 
@@ -17,6 +19,16 @@ def quiver(vertices, arrows, relations=(), bound=1):
         QuiverPresentation(tuple(vertices), tuple(arrows), tuple(relations), bound),
         FIELD,
     )
+
+
+def dense_sum(algebra, mods):
+    """The direct sum of mods as a plain ModuleRep, its block-diagonal
+    action written out: the reference for ``DirectSum``."""
+    offs = np.cumsum([0] + [m.dim for m in mods])
+    action = np.zeros((algebra.dim, offs[-1], offs[-1]), dtype=np.int64)
+    for s, m in enumerate(mods):
+        action[:, offs[s] : offs[s + 1], offs[s] : offs[s + 1]] = m.action
+    return ModuleRep(algebra, action)
 
 
 def cyclic_nakayama(n, p):

@@ -26,7 +26,6 @@ from quivalg.checks import bar_ext_oracle, kunneth_check, remark32_check
 from quivalg.cli import main as cli_main
 from quivalg.extensions import extension_predicates
 from quivalg.homology import (
-    DecomposedModule,
     dominant_dimension,
     endomorphism_algebra,
     ext_dims,
@@ -36,6 +35,7 @@ from quivalg.homology import (
 )
 from quivalg.linalg import PrimeMatrix, nullspace, rref
 from quivalg.modules import (
+    DirectSum,
     HomSpace,
     Morphism,
     dualize,
@@ -89,12 +89,12 @@ def test_criterion_1_oracle_equivalence(loaded_corpus):
 def test_criterion_2_muller_values(loaded_corpus):
     k2 = loaded_corpus["k2"].algebra
     std = standard_modules(k2)
-    dm = DecomposedModule.from_summands([std.regular, std.simples[0]])
+    dm = DirectSum(k2, [std.regular, std.simples[0]])
     endo = endomorphism_algebra(dm)
     d = dominant_dimension(endo.algebra, 6)
-    so = self_orthogonal(dm.module, 6)
+    so = self_orthogonal(dm, 6)
     ok = d.kind == "exact" and d.value == 2 and so.first_nonzero_degree == 1
-    dm2 = DecomposedModule.from_summands([std.regular])
+    dm2 = DirectSum(k2, [std.regular])
     endo2 = endomorphism_algebra(dm2)
     d2 = dominant_dimension(endo2.algebra, 6)
     ok = ok and d2.kind == "infinity"
@@ -112,8 +112,8 @@ def _lemma33_sequences(dm):
     endo = endomorphism_algebra(dm)
     std_b = standard_modules(endo.algebra)
     lhs = ext_dims(std_b.coregular, std_b.regular, 6).dims
-    nu_m = nakayama(dm.module).module
-    rhs = ext_dims(nu_m, dm.module, 6).dims
+    nu_m = nakayama(dm).module
+    rhs = ext_dims(nu_m, dm, 6).dims
     return endo.algebra, lhs, rhs
 
 
@@ -137,7 +137,7 @@ def test_criterion_3_lemma33_degreewise(loaded_corpus):
     compared, failures, sequences = [], [], {}
     for name, expr in rows:
         dm = catalog.resolve_expression(loaded_corpus[name], expr)
-        so = self_orthogonal(dm.module, 6)
+        so = self_orthogonal(dm, 6)
         b, lhs, rhs = _lemma33_sequences(dm)
         sequences[name, expr] = lhs, rhs
         # the orthogonality biconditional, each side read off its own algebra
@@ -173,8 +173,9 @@ def test_criterion_3_lemma33_degreewise(loaded_corpus):
 
 
 def test_criterion_3b_lemma33_anchored_values(loaded_corpus):
-    std = standard_modules(loaded_corpus["k2"].algebra)
-    dm = DecomposedModule.from_summands([std.regular, std.simples[0]])
+    k2 = loaded_corpus["k2"].algebra
+    std = standard_modules(k2)
+    dm = DirectSum(k2, [std.regular, std.simples[0]])
     _, lhs, rhs = _lemma33_sequences(dm)
     ok = lhs[0] == rhs[0] == 5 and lhs[1] == rhs[1] == 1 and lhs[2] == rhs[2]
     criterion(
@@ -185,15 +186,15 @@ def test_criterion_3b_lemma33_anchored_values(loaded_corpus):
     )
 
 
-def _aus_isomorphism_after_normalization(qa, b) -> bool:
+def _aus_isomorphism_after_normalization(loaded, b) -> bool:
     """Explicit algebra isomorphism search for a monomial bound quiver
     algebra with at most one arrow per idempotent cell, up to reordering of
     the idempotents: arrow images are radical cell bases, path images their
     products, and multiplicativity is checked on all basis pairs."""
+    qa, pres = loaded.algebra, loaded.doc
     n = len(qa.idempotents)
     if b.dim != qa.dim or len(b.idempotents) != n:
         return False
-    pres = qa.presentation
     arrows = {name: (src, tgt) for name, src, tgt in pres.arrows}
     vertex_pos = {v: i for i, v in enumerate(pres.vertices)}
     rad_b = b.radical()
@@ -242,11 +243,10 @@ def _aus_isomorphism_after_normalization(qa, b) -> bool:
 
 def test_criterion_4_endomorphism_identification(loaded_corpus):
     k2 = loaded_corpus["k2"].algebra
-    aus = loaded_corpus["aus"].algebra
     std = standard_modules(k2)
-    dm = DecomposedModule.from_summands([std.regular, std.simples[0]])
+    dm = DirectSum(k2, [std.regular, std.simples[0]])
     endo = endomorphism_algebra(dm)
-    ok = endo.algebra.dim == 5 and _aus_isomorphism_after_normalization(aus, endo.algebra)
+    ok = endo.algebra.dim == 5 and _aus_isomorphism_after_normalization(loaded_corpus["aus"], endo.algebra)
     criterion(
         4,
         "End over k2 of (regular+S) has dim 5 and matches the quiver build of aus",

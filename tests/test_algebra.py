@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import quivalg.algebra
 from quivalg import corpus
 
 from quivalg.algebra import (
@@ -14,6 +15,7 @@ from quivalg.algebra import (
     enveloping,
     one_dimensional_algebra,
     opposite,
+    radical,
     tensor_product,
 )
 from quivalg.errors import InputError, UnsupportedFieldError
@@ -396,3 +398,41 @@ def build_pin_algebras():
 def test_quiver_builds_are_pinned():
     got = {name: a.content_hash() for name, a in build_pin_algebras().items()}
     assert got == BUILD_SHA256
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+@pytest.mark.parametrize("name", ["ka3", "ka2xk2"])
+def test_radical_powers_a_basis_of_each_corner(name, p, monkeypatch):
+    # in a random basis every e_u*b_j*e_u is nonzero: only a basis of each
+    # corner e_u*A*e_u is raised to powers, each as a row of a stack
+    a = rebased(corpus.load_entry(name, p).algebra, np.random.default_rng(3))
+    corners = [np.array([a.multiply(a.multiply(e, a.basis_vector(j)), e) for j in range(a.dim)]) for e in a.idempotents]
+    bound = sum(PrimeMatrix(a.field, c).rank() for c in corners)
+    real, stacks = quivalg.algebra.mulmod, []
+
+    def recording(x, y, q):
+        if x.ndim == 3 and x.shape[1] == 1:
+            stacks.append(len(x))
+        return real(x, y, q)
+
+    monkeypatch.setattr(quivalg.algebra, "mulmod", recording)
+    got = radical(a.field, a.mult, a.idempotents)
+    monkeypatch.undo()
+    assert stacks and max(stacks) <= bound < a.dim * len(a.idempotents)
+    assert got == a.radical()
+
+
+def test_tensor_products_of_algebras_are_not_revalidated(monkeypatch, K2, KA2):
+    # factors are validated algebras, so their product is one: no
+    # associativity pass, and the radical is computed when first read
+    def refuse(self):
+        raise AssertionError("validated")
+
+    monkeypatch.setattr(Algebra, "_validate", refuse)
+    products = [tensor_product(KA2, K2), enveloping(KA2), enveloping(K2)]
+    assert all("radical" not in b.memo for b in products)
+    monkeypatch.undo()
+    for b in products:
+        want = Algebra(b.field, b.labels, b.mult, b.unit, b.idempotents)
+        assert b.radical() == want.radical()
+        assert b.radical().cols == b.dim - len(b.idempotents)

@@ -120,7 +120,7 @@ def test_named_modules_and_aliases():
     names = named_modules(loaded)
     assert {"S", "S1", "P", "P1", "I", "I1", "regular", "D", "gencogen"} <= set(names)
     dm = resolve_expression(loaded, "M=regular+S")
-    assert dm.module.dim == 3
+    assert dm.dim == 3
     assert len(dm.summands) == 2
 
 

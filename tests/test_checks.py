@@ -21,8 +21,8 @@ from quivalg.checks import (
     wg_lemma_check,
 )
 from quivalg.errors import BudgetError, InputError
-from quivalg.homology import DecomposedModule, ext_dims, minimal_gen_cogen
-from quivalg.modules import ModuleRep, standard_modules
+from quivalg.homology import ext_dims, minimal_gen_cogen
+from quivalg.modules import DirectSum, ModuleRep, standard_modules
 
 from test_algebra import rebased
 
@@ -182,7 +182,7 @@ def test_bar_oracle_matches_minimal_route(corpus_algebras):
 
 def test_muller_k2_free_plus_simple(K2):
     std = standard_modules(K2)
-    dm = DecomposedModule.from_summands([std.regular, std.simples[0]])
+    dm = DirectSum(K2, [std.regular, std.simples[0]])
     r = muller_check(K2, dm, 6)
     assert r.verdict == "pass"
     assert r.witness["first_ext_failure"] == 1
@@ -191,14 +191,14 @@ def test_muller_k2_free_plus_simple(K2):
 
 def test_muller_k2_regular(K2):
     std = standard_modules(K2)
-    r = muller_check(K2, DecomposedModule.from_summands([std.regular]), 6)
+    r = muller_check(K2, DirectSum(K2, [std.regular]), 6)
     assert r.verdict == "pass"
     assert r.witness["domdim_endo"] == "infinity-certified"
 
 
 def test_muller_rejects_non_gen_cogen(KA2):
     std = standard_modules(KA2)
-    dm = DecomposedModule.from_summands(list(std.projectives))
+    dm = DirectSum(KA2, list(std.projectives))
     with pytest.raises(InputError, match="generator-cogenerator"):
         muller_check(KA2, dm, 6)
 
@@ -216,7 +216,7 @@ def test_muller_on_corpus_gen_cogens(corpus_algebras):
 
 def test_wg_k2_regular_passes(K2):
     std = standard_modules(K2)
-    r = wg_lemma_check(K2, DecomposedModule.from_summands([std.regular]), 6)
+    r = wg_lemma_check(K2, DirectSum(K2, [std.regular]), 6)
     assert r.verdict == "pass"
     assert r.witness["lhs_dims"] == [2, 0, 0, 0, 0, 0, 0]
 
@@ -226,7 +226,7 @@ def test_wg_k2_free_plus_simple_documented_failure(K2):
     # provably fails from degree 3 on; the statement-level biconditional of
     # the underlying result still agrees (both sides false)
     std = standard_modules(K2)
-    dm = DecomposedModule.from_summands([std.regular, std.simples[0]])
+    dm = DirectSum(K2, [std.regular, std.simples[0]])
     r = wg_lemma_check(K2, dm, 6)
     assert r.verdict == "fail"
     assert r.witness["lhs_dims"] == [5, 1, 1, 0, 0, 0, 0]

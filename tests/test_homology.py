@@ -19,7 +19,6 @@ from quivalg.checks import bar_ext_oracle
 from quivalg.errors import InputError, InternalCheckError
 from quivalg.linalg import coordinates, mulmod, nullspace
 from quivalg.homology import (
-    DecomposedModule,
     dominant_dimension,
     endomorphism_algebra,
     ext_dims,
@@ -35,10 +34,10 @@ from quivalg.homology import (
     self_orthogonal,
 )
 from quivalg.modules import (
+    DirectSum,
     HomSpace,
     ModuleRep,
     Morphism,
-    direct_sum,
     zero_module,
     dualize,
     is_isomorphic,
@@ -48,7 +47,7 @@ from quivalg.modules import (
     top_multiplicities,
 )
 
-from conftest import quiver
+from conftest import dense_sum, quiver
 from test_algebra import rebased
 from test_random_modules import random_modules
 
@@ -120,7 +119,7 @@ def test_injective_coresolution_structure(KA2):
 
 def dense_resolution(m, depth):
     """Reference for a minimal projective resolution: each cover source
-    materialised by ``direct_sum`` and each syzygy read one algebra element
+    materialised by ``dense_sum`` and each syzygy read one algebra element
     at a time.  Returns the terms' and syzygies' actions and the maps."""
     a = m.algebra
     p = a.field.p
@@ -129,10 +128,7 @@ def dense_resolution(m, depth):
     cur, inc_prev = m, None
     for i in range(depth + 1):
         cov = projective_cover(cur)
-        if cov.summands:
-            big = direct_sum([std.projectives[v] for v in cov.summands])[0]
-        else:
-            big = zero_module(a)
+        big = dense_sum(a, [std.projectives[v] for v in cov.summands])
         f = cov.morphism.map
         Morphism(big, cur, f).check()
         terms.append(big.action)
@@ -174,9 +170,12 @@ def test_resolutions_equal_the_dense_route(corpus_loaded):
 
 def test_ext_pd_and_domdim_never_build_a_term_action():
     for entry in corpus.ENTRIES:
-        a = corpus.load_entry(entry.name).algebra
+        loaded = corpus.load_entry(entry.name)
+        a = loaded.algebra
         mods = standard_module_list(a)
-        for m in mods:
+        # the named sums go through projective_cover as sums themselves
+        sums = [resolve_expression(loaded, nm) for nm in named_modules(loaded)]
+        for m in mods + sums:
             ext_dims(m, mods[0], 3)
             pd_bounded(m, 5)
             assert all("action" not in t.__dict__ for t in minimal_resolution(m, "projective", 5).terms), entry.name
@@ -185,7 +184,7 @@ def test_ext_pd_and_domdim_never_build_a_term_action():
         assert all("action" not in t.__dict__ for t in res.terms), entry.name
         # read once, a term's action is the block sum of its summands
         t = res.terms[0]
-        assert t.action.tobytes() == direct_sum([t.blocks[v] for v in t.vertices])[0].action.tobytes()
+        assert t.action.tobytes() == dense_sum(a, t.summands).action.tobytes()
 
 
 def test_a_resolved_module_is_freed_without_the_cycle_collector(KA2):
@@ -322,7 +321,7 @@ def test_covers_and_projectivity_build_no_submodule(corpus_loaded, monkeypatch):
             projective_cover(m)
             top_multiplicities(m)
     forbid_everywhere(monkeypatch, quivalg.modules.quotient_module)
-    forbid_everywhere(monkeypatch, quivalg.modules.direct_sum)
+    forbid_everywhere(monkeypatch, quivalg.modules.DirectSum)
     for mods in cases:
         for m in mods:
             is_projective(m)
@@ -442,7 +441,7 @@ def test_nakayama_routes_agree(corpus_loaded):
     for name, loaded in corpus_loaded.items():
         std = standard_modules(loaded.algebra)
         mods = [std.regular, std.coregular] + std.simples + std.injectives
-        mods += [resolve_expression(loaded, nm).module for nm in named_modules(loaded)]
+        mods += [resolve_expression(loaded, nm) for nm in named_modules(loaded)]
         for m in mods:
             nk = nakayama(m)
             eta = Morphism(nk.module, nk.hom_route, nk.eta)
@@ -493,7 +492,7 @@ def test_nakayama_rejects_routes_that_disagree(monkeypatch, KA2, corruption, mes
             return dataclasses.replace(t, module=std.regular)
         if corruption == "no-quotient-map":
             return dataclasses.replace(t, proj=t.proj.field.zeros(t.proj.rows, t.proj.cols))
-        doubled, _, _ = direct_sum([t.module, t.module])
+        doubled = DirectSum(t.module.algebra, [t.module, t.module])
         return dataclasses.replace(
             t,
             dim=2 * t.dim,
@@ -518,7 +517,7 @@ def test_self_orth_regular(corpus_algebras):
 
 def test_self_orth_k2_fails_at_one(K2):
     std = standard_modules(K2)
-    both, _, _ = direct_sum([std.regular, std.simples[0]])
+    both = DirectSum(K2, [std.regular, std.simples[0]])
     rep = self_orthogonal(both, 4)
     assert not rep.self_orthogonal
     assert rep.first_nonzero_degree == 1
@@ -532,7 +531,7 @@ def test_self_orth_injectives_over_selfinjective(K2):
 def test_gen_cogen(corpus_algebras, K2, KA2):
     for name, a in corpus_algebras.items():
         std = standard_modules(a)
-        both, _, _ = direct_sum([std.regular, std.coregular])
+        both = DirectSum(a, [std.regular, std.coregular])
         assert gen_cogen(both), name
     assert gen_cogen(standard_modules(K2).regular)
     assert not gen_cogen(standard_modules(KA2).regular)
@@ -540,7 +539,7 @@ def test_gen_cogen(corpus_algebras, K2, KA2):
 
 def gen_cogen_pool(a):
     std = standard_modules(a)
-    return standard_module_list(a) + [direct_sum([std.regular, std.coregular])[0]]
+    return standard_module_list(a) + [DirectSum(a, [std.regular, std.coregular])]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -570,13 +569,13 @@ def test_standard_modules_share_the_opposite_projectives(monkeypatch):
 
 def test_approx_zero_target(K2):
     std = standard_modules(K2)
-    ap = min_add_approximation(DecomposedModule.from_summands([std.regular]), zero_module(K2))
+    ap = min_add_approximation(DirectSum(K2, [std.regular]), zero_module(K2))
     assert ap.copies == 0
 
 
 def test_approx_by_regular_is_cover(KA2):
     std = standard_modules(KA2)
-    regular = DecomposedModule.from_summands(list(std.projectives))
+    regular = DirectSum(KA2, list(std.projectives))
     for x in std.simples + std.injectives:
         ap = min_add_approximation(regular, x)
         assert ap.copies == sum(top_multiplicities(x))
@@ -585,7 +584,7 @@ def test_approx_by_regular_is_cover(KA2):
 
 def test_approx_k2_example(K2):
     std = standard_modules(K2)
-    both = DecomposedModule.from_summands([std.regular, std.simples[0]])
+    both = DirectSum(K2, [std.regular, std.simples[0]])
     ap = min_add_approximation(both, std.simples[0])
     assert ap.copies == 1
 
@@ -594,9 +593,9 @@ def test_approx_refuses_a_summand_whose_end_is_not_local(K2):
     # End(S + S) = M_2(k): one idempotent for the one summand, so its corner
     # is all of M_2(k), which is not local
     std = standard_modules(K2)
-    s2, _, _ = direct_sum([std.simples[0], std.simples[0]])
+    s2 = DirectSum(K2, [std.simples[0], std.simples[0]])
     with pytest.raises(InputError, match="not basic"):
-        min_add_approximation(DecomposedModule.from_summands([s2]), std.simples[0])
+        min_add_approximation(DirectSum(K2, [s2]), std.simples[0])
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +604,7 @@ def test_approx_refuses_a_summand_whose_end_is_not_local(K2):
 
 def test_endo_k2_gen_cogen_is_dim5(K2):
     std = standard_modules(K2)
-    dm = DecomposedModule.from_summands([std.regular, std.simples[0]])
+    dm = DirectSum(K2, [std.regular, std.simples[0]])
     endo = endomorphism_algebra(dm)
     assert endo.algebra.dim == 5
     assert len(endo.algebra.idempotents) == 2
@@ -614,13 +613,13 @@ def test_endo_k2_gen_cogen_is_dim5(K2):
 
 def test_endo_of_simple_is_ground_field(KA2):
     std = standard_modules(KA2)
-    endo = endomorphism_algebra(DecomposedModule.from_summands([std.simples[0]]))
+    endo = endomorphism_algebra(DirectSum(KA2, [std.simples[0]]))
     assert endo.algebra.dim == 1
 
 
 def test_endo_of_regular_commutative(K2):
     std = standard_modules(K2)
-    endo = endomorphism_algebra(DecomposedModule.from_summands([std.regular]))
+    endo = endomorphism_algebra(DirectSum(K2, [std.regular]))
     e = endo.algebra
     assert e.dim == 2
     assert np.array_equal(e.mult, np.transpose(e.mult, (1, 0, 2)))  # commutative
@@ -629,11 +628,11 @@ def test_endo_of_regular_commutative(K2):
 
 def test_endo_nonbasic_rejected(K2, KA2):
     std = standard_modules(K2)
-    dm = DecomposedModule.from_summands([std.regular, std.regular])
+    dm = DirectSum(K2, [std.regular, std.regular])
     with pytest.raises(InputError, match="not basic"):
         endomorphism_algebra(dm)
     # one summand whose End is not local: dim End/rad End = 2, one idempotent
-    dm = DecomposedModule.from_summands([standard_modules(KA2).regular])
+    dm = DirectSum(KA2, [standard_modules(KA2).regular])
     with pytest.raises(InputError, match="not basic"):
         endomorphism_algebra(dm)
 
@@ -651,7 +650,7 @@ def test_endo_at_small_primes_matches_32003():
 def test_minimal_gen_cogen(corpus_algebras):
     for name, a in corpus_algebras.items():
         dm = minimal_gen_cogen(a)
-        assert gen_cogen(dm.module), name
+        assert gen_cogen(dm), name
         # pairwise non-isomorphic summands with local End: End(M) is basic,
         # which endomorphism_algebra decides exactly at every prime
         endomorphism_algebra(dm)
@@ -685,7 +684,7 @@ def test_summand_verdicts_are_exact(corpus_algebras):
         assert got == want[name], name
     std = standard_modules(corpus_algebras["k2"])
     with pytest.raises(InputError, match="not basic"):
-        endomorphism_algebra(DecomposedModule.from_summands([std.regular, std.regular]))
+        endomorphism_algebra(DirectSum(corpus_algebras["k2"], [std.regular, std.regular]))
 
 
 # sha256 of End(M).algebra.mult.tobytes(), recorded before HomSpace.coords

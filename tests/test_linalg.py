@@ -1,10 +1,14 @@
 import ast
+import importlib
+import inspect
+import pkgutil
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quivalg
 from quivalg.errors import UnsupportedFieldError
 from quivalg.linalg import (
     Coordinates,
@@ -455,7 +459,6 @@ def test_complement_projection_reduces_by_the_echelon_rows():
 # multiplies two PrimeMatrix values, so it runs through mulmod
 PRIME_MATRIX_PRODUCTS = {
     ("homology", "_projective_resolution", "inc_prev.map @ cov.morphism.map"),
-    ("modules", "endo_data", "inc.map @ proj.map"),
 }
 
 
@@ -512,6 +515,27 @@ def test_the_package_draws_no_random_numbers():
             if names & {"random", "default_rng"}:
                 found.append((path.stem, node.lineno))
     assert found == []
+
+
+MODULES_WITH_ALL = [
+    mod
+    for mod in (importlib.import_module(f"quivalg.{info.name}") for info in pkgutil.iter_modules(quivalg.__path__))
+    if hasattr(mod, "__all__")
+]
+
+
+@pytest.mark.parametrize("mod", MODULES_WITH_ALL, ids=lambda mod: mod.__name__)
+def test_all_lists_exactly_the_public_classes_and_functions(mod):
+    # constants may be listed too; every listed name must exist
+    listed = {n: getattr(mod, n) for n in mod.__all__}
+    defined = {
+        n
+        for n, obj in vars(mod).items()
+        if not n.startswith("_")
+        and (inspect.isclass(obj) or inspect.isfunction(obj))
+        and obj.__module__ == mod.__name__
+    }
+    assert {n for n, obj in listed.items() if inspect.isclass(obj) or inspect.isfunction(obj)} == defined
 
 
 def test_only_linalg_refuses_a_field():

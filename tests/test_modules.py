@@ -11,11 +11,11 @@ from quivalg.errors import InputError, UnsupportedFieldError
 from quivalg.homology import gen_cogen, minimal_gen_cogen
 from quivalg.linalg import PrimeField, PrimeMatrix
 from quivalg.modules import (
+    DirectSum,
     HomSpace,
     ModuleRep,
     Morphism,
     cokernel,
-    direct_sum,
     dualize,
     endo_structure_constants,
     image,
@@ -35,7 +35,7 @@ from quivalg.modules import (
     zero_module,
 )
 
-from conftest import FIELD, cyclic_nakayama
+from conftest import FIELD, cyclic_nakayama, dense_sum
 
 
 def small_corpus_modules(alg, max_dim=10):
@@ -262,7 +262,7 @@ def gencogen_of_path_algebra(n):
     """The minimal generator-cogenerator of the path algebra of 1 -> ... -> n."""
     verts = tuple(str(i) for i in range(1, n + 1))
     arrows = tuple((f"a{i}", str(i), str(i + 1)) for i in range(1, n))
-    return minimal_gen_cogen(build_from_quiver(QuiverPresentation(verts, arrows, (), n - 1), FIELD)).module
+    return minimal_gen_cogen(build_from_quiver(QuiverPresentation(verts, arrows, (), n - 1), FIELD))
 
 
 def test_hom_nullspace_eliminates_only_coupled_rows(monkeypatch):
@@ -527,7 +527,7 @@ def test_gen_cogen_matches_brute_force(K2, KA2, AUS):
     for alg in (K2, KA2, AUS):
         std = standard_modules(alg)
         pool = list({m.content_hash(): m for m in small_corpus_modules(alg, max_dim=4)}.values())
-        mods = pool + [direct_sum([x, y])[0] for x, y in itertools.combinations_with_replacement(pool, 2)]
+        mods = pool + [DirectSum(alg, [x, y]) for x, y in itertools.combinations_with_replacement(pool, 2)]
         for m in mods:
             want = all(brute_force_summand(q, m, range(3)) for q in std.projectives + std.injectives)
             assert gen_cogen(m) == want
@@ -562,7 +562,7 @@ def test_iso_dimension_mismatch(KA2):
 
 def test_iso_refuses_summands_that_are_not_basic(K2):
     s = standard_modules(K2).simples[0]
-    twice, _, _ = direct_sum([s, s])
+    twice = DirectSum(K2, [s, s])
     with pytest.raises(InputError, match="not basic"):
         is_isomorphic([s, s], twice)
 
@@ -576,3 +576,52 @@ def test_iso_is_exact_at_small_primes(n, p):
     std = standard_modules(cyclic_nakayama(n, p))
     assert is_isomorphic(std.injectives, std.regular)
     assert is_isomorphic(std.projectives, std.coregular)
+
+
+# ---------------------------------------------------------------------------
+# direct sums
+
+
+def direct_sum_cases(a):
+    """Sums with repeated summands, with distinct ones and with a zero one."""
+    std = standard_modules(a)
+    pool = std.projectives + std.injectives + std.simples
+    return [[std.simples[0]] * 3, pool, pool + pool[::-1] + [zero_module(a), std.regular]]
+
+
+def test_direct_sum_moved_is_the_dense_product(corpus_algebras):
+    rng = np.random.default_rng(11)
+    for name, a in corpus_algebras.items():
+        for mods in direct_sum_cases(a):
+            s = DirectSum(a, mods)
+            basis = rng.integers(0, a.field.p, size=(s.dim, 3))
+            want = dense_sum(a, mods).moved(basis)
+            got = s.moved(basis)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert "action" not in s.__dict__, name
+
+
+# sha256 over the shape and bytes of the action of the minimal
+# generator-cogenerator and of regular + D(A) + S + S on each corpus entry,
+# recorded while sums were built densely, block by block
+SUM_ACTION_SHA256 = "a01ee6bdeb335589673c67dad315aebe97f5970975d60468c54d33a22f7ca54e"
+
+
+def test_direct_sum_action_is_the_block_action():
+    from quivalg import corpus
+
+    h = hashlib.sha256()
+    for entry in corpus.ENTRIES:
+        a = corpus.load_entry(entry.name).algebra
+        std = standard_modules(a)
+        for s in (minimal_gen_cogen(a), DirectSum(a, [std.regular, std.coregular, std.simples[-1], std.simples[-1]])):
+            assert s.action.tobytes() == dense_sum(a, s.summands).action.tobytes(), entry.name
+            h.update(np.array(s.action.shape, dtype=np.int64).tobytes())
+            h.update(s.action.tobytes())
+    assert h.hexdigest() == SUM_ACTION_SHA256
+
+
+def test_direct_sum_refuses_modules_over_another_algebra(K2, KA2):
+    with pytest.raises(InputError, match="different algebras"):
+        DirectSum(K2, [standard_modules(K2).simples[0], standard_modules(KA2).simples[0]])

@@ -13,10 +13,10 @@ from quivalg.checks import bar_ext_oracle
 from quivalg.homology import ext_dims, is_injective, is_projective, nakayama
 from quivalg.linalg import PrimeMatrix
 from quivalg.modules import (
+    DirectSum,
     HomSpace,
     Morphism,
     cokernel,
-    direct_sum,
     dualize,
     image,
     kernel,
@@ -34,8 +34,8 @@ def random_modules(alg, rng, count=6, max_dim=8):
     guard = 0
     while len(out) < count and guard < 60:
         guard += 1
-        src, _, _ = direct_sum([pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 2))])
-        tgt, _, _ = direct_sum([pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 2))])
+        src = DirectSum(alg, [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 2))])
+        tgt = DirectSum(alg, [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 2))])
         h = HomSpace(src, tgt)
         if h.dim == 0:
             continue
@@ -88,7 +88,7 @@ def test_ext_additive_in_first_argument(corpus_algebras):
         if len(mods) < 2:
             continue
         m1, m2 = mods[0], mods[1]
-        both, _, _ = direct_sum([m1, m2])
+        both = DirectSum(alg, [m1, m2])
         n = standard_modules(alg).coregular
         lhs = ext_dims(both, n, 3).dims
         rhs = [
