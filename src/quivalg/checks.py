@@ -301,7 +301,7 @@ def bar_ext_oracle(
     dims = [cdims[0] - ranks[0]]
     for i in range(1, cutoff + 1):
         dims.append(cdims[i] - ranks[i] - ranks[i - 1])
-    return ExtTable(m.content_hash(), n.content_hash(), dims)
+    return ExtTable(dims)
 
 
 # ---------------------------------------------------------------------------

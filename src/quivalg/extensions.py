@@ -5,7 +5,8 @@ Hom_B(A, B) as an A-B-bimodule (Kasch, Math. Ann. 127, 1954), decided by the
 exact ``modules.is_isomorphic`` over A (x) B^op.  separable: A (x)_B A holds
 a separability idempotent (DeMeyer and Ingraham, Separable Algebras over
 Commutative Rings, LNM 181): one nullspace and one rank.  split: the
-inclusion admits a B-bimodule retraction, solved as one linear system.
+inclusion admits a B-bimodule retraction, read from the ``HomSpace`` of
+B-bimodule maps A -> B by one rank comparison.
 
 Semisimplicity of an extension quantifies over all modules and is not
 decided here; separable implies it.
@@ -17,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Extension, column_span_basis, opposite, tensor_product
-from .linalg import PrimeMatrix, mulmod, nullspace, solve
+from .algebra import Extension, column_span_basis, enveloping, opposite, tensor_product
+from .linalg import PrimeMatrix, mulmod, nullspace
 from .modules import (
     HomSpace,
     ModuleRep,
+    enveloping_module,
     is_isomorphic,
     module_over_tensor,
     regular_module,
@@ -49,6 +51,11 @@ def restrict_to_sub(ext: Extension) -> ModuleRep:
     return ModuleRep(B, action)
 
 
+def _right_by_sub(ext: Extension) -> np.ndarray:
+    """Right multiplication on A by each basis element of B."""
+    return np.stack([ext.amb.right_mult(ext.embed.a[:, b]) for b in range(ext.sub.dim)])
+
+
 def _restriction_projective(ext: Extension) -> bool:
     from .homology import is_projective
 
@@ -72,15 +79,13 @@ def _frobenius_iso(ext: Extension) -> bool:
         blocks = [blk for blk in blocks if blk not in touching] + [{u}.union(*touching)]
     e_alg = tensor_product(A, opposite(B))
     # A as an A-B-bimodule, and its summands A*e_P
-    left_a = np.stack([A.left_mult(A.basis_vector(i)) for i in range(A.dim)])
-    right_b = np.stack([A.right_mult(ext.embed.a[:, b]) for b in range(B.dim)])
-    a_bimod = module_over_tensor(e_alg, A.dim, left_a, right_b)
+    a_bimod = module_over_tensor(e_alg, A.dim, A.regular_action(), _right_by_sub(ext))
     e_p = [sum(idem[u] for u in blk) % p for blk in blocks]
     summands = [submodule(a_bimod, column_span_basis(PrimeMatrix(A.field, A.right_mult(e))))[0] for e in e_p]
     # Hom_B(A, B) with (a.f.b)(x) = f(xa) b
     h = HomSpace(restrict_to_sub(ext), regular_module(B))
-    left_on_h = np.stack([h.read(h.precompose(A.right_mult(A.basis_vector(i)))) for i in range(A.dim)])
-    right_on_h = np.stack([h.read(h.postcompose(B.right_mult(B.basis_vector(b)))) for b in range(B.dim)])
+    left_on_h = np.stack([h.read(h.precompose(r)) for r in A.mult.transpose(1, 2, 0)])
+    right_on_h = np.stack([h.read(h.postcompose(r)) for r in B.mult.transpose(1, 2, 0)])
     hom_bimod = module_over_tensor(e_alg, A.dim, left_on_h, right_on_h)
     return is_isomorphic(summands, hom_bimod)
 
@@ -93,16 +98,13 @@ def _separable(ext: Extension) -> bool:
     p = A.field.p
     d = A.dim
     # A as a right B-module (over B^op) and as a left B-module
-    right_b = ModuleRep(
-        opposite(B), np.stack([A.right_mult(ext.embed.a[:, b]) for b in range(B.dim)])
-    )
+    right_b = ModuleRep(opposite(B), _right_by_sub(ext))
     tens = tensor_over_algebra(right_b, restrict_to_sub(ext))
     eye = np.eye(d, dtype=np.int64)
     # t -> a*t - t*a on A (x)_B A, one block per basis element a
     blocks = []
-    for i in range(d):
-        x = A.basis_vector(i)
-        commutator = (np.kron(A.left_mult(x), eye) - np.kron(eye, A.right_mult(x))) % p
+    for left, right in zip(A.regular_action(), A.mult.transpose(1, 2, 0)):
+        commutator = (np.kron(left, eye) - np.kron(eye, right)) % p
         blocks.append(mulmod(mulmod(tens.proj.a, commutator, p), tens.sec.a, p))
     central = nullspace(PrimeMatrix(A.field, np.vstack(blocks)))
     # mu(x (x) y) = xy on A (x)_B A, then on its centralizing elements
@@ -112,27 +114,15 @@ def _separable(ext: Extension) -> bool:
 
 
 def _split(ext: Extension) -> bool:
-    """Does the inclusion B -> A split as a B-B-bimodule map?"""
+    """Does the inclusion B -> A split as a B-B-bimodule map?  It does iff
+    the identity of B is f o embed for some bimodule map f: A -> B."""
     B, A = ext.sub, ext.amb
-    p = A.field.p
-    db, da = B.dim, A.dim
-    rows = []
-    rhs = []
-    eye_b = np.eye(db, dtype=np.int64)
-    for b in range(B.dim):
-        la = A.left_mult(ext.embed.a[:, b])
-        lb = B.left_mult(B.basis_vector(b))
-        ra = A.right_mult(ext.embed.a[:, b])
-        rb = B.right_mult(B.basis_vector(b))
-        rows.append((np.kron(eye_b, la.T) - np.kron(lb, np.eye(da, dtype=np.int64))) % p)
-        rhs.append(np.zeros(db * da, dtype=np.int64))
-        rows.append((np.kron(eye_b, ra.T) - np.kron(rb, np.eye(da, dtype=np.int64))) % p)
-        rhs.append(np.zeros(db * da, dtype=np.int64))
-    rows.append(np.kron(eye_b, ext.embed.a.T) % p)
-    rhs.append(eye_b.reshape(-1))
-    big = PrimeMatrix(A.field, np.vstack(rows))
-    target = PrimeMatrix(A.field, np.concatenate(rhs).reshape(-1, 1))
-    return solve(big, target) is not None
+    env = enveloping(B)
+    a_bimod = module_over_tensor(env, B.dim, restrict_to_sub(ext).action, _right_by_sub(ext))
+    h = HomSpace(a_bimod, enveloping_module(B, env))
+    restricted = PrimeMatrix(A.field, h.precompose(ext.embed.a).reshape(h.dim, B.dim * B.dim).T)
+    eye = PrimeMatrix(A.field, np.eye(B.dim, dtype=np.int64).reshape(-1, 1))
+    return restricted.hstack(eye).rank() == restricted.rank()
 
 
 def extension_predicates(ext: Extension) -> ExtensionPredicates:

@@ -84,8 +84,6 @@ class Resolution:
 
 @dataclass
 class ExtTable:
-    source_hash: str
-    target_hash: str
     dims: list[int]
 
 
@@ -266,7 +264,7 @@ def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
     dims = [hom_dims[0] - ranks[0]]
     for i in range(1, cutoff + 1):
         dims.append(hom_dims[i] - ranks[i] - ranks[i - 1])
-    return ExtTable(m.content_hash(), n.content_hash(), dims)
+    return ExtTable(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +348,13 @@ def nakayama(m: ModuleRep) -> NakayamaResult:
     # D(A) as a right A-module is the dual of the left regular module;
     # its commuting left action is transposed right multiplication.
     d_right = dualize(std.regular)
-    left_action = np.stack(
-        [a.right_mult(a.basis_vector(b)).T % p for b in range(a.dim)]
-    )
-    tens = tensor_over_algebra(d_right, m, left=(a, left_action))
+    right_mults = a.mult.transpose(1, 2, 0)
+    tens = tensor_over_algebra(d_right, m, left=(a, right_mults.transpose(0, 2, 1)))
     route1 = tens.module
     # Hom(m, A) as a right A-module, then dualize
     h = HomSpace(m, std.regular)
     op = opposite(a)
-    act = np.stack([h.read(h.postcompose(a.right_mult(a.basis_vector(b)))) for b in range(a.dim)])
+    act = np.stack([h.read(h.postcompose(r)) for r in right_mults])
     hom_as_op = ModuleRep(op, act)
     route2 = dualize(hom_as_op)
     eta_vs = h.matrix.a.T

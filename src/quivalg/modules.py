@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, column_span_basis, opposite, radical
+from .algebra import Algebra, column_span_basis, enveloping, opposite, radical
 from .errors import InputError
 from .linalg import PrimeMatrix, complement_projection, coordinates, mulmod, nullspace, rref
 from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test reads modules.solve)
@@ -260,7 +260,8 @@ class HomSpace:
     """Basis of Hom_A(m, n) with coordinate bookkeeping.
 
     Vectorisation is row-major on (n.dim, m.dim) matrices; the basis is the
-    deterministic nullspace basis of the stacked intertwining constraints.
+    deterministic nullspace basis of the intertwining constraints, one block
+    per basis element of the algebra.
     That basis is the identity on its free rows (the free row of a basis
     column is its last nonzero row), so the coordinates of a member f
     are the entries of vec(f) on those rows, and membership is exact:
@@ -281,16 +282,10 @@ class HomSpace:
         alg = m.algebra
         p = alg.field.p
         nm = n.dim * m.dim
-        blocks = []
-        # the idempotents and a radical basis generate the algebra, so
-        # intertwining with them is intertwining with everything
-        for g in list(alg.idempotents) + list(alg.radical().a.T):
-            rho_m = m.act(g)
-            rho_n = n.act(g)
-            blocks.append(
-                (np.kron(np.eye(n.dim, dtype=np.int64), rho_m.T) - np.kron(rho_n, np.eye(m.dim, dtype=np.int64)))
-                % p
-            )
+        blocks = [
+            (np.kron(np.eye(n.dim, dtype=np.int64), rho_m.T) - np.kron(rho_n, np.eye(m.dim, dtype=np.int64))) % p
+            for rho_m, rho_n in zip(m.action, n.action)
+        ]
         constraints = PrimeMatrix(alg.field, np.vstack(blocks) if blocks else np.zeros((0, nm), dtype=np.int64))
         self.matrix = nullspace(constraints)
         self.dim = self.matrix.cols
@@ -617,13 +612,9 @@ def tensor_over_algebra(
     p = field.p
     dx, dy = x_right.dim, y.dim
     big = dx * dy
-    rels = []
     eye_x = np.eye(dx, dtype=np.int64)
     eye_y = np.eye(dy, dtype=np.int64)
-    for i in range(a.dim):
-        g = a.basis_vector(i)
-        r = (np.kron(x_right.act(g), eye_y) - np.kron(eye_x, y.act(g))) % p
-        rels.append(r)
+    rels = [(np.kron(rx, eye_y) - np.kron(eye_x, ry)) % p for rx, ry in zip(x_right.action, y.action)]
     relmat = PrimeMatrix(field, np.hstack(rels) if rels else np.zeros((big, 0), dtype=np.int64))
     proj, sec = complement_projection(relmat)
     module = None
@@ -639,13 +630,9 @@ def tensor_over_algebra(
 def enveloping_module(a: Algebra, env: Optional[Algebra] = None) -> ModuleRep:
     """The algebra as a left module over its enveloping algebra A (x) A^op:
     the pair (u, v) acts by z -> u z v."""
-    from .algebra import enveloping as _env
-
     if env is None:
-        env = _env(a)
-    left = np.stack([a.left_mult(a.basis_vector(u)) for u in range(a.dim)])
-    right = np.stack([a.right_mult(a.basis_vector(v)) for v in range(a.dim)])
-    return module_over_tensor(env, a.dim, left, right)
+        env = enveloping(a)
+    return module_over_tensor(env, a.dim, a.regular_action(), a.mult.transpose(1, 2, 0))
 
 
 def module_over_tensor(axb: Algebra, left_dim_a: int, left_action: np.ndarray, right_action: np.ndarray) -> ModuleRep:

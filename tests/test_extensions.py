@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quivalg.algebra import Extension, tensor_product
+from quivalg.algebra import Extension, QuiverPresentation, build_from_quiver, tensor_product
 from quivalg.extensions import extension_predicates
-from quivalg.linalg import PrimeMatrix
+from quivalg.linalg import PrimeField, PrimeMatrix
 
 # (frobenius, separable, split) at p = 32003 on the ground-field and identity
 # extensions of every corpus algebra and on each factor B (x) 1 or 1 (x) C of
@@ -70,6 +70,24 @@ def test_extension_verdicts_are_pinned(case, corpus_loaded):
     assert (r.frobenius, r.separable, r.split) == VERDICTS[case]
     # frobenius needs a projective restriction
     assert r.restriction_projective or not r.frobenius
+
+
+# k[x]/(x^2) <= kA2 by 1 -> e_1 + e_2 and x -> a, where a: 1 -> 2 (so
+# a*e_1 = a and e_1*a = 0).  It does not split: a B-bimodule retraction r
+# has r(a) = x, so x*r(e_1) = r(a*e_1) = x forces r(e_1) = 1 + c*x; but
+# r(e_1*a) = r(0) = 0, while r(e_1)*x = x.  It is not Frobenius: B is a
+# Frobenius algebra and kA2 is not, while Frobenius extensions compose.  It
+# is separable by t = e_1 (x) e_1 + e_2 (x) e_2, as a*t = a (x) e_1 =
+# e_2*a (x) e_1 = e_2 (x) x.e_1 = e_2 (x) a = t*a and mu(t) = 1.
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_a_separable_extension_that_does_not_split(p):
+    field = PrimeField(p)
+    ka2 = build_from_quiver(QuiverPresentation(("1", "2"), (("a", "1", "2"),)), field)
+    dual_numbers = build_from_quiver(QuiverPresentation(("1",), (("x", "1", "1"),), (((1, ("x", "x")),),)), field)
+    assert ka2.labels == ["e_1", "e_2", "a"] and dual_numbers.labels == ["e_1", "x"]
+    embed = PrimeMatrix(field, np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int64))
+    r = extension_predicates(Extension(dual_numbers, ka2, embed))
+    assert (r.frobenius, r.separable, r.split) == (False, True, False)
 
 
 # separability of k <= A for the 9-vertex cyclic Nakayama algebra (dim A =

@@ -463,18 +463,21 @@ PRIME_MATRIX_PRODUCTS = {
 
 
 def walk_with_function(node, function=None):
-    """(innermost enclosing function name, node) for every node below ``node``."""
+    """(qualified name of the innermost enclosing function or class, such as
+    ``HomSpace.__init__``, node) for every node below ``node``."""
     for child in ast.iter_child_nodes(node):
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        inner = function
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{function}.{child.name}" if function else child.name
         yield inner, child
         yield from walk_with_function(child, inner)
 
 
-def package_functions():
-    """(module, innermost function, node) for every AST node of the package
-    outside linalg.py."""
+def package_functions(with_linalg=False):
+    """(module, innermost function, node) for every AST node of the package,
+    outside linalg.py unless ``with_linalg``."""
     for path in sorted((Path(__file__).parent.parent / "src" / "quivalg").glob("*.py")):
-        if path.name != "linalg.py":
+        if with_linalg or path.name != "linalg.py":
             for function, node in walk_with_function(ast.parse(path.read_text(encoding="utf-8"))):
                 yield path.stem, function, node
 
@@ -486,6 +489,27 @@ def test_matrix_products_outside_linalg_are_prime_matrix_products():
             found.add((module, function, ast.unparse(node)))
     # a raw ndarray product would skip mulmod's overflow bound
     assert found == PRIME_MATRIX_PRODUCTS
+
+
+# the functions that may build Kronecker products: the tensor product of two
+# algebras, and the linear systems of Hom spaces, of tensor products over an
+# algebra and of separability idempotents.  Any other space of module maps is
+# a HomSpace, so a hand-built intertwining system has no place to come back
+KRON_FUNCTIONS = {
+    ("algebra", "tensor_product"),
+    ("modules", "HomSpace.__init__"),
+    ("modules", "tensor_over_algebra"),
+    ("extensions", "_separable"),
+}
+
+
+def test_kronecker_products_build_only_the_allowed_systems():
+    found = {
+        (module, function)
+        for module, function, node in package_functions(with_linalg=True)
+        if "kron" in (getattr(node, "attr", None), getattr(node, "id", None))
+    }
+    assert found == KRON_FUNCTIONS
 
 
 def test_only_linalg_chooses_how_a_basis_is_read():

@@ -4,9 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
+import quivalg.algebra
 import quivalg.linalg
 import quivalg.modules
-from quivalg.algebra import QuiverPresentation, build_from_quiver, column_span_basis
+from quivalg.algebra import QuiverPresentation, build_from_quiver, column_span_basis, enveloping, tensor_product
 from quivalg.errors import InputError, UnsupportedFieldError
 from quivalg.homology import gen_cogen, minimal_gen_cogen
 from quivalg.linalg import PrimeField, PrimeMatrix
@@ -301,6 +302,19 @@ def test_a6_gencogen_hom_basis_is_pinned():
     h = HomSpace(m, m)
     assert h.matrix.a.shape == (1296, 51)
     assert hashlib.sha256(h.matrix.a.tobytes()).hexdigest() == A6_GENCOGEN_HOM_SHA256
+
+
+def test_hom_spaces_compute_no_radical(K2, KA2, monkeypatch):
+    # the constraints come from the algebra's own basis, so a Hom space over
+    # a tensor or enveloping algebra, which is built without validation,
+    # certifies no radical
+    def refuse(*args):
+        raise AssertionError("a radical was computed")
+
+    monkeypatch.setattr(quivalg.algebra, "radical", refuse)
+    for alg in (tensor_product(K2, KA2), enveloping(KA2)):
+        reg = regular_module(alg)
+        assert HomSpace(reg, reg).dim == alg.dim  # End(A) = A^op
 
 
 # ---------------------------------------------------------------------------
