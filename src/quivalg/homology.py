@@ -3,17 +3,20 @@
 Minimal resolutions iterate projective covers (injective coresolutions go
 through the dual); every term is a ``DirectSum`` of P(v) or I(v) over its
 vertex list, and Ext, projective dimension and dominant dimension read the
-vertex lists and the maps, never a term's action.  End algebras and
-approximations take a ``DirectSum``, one idempotent per summand.  Ext
-dimensions are cohomology ranks of the induced hom complex.  Dominant
-dimension is reported as evidence: an exact value below the cutoff, an
-at-least-cutoff marker, or infinity certified by self-injectivity.
-Truncation is never silently treated as a final answer.
+vertex lists and the maps, never a term's action.  A module's memo keeps
+its resolution as far as it was asked for: a deeper request adds only the
+missing covers, and a syzygy is built only when the next cover or
+``Resolution.syzygies`` reads it, so none is built past the last term.
+End algebras and approximations take a ``DirectSum``, one idempotent per
+summand.  Ext dimensions are cohomology ranks of the induced hom complex.
+Dominant dimension is reported as evidence: an exact value below the
+cutoff, an at-least-cutoff marker, or infinity certified by
+self-injectivity.  Truncation is never silently treated as a final answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -71,15 +74,22 @@ class Resolution:
 
     For kind "projective": maps[0] : terms[0] -> base, maps[i] : terms[i] ->
     terms[i-1], and syzygies[i] is the i+1-st syzygy.  For kind "injective"
-    the arrows point the other way and syzygies are cosyzygies.
+    the arrows point the other way and syzygies are cosyzygies.  Every
+    resolution of one base reads one state in the base's memo, which a
+    deeper request extends; the last syzygy (cosyzygy) is built when
+    ``syzygies`` is first read, and the memo keeps it.
     """
 
     kind: str
     base: ModuleRep
     terms: list[ModuleRep]
     maps: list[Morphism]
-    syzygies: list[ModuleRep]
     term_summands: list[list[int]]
+    _state: _Resolved | _Coresolved = field(repr=False, compare=False)
+
+    @property
+    def syzygies(self) -> list[ModuleRep]:
+        return self._state.syzygies(self.base, len(self.terms) - 1)
 
 
 @dataclass
@@ -136,61 +146,105 @@ class DomDimEvidence:
 def minimal_resolution(m: ModuleRep, kind: str, depth: int) -> Resolution:
     """The minimal resolution of m to ``depth``, every term a ``DirectSum``.
 
-    The deepest one computed is memoized in ``m.memo["resolutions"]`` without
-    any reference to m (the first map is kept as its bare matrix), so a
-    resolved module is freed by reference counting alone.
+    ``m.memo["resolutions"]`` keeps the state of each kind without any
+    reference to m, so a resolved module is freed by reference counting
+    alone.  A deeper request extends that state from its deepest syzygy,
+    and a syzygy is built only when the next cover or ``syzygies`` reads it,
+    so none is built past the last term.
     """
     if depth < 0:
         raise InputError("resolution depth must be nonnegative")
     if kind not in ("projective", "injective"):
         raise InputError(f"unknown resolution kind {kind!r}")
     cache = m.memo.setdefault("resolutions", {})
-    if kind not in cache or len(cache[kind].terms) < depth + 1:
-        if kind == "projective":
-            res = _projective_resolution(m, depth)
-        else:
-            pres = _projective_resolution(dualize(m), depth)
-            injectives = standard_modules(m.algebra).injectives
-            terms = [DirectSum(m.algebra, [injectives[v] for v in s]) for s in pres.term_summands]
-            maps = [Morphism(m, terms[0], pres.maps[0].map.transpose())]
-            for i in range(1, len(pres.maps)):
-                maps.append(Morphism(terms[i - 1], terms[i], pres.maps[i].map.transpose()))
-            syz = [dualize(s) for s in pres.syzygies]
-            res = Resolution("injective", m, terms, maps, syz, pres.term_summands)
-        # the memo: no base, and the first map as its matrix
-        cache[kind] = replace(res, base=None, maps=[res.maps[0].map] + res.maps[1:])
-    hit = cache[kind]
-    source, target = (hit.terms[0], m) if kind == "projective" else (m, hit.terms[0])
-    return Resolution(
-        kind,
-        m,
-        hit.terms[: depth + 1],
-        [Morphism(source, target, hit.maps[0])] + hit.maps[1 : depth + 1],
-        hit.syzygies[: depth + 1],
-        hit.term_summands[: depth + 1],
-    )
+    if kind not in cache:
+        cache[kind] = _Resolved() if kind == "projective" else _Coresolved(m)
+    return cache[kind].resolution(m, depth)
 
 
-def _projective_resolution(m: ModuleRep, depth: int) -> Resolution:
-    terms: list[ModuleRep] = []
-    maps: list[Morphism] = []
-    syzygies: list[ModuleRep] = []
-    summands: list[list[int]] = []
-    cur = m
-    inc_prev: Optional[Morphism] = None
-    for i in range(depth + 1):
-        cov = projective_cover(cur)
-        terms.append(cov.projective)
-        summands.append(cov.summands)
-        if i == 0:
-            maps.append(cov.morphism)
-        else:
-            maps.append(Morphism(cov.projective, terms[i - 1], inc_prev.map @ cov.morphism.map))
-        ker_mod, inc = kernel(cov.morphism)
-        syzygies.append(ker_mod)
-        cur = ker_mod
-        inc_prev = inc
-    return Resolution("projective", m, terms, maps, syzygies, summands)
+class _Resolved:
+    """The minimal projective resolution of a module as far as it has been
+    asked for, one cover and one kernel per degree (Green, Solberg and
+    Zacharia, Trans. AMS 353, 2001).
+
+    It holds the terms, their vertex lists, the maps (maps[0], onto the
+    module, as its bare matrix), the matrix of the deepest cover, the
+    syzygies built so far and the inclusion of the deepest one, the factor
+    of the next map; it holds no reference to the module, so methods that
+    need it take it as an argument.  The kernel of the deepest cover is
+    built only when the next cover or a reader of the syzygies asks for it.
+    """
+
+    def __init__(self):
+        self.terms: list[DirectSum] = []
+        self.summands: list[list[int]] = []
+        self.maps: list = []
+        self.cover: Optional[PrimeMatrix] = None
+        self.kernels: list[ModuleRep] = []
+        self.inclusion: Optional[PrimeMatrix] = None  # of the deepest syzygy
+
+    def syzygy(self, m: ModuleRep, i: int) -> ModuleRep:
+        """The i+1-st syzygy of m."""
+        if i == len(self.kernels):  # the kernel of the deepest cover
+            target = self.kernels[-1] if self.kernels else m
+            syz, inc = kernel(Morphism(self.terms[i], target, self.cover))
+            self.kernels.append(syz)
+            self.inclusion = inc.map
+        return self.kernels[i]
+
+    def syzygies(self, m: ModuleRep, depth: int) -> list[ModuleRep]:
+        return [self.syzygy(m, i) for i in range(depth + 1)]
+
+    def extend(self, m: ModuleRep, depth: int) -> None:
+        """Cover until terms[depth] exists, from the deepest syzygy on."""
+        for i in range(len(self.terms), depth + 1):
+            if i == 0:
+                cov = projective_cover(m)
+                self.maps.append(cov.morphism.map)
+            else:
+                cov = projective_cover(self.syzygy(m, i - 1))
+                self.maps.append(Morphism(cov.projective, self.terms[i - 1], self.inclusion @ cov.morphism.map))
+            self.terms.append(cov.projective)
+            self.summands.append(cov.summands)
+            self.cover = cov.morphism.map
+
+    def resolution(self, m: ModuleRep, depth: int) -> Resolution:
+        self.extend(m, depth)
+        maps = [Morphism(self.terms[0], m, self.maps[0])] + self.maps[1 : depth + 1]
+        return Resolution("projective", m, self.terms[: depth + 1], maps, self.summands[: depth + 1], self)
+
+
+class _Coresolved:
+    """The injective coresolution of a module: its dual with the dual's
+    projective resolution, and the terms and maps transposed from it so
+    far (maps[0], out of the module, as its bare matrix).  Cosyzygies are
+    the duals of the dual's syzygies, dualized when first read."""
+
+    def __init__(self, m: ModuleRep):
+        self.dual = dualize(m)
+        self.projective = _Resolved()
+        self.terms: list[DirectSum] = []
+        self.maps: list = []
+        self.cosyzygies: list[ModuleRep] = []
+
+    def syzygies(self, m: ModuleRep, depth: int) -> list[ModuleRep]:
+        for s in self.projective.syzygies(self.dual, depth)[len(self.cosyzygies) :]:
+            self.cosyzygies.append(dualize(s))
+        return self.cosyzygies[: depth + 1]
+
+    def resolution(self, m: ModuleRep, depth: int) -> Resolution:
+        pres = self.projective
+        pres.extend(self.dual, depth)
+        injectives = standard_modules(m.algebra).injectives
+        for i in range(len(self.terms), depth + 1):
+            term = DirectSum(m.algebra, [injectives[v] for v in pres.summands[i]])
+            if i == 0:
+                self.maps.append(pres.maps[0].transpose())
+            else:
+                self.maps.append(Morphism(self.terms[i - 1], term, pres.maps[i].map.transpose()))
+            self.terms.append(term)
+        maps = [Morphism(m, self.terms[0], self.maps[0])] + self.maps[1 : depth + 1]
+        return Resolution("injective", m, self.terms[: depth + 1], maps, pres.summands[: depth + 1], self)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +479,15 @@ class ApproxResult:
 
 
 def min_add_approximation(m: DirectSum, x: ModuleRep) -> ApproxResult:
-    """Minimal right add(m)-approximation of x by copies of the whole of m.
+    """Right add(m)-approximation of x by copies of the whole of m, as few
+    as Hom(m, x) / Hom(m, x).rad End(m) allows.
 
-    The number of copies is the dimension of Hom(m, x) modulo precomposition
-    with rad End(m); representatives of a basis of that quotient assemble
-    the map, and surjectivity of Hom(m, -) onto Hom(m, x) is verified.
+    The number of copies is the dimension of that quotient; representatives
+    of a basis of it assemble the map, and surjectivity of Hom(m, -) onto
+    Hom(m, x) is verified.  The map is not right minimal in general: a
+    summand of m that the approximation does not need still comes with
+    each copy (for m = A + S and x = S over k[x]/(x^2), f = [0 0 1]:
+    m -> S, where id_S is minimal).
     rad End(m) is read at any prime with one idempotent per summand of m, so
     each summand needs a local End with residue field F_p (InputError).
     """

@@ -10,10 +10,11 @@ import weakref
 import numpy as np
 import pytest
 
+import quivalg.homology
 import quivalg.linalg
 import quivalg.modules
 from quivalg import corpus
-from quivalg.algebra import opposite
+from quivalg.algebra import opposite, tensor_product
 from quivalg.catalog import named_modules, resolve_expression
 from quivalg.checks import bar_ext_oracle
 from quivalg.errors import InputError, InternalCheckError
@@ -197,12 +198,75 @@ def test_a_resolved_module_is_freed_without_the_cycle_collector(KA2):
             minimal_resolution(m, kind, 3)
             res = minimal_resolution(m, kind, 2)  # a memo hit rebuilds base and the first map
             assert res.base is m and m in (res.maps[0].source, res.maps[0].target)
+            res = minimal_resolution(m, kind, 5)  # extended from the memo
+            assert len(res.syzygies) == 6
         del res
         ref = weakref.ref(m)
         del m
         assert ref() is None
     finally:
         gc.enable()
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one entry per call homology makes through its
+    binding of ``name``."""
+    real = getattr(quivalg.homology, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(quivalg.homology, name, counted)
+    return calls
+
+
+def test_no_syzygy_is_built_past_the_last_term(K2, corpus_loaded, monkeypatch):
+    kernels = count_calls(monkeypatch, "kernel")
+    # Ext^0..Ext^3 read the terms P_0..P_4: one kernel below each of P_0..P_3
+    a = tensor_product(tensor_product(K2, K2), K2)
+    s = standard_modules(a).simples[0]
+    assert ext_dims(s, s, 3).dims == [1, 3, 6, 10]
+    assert len(kernels) == 4
+    for name, loaded in corpus_loaded.items():
+        for m in standard_module_list(loaded.algebra):
+            m = ModuleRep(loaded.algebra, m.action)
+            del kernels[:]
+            pd_bounded(m, 4)
+            assert len(kernels) == 4, name
+            pd_bounded(m, 2)  # read from the memo
+            assert len(kernels) == 4, name
+            pd_bounded(m, 6)  # two more terms, from the deepest syzygy
+            assert len(kernels) == 6, name
+    for entry in corpus.ENTRIES:
+        a = corpus.load_entry(entry.name).algebra  # no memoized coresolution
+        del kernels[:]
+        # the coresolution to I^3, unless self-injectivity certifies infinity
+        evidence = dominant_dimension(a, 4)
+        assert len(kernels) == (0 if evidence.kind == "infinity" else 3), entry.name
+
+
+@pytest.mark.parametrize("kind", ["projective", "injective"])
+def test_a_deeper_request_extends_the_memo(corpus_loaded, monkeypatch, kind):
+    covers = count_calls(monkeypatch, "projective_cover")
+    for name, loaded in corpus_loaded.items():
+        a = loaded.algebra
+        for i, m in enumerate(standard_module_list(a)):
+            m = ModuleRep(a, m.action)
+            shallow = minimal_resolution(m, kind, 2)
+            if i % 2:  # the last syzygy, read before the extension or after it
+                assert len(shallow.syzygies) == 3
+            del covers[:]
+            res = minimal_resolution(m, kind, 5)
+            assert len(covers) == 3, name
+            fresh = minimal_resolution(ModuleRep(a, m.action), kind, 5)
+            assert res.term_summands == fresh.term_summands, name
+            assert [t.action.tobytes() for t in res.terms] == [t.action.tobytes() for t in fresh.terms], name
+            assert [f.map.a.tobytes() for f in res.maps] == [f.map.a.tobytes() for f in fresh.maps], name
+            syzygies = [s.action.tobytes() for s in fresh.syzygies]
+            assert [s.action.tobytes() for s in res.syzygies] == syzygies, name
+            assert [s.action.tobytes() for s in shallow.syzygies] == syzygies[:3], name
 
 
 # ---------------------------------------------------------------------------

@@ -458,7 +458,7 @@ def test_complement_projection_reduces_by_the_echelon_rows():
 # the `@` products outside linalg, by (module, function, expression); each
 # multiplies two PrimeMatrix values, so it runs through mulmod
 PRIME_MATRIX_PRODUCTS = {
-    ("homology", "_projective_resolution", "inc_prev.map @ cov.morphism.map"),
+    ("homology", "_Resolved.extend", "self.inclusion @ cov.morphism.map"),
 }
 
 
