@@ -68,8 +68,8 @@ class Algebra:
     ``memo`` caches values derived from the structure constants, which are
     immutable by convention, so an entry never goes stale.  Keys:
     "radical", "content_hash", "opposite" (set here), "projectives",
-    "standard_modules", "gen_coords" and "bar_graded" (set by the modules,
-    homology and checks layers).
+    "standard_modules" and "bar_graded" (set by the modules and checks
+    layers).
     """
 
     def __init__(

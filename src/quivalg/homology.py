@@ -2,11 +2,12 @@
 
 Minimal resolutions iterate projective covers (injective coresolutions go
 through the dual); every term is a ``DirectSum`` of P(v) or I(v) over its
-vertex list, and Ext, projective dimension and dominant dimension read the
-vertex lists and the maps, never a term's action.  A module's memo keeps
-its resolution as far as it was asked for: a deeper request adds only the
-missing covers, and a syzygy is built only when the next cover or
-``Resolution.syzygies`` reads it, so none is built past the last term.
+vertex list, and each map is kept as the images of the generators of its
+source.  Ext, projective dimension and dominant dimension read the vertex
+lists and the images, never a term's action or a dense map.  A module's
+memo keeps its resolution as far as it was asked for, with its deepest
+syzygy only: a deeper request adds only the missing covers, and no syzygy
+is built past the last term.
 End algebras and approximations take a ``DirectSum``, one idempotent per
 summand.  Ext dimensions are cohomology ranks of the induced hom complex.
 Dominant dimension is reported as evidence: an exact value below the
@@ -23,7 +24,7 @@ import numpy as np
 
 from .algebra import Algebra, opposite, radical
 from .errors import InputError, InternalCheckError
-from .linalg import PrimeMatrix, coordinates, mulmod, rref
+from .linalg import PrimeMatrix, mulmod, rref
 from .modules import (
     DirectSum,
     HomSpace,
@@ -31,6 +32,7 @@ from .modules import (
     Morphism,
     dualize,
     endo_data,
+    generator_map,
     kernel,
     projective_cover,
     standard_modules,
@@ -73,19 +75,23 @@ class Resolution:
     """Minimal projective resolution or injective coresolution to a depth.
 
     For kind "projective": maps[0] : terms[0] -> base, maps[i] : terms[i] ->
-    terms[i-1], and syzygies[i] is the i+1-st syzygy.  For kind "injective"
-    the arrows point the other way and syzygies are cosyzygies.  Every
-    resolution of one base reads one state in the base's memo, which a
-    deeper request extends; the last syzygy (cosyzygy) is built when
-    ``syzygies`` is first read, and the memo keeps it.
+    terms[i-1], syzygies[i] is the i+1-st syzygy, and column s of images[i]
+    is where maps[i] sends the generator of the s-th summand of terms[i].
+    For kind "injective" the arrows point the other way, syzygies are
+    cosyzygies and images are those of the dual's resolution.  ``maps`` and
+    ``syzygies`` are built from the images when read and are not kept.
     """
 
     kind: str
     base: ModuleRep
     terms: list[ModuleRep]
-    maps: list[Morphism]
     term_summands: list[list[int]]
+    images: list[np.ndarray]
     _state: _Resolved | _Coresolved = field(repr=False, compare=False)
+
+    @property
+    def maps(self) -> list[Morphism]:
+        return self._state.dense_maps(self.base, self.terms)
 
     @property
     def syzygies(self) -> list[ModuleRep]:
@@ -149,8 +155,7 @@ def minimal_resolution(m: ModuleRep, kind: str, depth: int) -> Resolution:
     ``m.memo["resolutions"]`` keeps the state of each kind without any
     reference to m, so a resolved module is freed by reference counting
     alone.  A deeper request extends that state from its deepest syzygy,
-    and a syzygy is built only when the next cover or ``syzygies`` reads it,
-    so none is built past the last term.
+    which is built only when the next cover or ``syzygies`` reads it.
     """
     if depth < 0:
         raise InputError("resolution depth must be nonnegative")
@@ -164,106 +169,85 @@ def minimal_resolution(m: ModuleRep, kind: str, depth: int) -> Resolution:
 
 class _Resolved:
     """The minimal projective resolution of a module as far as it has been
-    asked for, one cover and one kernel per degree (Green, Solberg and
-    Zacharia, Trans. AMS 353, 2001).
-
-    It holds the terms, their vertex lists, the maps (maps[0], onto the
-    module, as its bare matrix), the matrix of the deepest cover, the
-    syzygies built so far and the inclusion of the deepest one, the factor
-    of the next map; it holds no reference to the module, so methods that
-    need it take it as an argument.  The kernel of the deepest cover is
-    built only when the next cover or a reader of the syzygies asks for it.
+    asked for, kept as where the generators of each term go (Green, Solberg
+    and Zacharia, Trans. AMS 353, 2001): per degree the term, its vertex
+    list and the generator images.  To extend, it keeps the matrix of the
+    deepest cover until its kernel is taken, then that kernel, the deepest
+    syzygy, with its inclusion.  It holds no reference to the module, so
+    methods that need it take it as an argument.
     """
 
     def __init__(self):
         self.terms: list[DirectSum] = []
         self.summands: list[list[int]] = []
-        self.maps: list = []
-        self.cover: Optional[PrimeMatrix] = None
-        self.kernels: list[ModuleRep] = []
-        self.inclusion: Optional[PrimeMatrix] = None  # of the deepest syzygy
+        self.images: list[np.ndarray] = []
+        self.cover: Optional[PrimeMatrix] = None  # until its kernel is taken
+        self.syzygy: Optional[tuple[ModuleRep, Morphism]] = None  # the deepest, with its inclusion
 
-    def syzygy(self, m: ModuleRep, i: int) -> ModuleRep:
-        """The i+1-st syzygy of m."""
-        if i == len(self.kernels):  # the kernel of the deepest cover
-            target = self.kernels[-1] if self.kernels else m
-            syz, inc = kernel(Morphism(self.terms[i], target, self.cover))
-            self.kernels.append(syz)
-            self.inclusion = inc.map
-        return self.kernels[i]
-
-    def syzygies(self, m: ModuleRep, depth: int) -> list[ModuleRep]:
-        return [self.syzygy(m, i) for i in range(depth + 1)]
+    def deepest_syzygy(self, m: ModuleRep) -> tuple[ModuleRep, Morphism]:
+        """The kernel of the deepest cover and its inclusion, taken once."""
+        if self.cover is not None:
+            target = self.syzygy[0] if self.syzygy else m
+            self.syzygy = kernel(Morphism(self.terms[-1], target, self.cover))
+            self.cover = None
+        return self.syzygy
 
     def extend(self, m: ModuleRep, depth: int) -> None:
         """Cover until terms[depth] exists, from the deepest syzygy on."""
         for i in range(len(self.terms), depth + 1):
             if i == 0:
                 cov = projective_cover(m)
-                self.maps.append(cov.morphism.map)
+                self.images.append(cov.generators)
             else:
-                cov = projective_cover(self.syzygy(m, i - 1))
-                self.maps.append(Morphism(cov.projective, self.terms[i - 1], self.inclusion @ cov.morphism.map))
+                syz, inc = self.deepest_syzygy(m)
+                cov = projective_cover(syz)
+                self.images.append(mulmod(inc.map.a, cov.generators, m.algebra.field.p))
             self.terms.append(cov.projective)
             self.summands.append(cov.summands)
             self.cover = cov.morphism.map
 
+    def dense_maps(self, m: ModuleRep, terms: list[ModuleRep]) -> list[Morphism]:
+        targets = [m] + terms
+        return [Morphism(s, t, generator_map(t, v, u)) for s, t, v, u in zip(terms, targets, self.summands, self.images)]
+
+    def syzygies(self, m: ModuleRep, depth: int) -> list[ModuleRep]:
+        """The kernels of maps[0..depth]: the deepest cover's is kept, the
+        others are rebuilt from the maps."""
+        if depth < len(self.terms) - 1:
+            return [kernel(f)[0] for f in self.dense_maps(m, self.terms[: depth + 1])]
+        return [kernel(f)[0] for f in self.dense_maps(m, self.terms[:depth])] + [self.deepest_syzygy(m)[0]]
+
     def resolution(self, m: ModuleRep, depth: int) -> Resolution:
         self.extend(m, depth)
-        maps = [Morphism(self.terms[0], m, self.maps[0])] + self.maps[1 : depth + 1]
-        return Resolution("projective", m, self.terms[: depth + 1], maps, self.summands[: depth + 1], self)
+        n = depth + 1
+        return Resolution("projective", m, self.terms[:n], self.summands[:n], self.images[:n], self)
 
 
 class _Coresolved:
     """The injective coresolution of a module: its dual with the dual's
-    projective resolution, and the terms and maps transposed from it so
-    far (maps[0], out of the module, as its bare matrix).  Cosyzygies are
-    the duals of the dual's syzygies, dualized when first read."""
+    projective resolution.  Terms, maps and cosyzygies are transposed and
+    dualized from it when read."""
 
     def __init__(self, m: ModuleRep):
         self.dual = dualize(m)
         self.projective = _Resolved()
-        self.terms: list[DirectSum] = []
-        self.maps: list = []
-        self.cosyzygies: list[ModuleRep] = []
+
+    def dense_maps(self, m: ModuleRep, terms: list[ModuleRep]) -> list[Morphism]:
+        duals = self.projective.dense_maps(self.dual, self.projective.terms[: len(terms)])
+        return [Morphism(s, t, f.map.transpose()) for s, t, f in zip([m] + terms, terms, duals)]
 
     def syzygies(self, m: ModuleRep, depth: int) -> list[ModuleRep]:
-        for s in self.projective.syzygies(self.dual, depth)[len(self.cosyzygies) :]:
-            self.cosyzygies.append(dualize(s))
-        return self.cosyzygies[: depth + 1]
+        return [dualize(s) for s in self.projective.syzygies(self.dual, depth)]
 
     def resolution(self, m: ModuleRep, depth: int) -> Resolution:
-        pres = self.projective
-        pres.extend(self.dual, depth)
+        pres = self.projective.resolution(self.dual, depth)
         injectives = standard_modules(m.algebra).injectives
-        for i in range(len(self.terms), depth + 1):
-            term = DirectSum(m.algebra, [injectives[v] for v in pres.summands[i]])
-            if i == 0:
-                self.maps.append(pres.maps[0].transpose())
-            else:
-                self.maps.append(Morphism(self.terms[i - 1], term, pres.maps[i].map.transpose()))
-            self.terms.append(term)
-        maps = [Morphism(m, self.terms[0], self.maps[0])] + self.maps[1 : depth + 1]
-        return Resolution("injective", m, self.terms[: depth + 1], maps, pres.summands[: depth + 1], self)
+        terms = [DirectSum(m.algebra, [injectives[v] for v in s]) for s in pres.term_summands]
+        return Resolution("injective", m, terms, pres.term_summands, pres.images, self)
 
 
 # ---------------------------------------------------------------------------
 # Ext dimensions
-
-
-def _generator_coords(a: Algebra) -> list[np.ndarray]:
-    """Coordinates of e_v in the basis ``proj_bases[v]`` of P(v) = A.e_v,
-    memoized on the algebra."""
-    if "gen_coords" not in a.memo:
-        std = standard_modules(a)
-        gen_coords = []
-        for v, e in enumerate(a.idempotents):
-            g = coordinates(std.proj_bases[v]).read(e)
-            if g is None:
-                raise InternalCheckError("projective generator not in its basis")
-            gen_coords.append(g)
-        a.memo["gen_coords"] = gen_coords
-    return a.memo["gen_coords"]
 
 
 def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
@@ -287,7 +271,6 @@ def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
     p = a.field.p
     res = minimal_resolution(m, "projective", cutoff + 1)
     std = standard_modules(a)
-    gen_coords = _generator_coords(a)
     pdim = [b.cols for b in std.proj_bases]
     idem = np.stack([n.act(e) for e in a.idempotents])
     cell = [PrimeMatrix(a.field, x).rank() for x in idem]
@@ -300,12 +283,7 @@ def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
         if not src or not tgt or n.dim == 0:
             ranks.append(0)
             continue
-        d = res.maps[i + 1].map.a
-        # column s of gens: the generator of the s-th summand of P_{i+1}
-        g = np.concatenate([gen_coords[v] for v in tgt])
-        gens = np.zeros((g.size, len(tgt)), dtype=np.int64)
-        gens[np.arange(g.size), np.repeat(np.arange(len(tgt)), [pdim[v] for v in tgt])] = g
-        u = mulmod(d, gens, p)
+        u = res.images[i + 1]
         # x[:, t, s] = u_st in algebra coordinates
         blocks = np.split(u, np.cumsum([pdim[v] for v in src])[:-1])
         x = np.stack([mulmod(std.proj_bases[v].a, b, p) for v, b in zip(src, blocks)], axis=1)
@@ -513,7 +491,7 @@ def min_add_approximation(m: DirectSum, x: ModuleRep) -> ApproxResult:
     # surjectivity of Hom(m, phi): composites rep_j o e span Hom(m, x)
     span = PrimeMatrix(field, np.hstack([h.read(end.postcompose(r.a)) for r in reps]))
     if span.rank() != h.dim:
-        raise InternalCheckError("approximation is not right minimal/approximating")
+        raise InternalCheckError("approximation does not map onto Hom(m, x): Hom(m, phi) is not surjective")
     return ApproxResult(phi, copies)
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "dualize",
     "standard_modules",
     "Cover",
+    "generator_map",
     "rad_module",
     "top",
     "soc",
@@ -65,9 +66,10 @@ class ModuleRep:
     """Left module over a basic algebra, given by action matrices.
 
     ``memo`` caches values derived from the action, which is immutable by
-    convention.  The homology layer sets "resolutions", the deepest minimal
-    resolution computed so far, per kind; the bar oracle in ``checks`` sets
-    "bar_graded" and "bar_chains".
+    convention.  The homology layer sets "resolutions", per kind the state
+    of the minimal resolution as far as it was asked for: its terms and
+    generator images, and its deepest syzygy; the bar oracle in ``checks``
+    sets "bar_graded" and "bar_chains".
     """
 
     def __init__(self, algebra: Algebra, action: np.ndarray):
@@ -476,34 +478,44 @@ def standard_modules(a: Algebra) -> StandardModules:
 @dataclass
 class Cover:
     """A projective cover P -> m (or dually m -> I), with the vertex index
-    of each indecomposable summand of the projective (injective) side."""
+    of each indecomposable summand of the projective (injective) side and
+    the images of their generators: column s is where the generator e_v of
+    the s-th summand P(v) goes (for an envelope, those of the dual cover)."""
 
     morphism: Morphism
     summands: list[int]
+    generators: np.ndarray
 
     @property
     def projective(self) -> ModuleRep:
         return self.morphism.source
 
 
-def projective_cover(m: ModuleRep) -> Cover:
-    """Cover by one P(i) per basis vector of e_i.top(m), as a ``DirectSum``.
+def generator_map(target: ModuleRep, vertices: list[int], images: np.ndarray) -> PrimeMatrix:
+    """The matrix of the map from the sum of P(v) over ``vertices`` to target
+    that sends the generator e_v of the s-th summand to images[:, s].
 
-    Each such vector lifts to a generator w in e_i.m (``_top_lifts``), and
-    the summand P(i) = A.e_i maps by x -> x.w; with aw[:, a] = action[a] @ w
-    the images of the basis of A.e_i are aw @ basis.
+    The summand P(v) = A.e_v maps by x -> x.w for its image w; with
+    aw[:, a] = action[a] @ w the images of the basis of A.e_v are aw @ basis.
     """
+    alg = target.algebra
+    if not vertices:
+        return alg.field.zeros(target.dim, 0)
+    bases = standard_modules(alg).proj_bases
+    aw = target.moved(images).reshape(target.dim, alg.dim, len(vertices))
+    cols = [mulmod(aw[:, :, s], bases[v].a, alg.field.p) for s, v in enumerate(vertices)]
+    return PrimeMatrix(alg.field, np.hstack(cols))
+
+
+def projective_cover(m: ModuleRep) -> Cover:
+    """Cover by one P(i) per basis vector of e_i.top(m), as a ``DirectSum``:
+    each such vector lifts to a generator image in e_i.m (``_top_lifts``)."""
     alg = m.algebra
-    p = alg.field.p
-    std = standard_modules(alg)
     lifts = _top_lifts(m)
     vertex_of = [i for i, lift in enumerate(lifts) for _ in range(lift.shape[1])]
-    big = DirectSum(alg, [std.projectives[v] for v in vertex_of])
-    if not vertex_of:
-        return Cover(Morphism(big, m, alg.field.zeros(m.dim, 0)), [])
-    aw = m.moved(np.hstack(lifts)).reshape(m.dim, alg.dim, len(vertex_of))
-    cols = [mulmod(aw[:, :, g], std.proj_bases[i].a, p) for g, i in enumerate(vertex_of)]
-    return Cover(Morphism(big, m, PrimeMatrix(alg.field, np.hstack(cols))), vertex_of)
+    big = DirectSum(alg, [standard_modules(alg).projectives[v] for v in vertex_of])
+    images = np.hstack(lifts)
+    return Cover(Morphism(big, m, generator_map(m, vertex_of, images)), vertex_of, images)
 
 
 def injective_envelope(m: ModuleRep) -> Cover:
@@ -513,7 +525,7 @@ def injective_envelope(m: ModuleRep) -> Cover:
     injectives = standard_modules(m.algebra).injectives
     target = DirectSum(m.algebra, [injectives[v] for v in cov.summands])
     emb = Morphism(m, target, cov.morphism.map.transpose())
-    return Cover(emb, list(cov.summands))
+    return Cover(emb, list(cov.summands), cov.generators)
 
 
 # ---------------------------------------------------------------------------

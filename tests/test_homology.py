@@ -78,6 +78,11 @@ def test_periodic_resolution_k2(K2):
 
 def test_hereditary_resolution_ka2(KA2):
     std = standard_modules(KA2)
+    s0, s1 = std.simples
+    for kind, m, syzygy in (("projective", s0, s1), ("injective", s1, s0)):
+        # to depth 0 the one syzygy is the kernel (cokernel) of the first map
+        res = minimal_resolution(ModuleRep(KA2, m.action), kind, 0)
+        assert is_isomorphic([syzygy], res.syzygies[0]), kind
     res = minimal_resolution(std.simples[0], "projective", 2)
     assert [t.dim for t in res.terms] == [2, 1, 0]
     assert is_isomorphic([std.simples[1]], res.syzygies[0])
@@ -169,7 +174,9 @@ def test_resolutions_equal_the_dense_route(corpus_loaded):
         assert [s.action.tobytes() for s in res.syzygies] == [s.transpose(0, 2, 1).tobytes() for s in syzygies], name
 
 
-def test_ext_pd_and_domdim_never_build_a_term_action():
+def test_ext_pd_and_domdim_never_build_a_term_action(monkeypatch):
+    # nor a dense differential: those are built only when Resolution.maps is read
+    dense_maps = count_calls(monkeypatch, "generator_map")
     for entry in corpus.ENTRIES:
         loaded = corpus.load_entry(entry.name)
         a = loaded.algebra
@@ -186,6 +193,7 @@ def test_ext_pd_and_domdim_never_build_a_term_action():
         # read once, a term's action is the block sum of its summands
         t = res.terms[0]
         assert t.action.tobytes() == dense_sum(a, t.summands).action.tobytes()
+    assert not dense_maps
 
 
 def test_a_resolved_module_is_freed_without_the_cycle_collector(KA2):
@@ -267,6 +275,58 @@ def test_a_deeper_request_extends_the_memo(corpus_loaded, monkeypatch, kind):
             syzygies = [s.action.tobytes() for s in fresh.syzygies]
             assert [s.action.tobytes() for s in res.syzygies] == syzygies, name
             assert [s.action.tobytes() for s in shallow.syzygies] == syzygies[:3], name
+
+
+def generator_columns(a, vertices):
+    """The generator e_v of each summand P(v) of the sum over ``vertices``,
+    one column each, read in the bases ``proj_bases[v]``."""
+    std = standard_modules(a)
+    blocks = [coordinates(std.proj_bases[v]).read(a.idempotents[v]) for v in vertices]
+    gens = np.zeros((sum(len(g) for g in blocks), len(vertices)), dtype=np.int64)
+    offset = 0
+    for s, g in enumerate(blocks):
+        gens[offset : offset + len(g), s] = g
+        offset += len(g)
+    return gens
+
+
+def test_generator_images_are_the_maps_at_the_generators(corpus_loaded):
+    # the dense route: each differential times the generator coordinates;
+    # the images of a coresolution are those of the dual's resolution
+    for name, m in resolution_test_modules(corpus_loaded):
+        for kind, a in (("projective", m.algebra), ("injective", opposite(m.algebra))):
+            res = minimal_resolution(m, kind, 3)
+            for i, f in enumerate(res.maps):
+                d = f.map if kind == "projective" else f.map.transpose()
+                dense = mulmod(d.a, generator_columns(a, res.term_summands[i]), a.field.p)
+                assert np.array_equal(res.images[i], dense), (name, kind, i)
+
+
+def held_modules(obj):
+    """The modules obj holds through attributes, lists and tuples, by id,
+    without looking inside a module."""
+    if isinstance(obj, ModuleRep):
+        return {id(obj): obj}
+    if isinstance(obj, (list, tuple)):
+        parts = obj
+    elif hasattr(obj, "__dict__"):
+        parts = vars(obj).values()
+    else:
+        return {}
+    return {k: v for part in parts for k, v in held_modules(part).items()}
+
+
+def test_the_memo_keeps_one_syzygy(K2):
+    a = tensor_product(tensor_product(K2, K2), K2)
+    s = ModuleRep(a, standard_modules(a).simples[0].action)
+    assert ext_dims(s, s, 9).dims == [(i + 1) * (i + 2) // 2 for i in range(10)]
+    state = s.memo["resolutions"]["projective"]
+    assert len(state.terms) == 11
+    # every other module it holds is a term, a sum of P(v)
+    syzygies = [x for x in held_modules(state).values() if not isinstance(x, DirectSum)]
+    assert len(syzygies) == 1
+    # the deepest, the kernel of P_9 -> P_8: dim P_9 - dim P_8 + ... - dim P_0 + dim S
+    assert syzygies[0].dim == sum((-1) ** (9 - j) * state.terms[j].dim for j in range(10)) + s.dim
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +420,7 @@ def test_ext_and_covers_run_no_solve(corpus_loaded, monkeypatch):
     cases = []
     for loaded in corpus_loaded.values():
         mods = standard_module_list(loaded.algebra)
-        ext_dims(mods[0], mods[0], 0)  # memoizes the generator coordinates
+        ext_dims(mods[0], mods[0], 0)  # memoizes the standard modules
         # fresh copies carry no memoized resolution
         cases.append([ModuleRep(m.algebra, m.action) for m in mods])
     forbid_solve(monkeypatch)

@@ -455,11 +455,9 @@ def test_complement_projection_reduces_by_the_echelon_rows():
 # ---------------------------------------------------------------------------
 # one product path and one basis reader, outside linalg
 
-# the `@` products outside linalg, by (module, function, expression); each
-# multiplies two PrimeMatrix values, so it runs through mulmod
-PRIME_MATRIX_PRODUCTS = {
-    ("homology", "_Resolved.extend", "self.inclusion @ cov.morphism.map"),
-}
+# the `@` products outside linalg, by (module, function, expression): none,
+# every product outside linalg calls mulmod
+PRIME_MATRIX_PRODUCTS = set()
 
 
 def walk_with_function(node, function=None):
