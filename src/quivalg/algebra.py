@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .linalg import PrimeField, PrimeMatrix, complement_projection, coordinates, mulmod, nullspace, rref
 
 __all__ = [
@@ -67,9 +67,9 @@ class Algebra:
 
     ``memo`` caches values derived from the structure constants, which are
     immutable by convention, so an entry never goes stale.  Keys:
-    "radical", "content_hash", "opposite" (set here), "projectives",
-    "standard_modules" and "bar_graded" (set by the modules and checks
-    layers).
+    "radical", "arrows", "content_hash", "opposite" (set here),
+    "projectives", "standard_modules" and "bar_graded" (set by the modules
+    and checks layers).
     """
 
     def __init__(
@@ -129,6 +129,36 @@ class Algebra:
         if "radical" not in self.memo:
             self.memo["radical"] = radical(self.field, self.mult, self.idempotents)
         return self.memo["radical"]
+
+    def arrows(self) -> PrimeMatrix:
+        """Columns form a basis X of a complement of J^2 in the radical J,
+        taken from the radical's columns r_i: read in the radical's basis,
+        the products r_i*r_j span J^2, and X is the r_i at the free
+        coordinates of that span, which one elimination finds.  For a path
+        algebra X is its arrows.
+
+        J = X + J^2 = X + J*X, since J is nilpotent, so J = A*X = X*A: the
+        radical of a module is X.m and its socle the joint kernel of the x
+        in X (Assem, Simson and Skowronski, Elements 1, II).
+        """
+        if "arrows" not in self.memo:
+            r, p, d = self.radical(), self.field.p, self.dim
+            # products[i, j] = r_i*r_j, for a chunk of left factors r_i at a
+            # time so that a product makes at most max(d^3, 2^16)
+            # multiply-adds: one product for every r_i is large enough for
+            # OpenBLAS to spread over threads, whose spinning cost more CPU
+            # than the product at d = 36
+            chunk = max(1, 2**16 // d**3)
+            products = np.empty((r.cols, r.cols, d), dtype=np.int64)
+            for i in range(0, r.cols, chunk):
+                left = mulmod(r.a[:, i : i + chunk].T, self.mult.reshape(d, d * d), p).reshape(-1, d, d)
+                products[i : i + chunk] = mulmod(r.a.T, left, p)
+            coords = coordinates(r).read(products.reshape(-1, d).T)
+            if coords is None:
+                raise InternalCheckError("a product of radical elements left the radical")
+            _, sec = complement_projection(PrimeMatrix(self.field, coords))
+            self.memo["arrows"] = r.take_cols(np.flatnonzero(sec.a.any(axis=1)))
+        return self.memo["arrows"]
 
     def content_hash(self) -> str:
         if "content_hash" in self.memo:
@@ -410,8 +440,9 @@ def opposite(a: Algebra) -> Algebra:
     )
     op.memo["opposite"] = a
     a.memo["opposite"] = op
-    if "radical" in a.memo:  # rad A^op = rad A as a subspace
-        op.memo["radical"] = a.memo["radical"]
+    for key in ("radical", "arrows"):  # rad A^op = rad A, and (rad A^op)^2 = (rad A)^2
+        if key in a.memo:
+            op.memo[key] = a.memo[key]
     return op
 
 

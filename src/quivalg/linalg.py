@@ -35,6 +35,7 @@ basis is the one a full ``rref`` would give, bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -337,7 +338,8 @@ class Coordinates:
     """Coordinates in a fixed basis B (the columns of ``basis``): B[rows] is
     invertible with inverse ``inverse``, or is the identity when that is None
     (a ``nullspace`` basis on its free rows).  ``others`` are the remaining
-    rows, the only ones a read checks."""
+    rows, the only ones a read checks; B[others] is gathered and converted to
+    float64 once, on the first read, and every later read reuses it."""
 
     basis: PrimeMatrix
     rows: np.ndarray
@@ -346,6 +348,11 @@ class Coordinates:
 
     def __post_init__(self):
         object.__setattr__(self, "others", np.delete(np.arange(self.basis.rows), self.rows))
+
+    @functools.cached_property
+    def _checked_rows(self) -> np.ndarray:
+        """B[others] in float64, which ``mulmod`` reads without converting."""
+        return self.basis.a[self.others].astype(np.float64)
 
     def read(self, v: np.ndarray) -> Optional[np.ndarray]:
         """c = B[rows]^-1 v[rows] for one vector or for the columns of v
@@ -357,7 +364,7 @@ class Coordinates:
         c = v[self.rows] % p
         if self.inverse is not None:
             c = mulmod(self.inverse, c, p)
-        if not np.array_equal(mulmod(self.basis.a[self.others], c, p), v[self.others] % p):
+        if not np.array_equal(mulmod(self._checked_rows, c, p), v[self.others] % p):
             return None
         return c
 

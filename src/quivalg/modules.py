@@ -7,7 +7,10 @@ that way, and its action matrices are built only when some caller reads
 them.  Submodules read the moved copies of their basis from
 ``ModuleRep.moved``, one product for a dense module and one per distinct
 summand for a sum, so a kernel out of a sum never touches the sum's zero
-blocks.
+blocks; they read it a block of basis columns at a time, so a large kernel
+never holds all of its moved copies at once.  The radical, top and socle of
+a module read only the action of the algebra's arrows (``Algebra.arrows``),
+which generate its radical.
 All constructions (kernels, quotients, duals, covers, envelopes) produce
 explicit matrices with deterministic bases, so downstream invariants are
 bit-reproducible.  Isomorphism is decided exactly from End of a sum of
@@ -219,21 +222,28 @@ def submodule(m: ModuleRep, basis: PrimeMatrix) -> tuple[ModuleRep, Morphism]:
     independent and closed under the action.
 
     The action of each algebra basis element on the subspace is the
-    coordinates of the moved basis, all of them read at once from
-    ``m.moved``.
+    coordinates of the moved basis.  They are read from ``m.moved`` a block
+    of basis columns at a time, at most 2^16 moved entries per block, and
+    each block is written straight into the action: a whole small module is
+    one block, and a large one never holds every moved copy at once.  Every
+    column is checked for membership.
     """
     alg = m.algebra
-    c = basis.cols
+    d, c = alg.dim, basis.cols
     if c == 0:
         sub = zero_module(alg)
         return sub, Morphism(sub, m, basis)
     reader = coordinates(basis)
     if reader is None:
         raise InputError("submodule basis has dependent columns")
-    coords = reader.read(m.moved(basis.a))
-    if coords is None:
-        raise InputError("subspace is not invariant under the action")
-    sub = ModuleRep(alg, np.ascontiguousarray(coords.reshape(c, alg.dim, c).transpose(1, 0, 2)))
+    step = max(1, 2**16 // (m.dim * d))
+    action = np.empty((d, c, c), dtype=np.int64)
+    for j in range(0, c, step):
+        coords = reader.read(m.moved(basis.a[:, j : j + step]))
+        if coords is None:
+            raise InputError("subspace is not invariant under the action")
+        action[:, :, j : j + step] = coords.reshape(c, d, -1).transpose(1, 0, 2)
+    sub = ModuleRep(alg, action)
     return sub, Morphism(sub, m, basis)
 
 
@@ -371,17 +381,17 @@ def dualize(m: ModuleRep) -> ModuleRep:
 # socle, top, radical of a module
 
 
-def _radical_action(m: ModuleRep) -> np.ndarray:
-    """The action on m of each radical basis element, r x dim x dim."""
+def _arrow_action(m: ModuleRep) -> np.ndarray:
+    """The action on m of each arrow (``Algebra.arrows``), k x dim x dim."""
     alg = m.algebra
-    r = alg.radical()
-    return mulmod(r.a.T, m.action.reshape(alg.dim, -1), alg.field.p).reshape(r.cols, m.dim, m.dim)
+    x = alg.arrows()
+    return mulmod(x.a.T, m.action.reshape(alg.dim, -1), alg.field.p).reshape(x.cols, m.dim, m.dim)
 
 
 def _radical_span(m: ModuleRep) -> PrimeMatrix:
-    """Columns spanning rad(m): the radical's actions side by side."""
-    rad = _radical_action(m)
-    return PrimeMatrix(m.algebra.field, rad.transpose(1, 0, 2).reshape(m.dim, len(rad) * m.dim))
+    """Columns spanning rad(m) = X.m: the arrows' actions side by side."""
+    arr = _arrow_action(m)
+    return PrimeMatrix(m.algebra.field, arr.transpose(1, 0, 2).reshape(m.dim, len(arr) * m.dim))
 
 
 def rad_module(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
@@ -395,9 +405,9 @@ def top(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
 
 
 def soc(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
-    """Joint kernel of the radical action."""
-    rad = _radical_action(m)
-    stacked = rad.reshape(len(rad) * m.dim, m.dim)
+    """Joint kernel of the radical action, that is of the arrows' actions."""
+    arr = _arrow_action(m)
+    stacked = arr.reshape(len(arr) * m.dim, m.dim)
     return submodule(m, nullspace(PrimeMatrix(m.algebra.field, stacked)))
 
 

@@ -19,6 +19,7 @@ from quivalg.algebra import (
     tensor_product,
 )
 from quivalg.errors import InputError, UnsupportedFieldError
+from quivalg.homology import endomorphism_algebra, minimal_gen_cogen
 from quivalg.linalg import PrimeField, PrimeMatrix, solve
 
 from conftest import FIELD, quiver
@@ -139,6 +140,38 @@ def test_radical_nilpotent(corpus_algebras):
 
             span = column_span_basis(PrimeMatrix(a.field, np.array(cols).T))
         assert span.cols == 0, name
+
+
+def arrow_cases(corpus_algebras, K2, KA2):
+    """(name, algebra, number of arrows of its quiver or None)."""
+    arrows = {"k": 0, "k2": 1, "k3": 1, "k4": 1, "ka2": 1, "ka3": 2, "aus": 2, "k2xk2": 2, "ka2xk2": 3}
+    cases = [(name, a, arrows[name]) for name, a in corpus_algebras.items()]
+    for n in range(3, 7):
+        verts = tuple(str(i) for i in range(n))
+        line = tuple((f"a{i}", str(i), str(i + 1)) for i in range(n - 1))
+        cases.append((f"A{n}", quiver(verts, line, (), n - 1), n - 1))
+    for n in range(2, 6):
+        cases.append((f"k[x]/(x^{n})", quiver(("1",), (("x", "1", "1"),), (((1, ("x",) * n),),), n - 1), 1))
+    cases.append(("k2^3", tensor_product(tensor_product(K2, K2), K2), 3))
+    cases.append(("env ka2", enveloping(KA2), 4))  # 1 arrow times 2 vertices, twice
+    a3 = next(a for name, a, _ in cases if name == "A3")
+    cases.append(("End gencogen A3", endomorphism_algebra(minimal_gen_cogen(a3)).algebra, None))
+    rng = np.random.default_rng(1)
+    for name in ("aus", "ka2xk2"):  # a radical that is not a set of basis vectors
+        cases.append((f"{name} rebased", rebased(corpus_algebras[name], rng), arrows[name]))
+    return cases
+
+
+def test_arrows_complement_the_square_of_the_radical(corpus_algebras, K2, KA2):
+    for name, a, want in arrow_cases(corpus_algebras, K2, KA2):
+        r, x = a.radical(), a.arrows()
+        prods = [a.multiply(r.a[:, i], r.a[:, j]) for i in range(r.cols) for j in range(r.cols)]
+        square = PrimeMatrix(a.field, np.array(prods, dtype=np.int64).reshape(-1, a.dim).T)
+        assert x.cols == r.cols - square.rank(), name
+        assert square.hstack(x).rank() == square.rank() + x.cols, name
+        assert all(any(np.array_equal(col, r.a[:, j]) for j in range(r.cols)) for col in x.a.T), name
+        assert want is None or x.cols == want, name
+        assert opposite(a).arrows() == x, name
 
 
 def test_semisimple_quotient_dimension():

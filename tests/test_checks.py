@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import quivalg.algebra
 import quivalg.homology
 import quivalg.modules
 from quivalg import corpus
@@ -110,7 +111,8 @@ def test_bar_oracle_near_two_to_the_29():
 
 def test_bar_oracle_runs_no_resolution_cover_or_hom(corpus_loaded, monkeypatch):
     # the oracle is a second Ext route: on the corpus sweep pool it must not
-    # reach the minimal-resolution machinery or Hom spaces
+    # reach the minimal-resolution machinery, Hom spaces or the arrows that
+    # the minimal route reads radicals and socles through
     cases = []
     for loaded in corpus_loaded.values():
         pool = small_corpus_modules(loaded.algebra, corpus.BAR_SWEEP_MAX_DIM)
@@ -133,6 +135,7 @@ def test_bar_oracle_runs_no_resolution_cover_or_hom(corpus_loaded, monkeypatch):
             for key, value in list(vars(mod).items()):
                 if any(value is r for r in real):
                     monkeypatch.setattr(mod, key, forbidden)
+    monkeypatch.setattr(quivalg.algebra.Algebra, "arrows", forbidden)
     for pool, want in cases:
         got = [bar_ext_oracle(m, n, corpus.BAR_SWEEP_DEGREE).dims for m in pool for n in pool]
         assert got == want

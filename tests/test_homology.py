@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -327,6 +328,27 @@ def test_the_memo_keeps_one_syzygy(K2):
     assert len(syzygies) == 1
     # the deepest, the kernel of P_9 -> P_8: dim P_9 - dim P_8 + ... - dim P_0 + dim S
     assert syzygies[0].dim == sum((-1) ** (9 - j) * state.terms[j].dim for j in range(10)) + s.dim
+
+
+def test_a_deep_resolution_has_a_bounded_working_set(K2):
+    # the traced peak of a fresh ext_dims(S, S, 9) over k[x]/(x^2)^(x)3,
+    # which is transient: the 241-dim kernel of P_9 -> P_8 (dim P_9 = 440)
+    # read in blocks of basis columns, and three arrows rather than seven
+    # radical elements for every top.  One read of the whole kernel and the
+    # full radical traced 26.4 MB
+    a = tensor_product(tensor_product(K2, K2), K2)
+    s = standard_modules(a).simples[0]
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert ext_dims(s, s, 9).dims == [(i + 1) * (i + 2) // 2 for i in range(10)]
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 16e6, f"{peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import time
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 import quivalg
+import quivalg.algebra
+import quivalg.modules
 from quivalg.errors import UnsupportedFieldError
 from quivalg.linalg import (
     Coordinates,
@@ -537,6 +540,32 @@ def test_the_package_draws_no_random_numbers():
             if names & {"random", "default_rng"}:
                 found.append((path.stem, node.lineno))
     assert found == []
+
+
+def memo_keys_written():
+    """(module, key) for every literal key the package writes to a memo:
+    ``x.memo[key] = ...`` or ``x.memo.setdefault(key, ...)``."""
+    found = set()
+    for module, _, node in package_functions(with_linalg=True):
+        if isinstance(node, ast.Assign):
+            slots = [t for t in node.targets if isinstance(t, ast.Subscript)]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault":
+            slots = [ast.Subscript(node.func.value, node.args[0])]
+        else:
+            continue
+        for slot in slots:
+            if getattr(slot.value, "attr", None) == "memo" and isinstance(slot.slice, ast.Constant):
+                found.add((module, slot.slice.value))
+    return found
+
+
+def test_every_memo_key_is_documented_where_the_memos_are():
+    # a key is named, in double quotes, in the Algebra or ModuleRep docstring,
+    # and those docstrings name no key that nothing writes
+    written = memo_keys_written()
+    documented = set(re.findall(r'"(\w+)"', quivalg.algebra.Algebra.__doc__ + quivalg.modules.ModuleRep.__doc__))
+    assert {key for _, key in written} == documented
+    assert ("algebra", "arrows") in written
 
 
 MODULES_WITH_ALL = [

@@ -9,8 +9,8 @@ import quivalg.linalg
 import quivalg.modules
 from quivalg.algebra import QuiverPresentation, build_from_quiver, column_span_basis, enveloping, tensor_product
 from quivalg.errors import InputError, UnsupportedFieldError
-from quivalg.homology import gen_cogen, minimal_gen_cogen
-from quivalg.linalg import PrimeField, PrimeMatrix
+from quivalg.homology import gen_cogen, minimal_gen_cogen, minimal_resolution
+from quivalg.linalg import PrimeField, PrimeMatrix, complement_projection, coordinates, mulmod, nullspace
 from quivalg.modules import (
     DirectSum,
     HomSpace,
@@ -87,6 +87,56 @@ def test_submodule_rejects_a_simple_subspace_of_a_projective(KA2):
     other = np.array([[1], [0]]) if soc_basis.a[0, 0] == 0 else np.array([[0], [1]])
     with pytest.raises(InputError, match="not invariant"):
         submodule(p1, PrimeMatrix(FIELD, other))
+
+
+def one_read_action(m, basis):
+    """The action on span(basis) from one read of every moved basis column at
+    once: the reference for the block reads of ``submodule``."""
+    c, d = basis.cols, m.algebra.dim
+    coords = coordinates(basis).read(m.moved(basis.a))
+    assert coords is not None
+    return coords.reshape(c, d, c).transpose(1, 0, 2)
+
+
+def read_step(m):
+    """The basis columns per block of ``submodule``'s reads from m."""
+    return max(1, 2**16 // (m.dim * m.algebra.dim))
+
+
+@pytest.fixture(scope="module")
+def deep_kernel(K2):
+    """P_10 of the simple over k[x]/(x^2)^(x)3 and a basis of the kernel of
+    P_10 -> P_9: 287 columns of a 528-dim sum, read in 20 blocks."""
+    a = tensor_product(tensor_product(K2, K2), K2)
+    f = minimal_resolution(standard_modules(a).simples[0], "projective", 10).maps[10]
+    return f.source, nullspace(f.map)
+
+
+def test_block_reads_agree_with_one_read(corpus_algebras, deep_kernel):
+    for a in corpus_algebras.values():
+        std = standard_modules(a)
+        for m in [std.regular, std.coregular] + std.projectives + std.injectives + std.simples:
+            for basis in (rad_module(m)[1].map, soc(m)[1].map, FIELD.identity(m.dim)):
+                if basis.cols:
+                    assert basis.cols <= read_step(m)
+                    assert submodule(m, basis)[0].action.tobytes() == one_read_action(m, basis).tobytes()
+    m, basis = deep_kernel
+    assert basis.cols > 2 * read_step(m) and basis.cols % read_step(m)  # a partial last block
+    sub, inc = submodule(m, basis)
+    assert sub.action.tobytes() == one_read_action(m, basis).tobytes()
+    assert inc.map == basis
+
+
+def test_block_reads_refuse_a_column_of_the_last_block(deep_kernel):
+    # the kernel is invariant; a generator of P_10 appended to it is the
+    # only column moved out of the span, and it sits in the last block
+    m, basis = deep_kernel
+    top = np.zeros((m.dim, 1), dtype=np.int64)
+    top[0] = 1
+    wider = basis.hstack(PrimeMatrix(FIELD, top))
+    assert wider.cols > 2 * read_step(m) and wider.cols % read_step(m) > 1
+    with pytest.raises(InputError, match="not invariant"):
+        submodule(m, wider)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +503,21 @@ def test_top_of_projectives(corpus_algebras):
             want = [0] * len(a.idempotents)
             want[i] = 1
             assert mults == want
+
+
+def test_arrows_give_the_radical_routes_of_the_whole_radical(corpus_algebras):
+    # rad(m) = X.m and soc(m) = the joint kernel of X for the arrows X: the
+    # same column space and the same kernel as from every radical element,
+    # so the quotient and the socle basis are the same bytes
+    for a in corpus_algebras.values():
+        r = a.radical()
+        for m in small_corpus_modules(a):
+            acts = mulmod(r.a.T, m.action.reshape(a.dim, -1), FIELD.p).reshape(r.cols, m.dim, m.dim)
+            span = PrimeMatrix(FIELD, acts.transpose(1, 0, 2).reshape(m.dim, -1))
+            got, want = complement_projection(quivalg.modules._radical_span(m)), complement_projection(span)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            socle = nullspace(PrimeMatrix(FIELD, acts.reshape(-1, m.dim)))
+            assert soc(m)[1].map.tobytes() == socle.tobytes()
 
 
 def test_rad_of_simple_is_zero(KA2):
