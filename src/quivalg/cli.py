@@ -48,11 +48,10 @@ from .homology import (
     ext_dims,
     gen_cogen,
     is_injective,
-    min_add_approximation,
     nakayama,
     self_orthogonal,
 )
-from .modules import DirectSum, standard_modules
+from .modules import DirectSum, min_add_approximation, standard_modules
 
 Rows = list[tuple[str, str]]
 
@@ -184,7 +183,7 @@ def _approx(args) -> tuple[Rows, int]:
     return [
         ("module", args.module),
         ("target", args.target),
-        ("copies", str(ap.copies)),
+        ("multiplicities", ",".join(map(str, ap.multiplicities))),
         ("source_dim", str(ap.morphism.source.dim)),
     ], 0
 
@@ -395,7 +394,7 @@ COMMANDS: dict[str, Command] = {
     ),
     "approx": Command(
         "minimal right add(M)-approximation", {**MODULE, "target": {}}, _approx,
-        "minimal right approximation uses {copies} copies",
+        "minimal right approximation: source dimension {source_dim}",
     ),
     "tensor": Command(
         "tensor product of two algebras",

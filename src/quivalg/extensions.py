@@ -67,7 +67,8 @@ def _frobenius_iso(ext: Extension) -> bool:
     A*e_P, e_P the sum of A's idempotents over a connected component of the
     graph joining u and v when e_u*b*e_v != 0 for some b in B.  e_P commutes
     with B, so right multiplication by it is an idempotent of End = C_A(B)^op;
-    ``is_isomorphic`` refuses where End is not basic elementary with them."""
+    ``is_isomorphic`` allows isomorphic A*e_P and refuses only an A*e_P whose
+    End is not local with residue field F_p."""
     B, A = ext.sub, ext.amb
     p, idem = A.field.p, A.idempotents
     joined = [

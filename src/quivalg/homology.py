@@ -8,8 +8,9 @@ lists and the images, never a term's action or a dense map.  A module's
 memo keeps its resolution as far as it was asked for, with its deepest
 syzygy only: a deeper request adds only the missing covers, and no syzygy
 is built past the last term.
-End algebras and approximations take a ``DirectSum``, one idempotent per
-summand.  Ext dimensions are cohomology ranks of the induced hom complex.
+End algebras take a ``DirectSum``, one idempotent per summand (minimal
+approximations, which read End(m) the same way, live in ``modules``).
+Ext dimensions are cohomology ranks of the induced hom complex.
 Dominant dimension is reported as evidence: an exact value below the
 cutoff, an at-least-cutoff marker, or infinity certified by
 self-injectivity.  Truncation is never silently treated as a final answer.
@@ -22,9 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, opposite, radical
+from .algebra import Algebra, opposite
 from .errors import InputError, InternalCheckError
-from .linalg import PrimeMatrix, mulmod, rref
+from .linalg import PrimeMatrix, mulmod
+from .linalg import rref  # noqa: F401  (unused here; read by test_tracer_replaces_every_binding_and_restores_it)
 from .modules import (
     DirectSum,
     HomSpace,
@@ -38,7 +40,6 @@ from .modules import (
     standard_modules,
     tensor_over_algebra,
     top_multiplicities,
-    zero_module,
 )
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "DomDimEvidence",
     "NakayamaResult",
     "SelfOrthReport",
-    "ApproxResult",
     "EndoAlgebra",
     "minimal_resolution",
     "ext_dims",
@@ -60,7 +60,6 @@ __all__ = [
     "nakayama",
     "self_orthogonal",
     "gen_cogen",
-    "min_add_approximation",
     "endomorphism_algebra",
     "minimal_gen_cogen",
 ]
@@ -444,55 +443,6 @@ def gen_cogen(m: ModuleRep) -> bool:
     splits off m.  Dually m cogenerates exactly when D(m) generates over
     the opposite algebra."""
     return _generates(m) and _generates(dualize(m))
-
-
-# ---------------------------------------------------------------------------
-# minimal right add(m)-approximations
-
-
-@dataclass
-class ApproxResult:
-    morphism: Morphism  # m^r -> x
-    copies: int
-
-
-def min_add_approximation(m: DirectSum, x: ModuleRep) -> ApproxResult:
-    """Right add(m)-approximation of x by copies of the whole of m, as few
-    as Hom(m, x) / Hom(m, x).rad End(m) allows.
-
-    The number of copies is the dimension of that quotient; representatives
-    of a basis of it assemble the map, and surjectivity of Hom(m, -) onto
-    Hom(m, x) is verified.  The map is not right minimal in general: a
-    summand of m that the approximation does not need still comes with
-    each copy (for m = A + S and x = S over k[x]/(x^2), f = [0 0 1]:
-    m -> S, where id_S is minimal).
-    rad End(m) is read at any prime with one idempotent per summand of m, so
-    each summand needs a local End with residue field F_p (InputError).
-    """
-    field = m.algebra.field
-    h = HomSpace(m, x)
-    if h.dim == 0:  # zero modules included
-        return ApproxResult(Morphism(zero_module(m.algebra), x, field.zeros(x.dim, 0)), 0)
-    end, mult, coords = endo_data(m)
-    rad = radical(field, mult, list(coords[:, 1:].T))
-    # Hom(m, x) o rad End(m), one read per radical basis element
-    sub_cols = [h.read(h.precompose(end.from_coords(rad.a[:, s]).a)) for s in range(rad.cols)]
-    sub = PrimeMatrix(field, np.hstack([np.zeros((h.dim, 0), dtype=np.int64)] + sub_cols))
-    _, sub_rank, _ = rref(sub)
-    combined = sub.hstack(field.identity(h.dim))
-    _, _, pivots = rref(combined)
-    rep_indices = [c - sub.cols for c in pivots if c >= sub.cols]
-    copies = len(rep_indices)
-    if copies != h.dim - sub_rank:
-        raise InternalCheckError("approximation quotient dimension mismatch")
-    reps = [h.basis_map(j) for j in rep_indices]
-    mat = PrimeMatrix(field, np.hstack([r.a for r in reps]))
-    phi = Morphism(DirectSum(m.algebra, [m] * copies), x, mat)
-    # surjectivity of Hom(m, phi): composites rep_j o e span Hom(m, x)
-    span = PrimeMatrix(field, np.hstack([h.read(end.postcompose(r.a)) for r in reps]))
-    if span.rank() != h.dim:
-        raise InternalCheckError("approximation does not map onto Hom(m, x): Hom(m, phi) is not surjective")
-    return ApproxResult(phi, copies)
 
 
 # ---------------------------------------------------------------------------

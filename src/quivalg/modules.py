@@ -8,13 +8,17 @@ them.  Submodules read the moved copies of their basis from
 ``ModuleRep.moved``, one product for a dense module and one per distinct
 summand for a sum, so a kernel out of a sum never touches the sum's zero
 blocks; they read it a block of basis columns at a time, so a large kernel
-never holds all of its moved copies at once.  The radical, top and socle of
-a module read only the action of the algebra's arrows (``Algebra.arrows``),
-which generate its radical.
+never holds all of its moved copies at once; a quotient reads the moved
+copies of its section the same way.  The radical, top and socle of a module
+read only the action of the algebra's arrows (``Algebra.arrows``), which
+generate its radical.
 All constructions (kernels, quotients, duals, covers, envelopes) produce
 explicit matrices with deterministic bases, so downstream invariants are
-bit-reproducible.  Isomorphism is decided exactly from End of a sum of
-summands and its radical (``is_isomorphic``); nothing here is randomized.
+bit-reproducible.  Minimal right add(m)-approximations and isomorphism
+read one routine, the top of Hom(m, x) over End(m) (``_top_of_hom``): it
+takes rad End(m) once, groups the summands of m into isoclasses and keeps,
+per class, the maps outside Hom(m, x)*rad End(m).  Both are exact at every
+prime; nothing here is randomized.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Algebra, column_span_basis, enveloping, opposite, radical
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .linalg import PrimeMatrix, complement_projection, coordinates, mulmod, nullspace, rref
 from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test reads modules.solve)
 
@@ -55,6 +59,8 @@ __all__ = [
     "soc_multiplicities",
     "projective_cover",
     "injective_envelope",
+    "ApproxResult",
+    "min_add_approximation",
     "is_isomorphic",
     "tensor_over_algebra",
     "TensorResult",
@@ -170,7 +176,7 @@ class DirectSum(ModuleRep):
             rows = np.concatenate([np.arange(self.offsets[s], self.offsets[s + 1]) for s in slots])
             side = basis[rows].reshape(len(slots), block.dim, k).transpose(1, 0, 2).reshape(block.dim, -1)
             prod = mulmod(block.action.reshape(d * block.dim, block.dim), side, self.algebra.field.p)
-            out[rows] = prod.reshape(d, block.dim, len(slots), k).transpose(2, 1, 0, 3).reshape(-1, d, k)
+            out[rows] = prod.reshape(d, block.dim, len(slots), k).transpose(2, 1, 0, 3).reshape(len(rows), d, k)
         return out.reshape(self.dim, d * k)
 
 
@@ -256,11 +262,9 @@ def quotient_module(m: ModuleRep, sub: PrimeMatrix) -> tuple[ModuleRep, Morphism
     alg = m.algebra
     proj, sec = complement_projection(sub)
     q = proj.rows
-    free = np.flatnonzero(sec.a.any(axis=1))  # right multiplication by sec selects these columns
-    action = np.zeros((alg.dim, q, q), dtype=np.int64)
-    for a in range(alg.dim):
-        action[a] = mulmod(proj.a, m.action[a][:, free], alg.field.p)
-    quot = ModuleRep(alg, action)
+    # proj . a . sec for every basis element a: the moved section, then one product
+    action = mulmod(proj.a, m.moved(sec.a), alg.field.p).reshape(q, alg.dim, q).transpose(1, 0, 2)
+    quot = ModuleRep(alg, np.ascontiguousarray(action))
     return quot, Morphism(m, quot, proj), sec
 
 
@@ -563,42 +567,86 @@ def endo_data(m: DirectSum) -> tuple[HomSpace, np.ndarray, np.ndarray]:
     return h, endo_structure_constants(h), h.read(np.stack([np.eye(m.dim, dtype=np.int64)] + idem))
 
 
-def is_isomorphic(summands: list[ModuleRep], n: ModuleRep) -> bool:
-    """Is n isomorphic to the sum m of ``summands``?  Exact at every prime.
+def _top_of_hom(m: DirectSum, x: ModuleRep) -> list[tuple[list[int], np.ndarray]]:
+    """Per isoclass of m's summands, (its summands, maps M_i -> x) with i its
+    first summand: the top of H = Hom(m, x) as a right End(m)-module.
 
-    End(m) must be basic elementary with one idempotent e_i per summand, that
-    is the summands are pairwise non-isomorphic with local End of residue
-    field F_p; InputError otherwise.  With R = rad End(m) and H = Hom(m, n),
-    f_i is the first basis map of H*e_i outside H*R*e_i, and m is isomorphic
-    to n iff every f_i exists and f = sum f_i is invertible: an isomorphism
-    phi gives H = phi*End(m), and End(m)*e_i is spanned by e_i modulo R*e_i,
-    so each f_i = phi*u_i with u_i = c_i*e_i (c_i != 0) modulo R, and f =
-    phi*sum u_i with sum u_i a unit modulo R.
+    With R = rad End(m) (InputError unless each summand has a local End with
+    residue field F_p), summands i and j are isomorphic iff e_j*End(m)*e_i
+    is not inside R.  The d_i maps of H*e_i outside H*R*e_i, restricted to
+    M_i, assemble f: sum M_i^(d_i) -> x, a right minimal approximation
+    (Auslander, Reiten and Smalo, Representation Theory of Artin Algebras,
+    I.2); that Hom(m, f) is onto H is checked.  A zero H leaves End(m)
+    unread: each summand is its own class, with no map.
     """
-    m = DirectSum(n.algebra, summands)
-    field, p, k = m.algebra.field, m.algebra.field.p, len(summands)
+    h = HomSpace(m, x)
+    if h.dim == 0:  # zero modules included
+        return [([i], np.zeros((0, x.dim, s.dim), dtype=np.int64)) for i, s in enumerate(m.summands)]
+    field, p, k = m.algebra.field, m.algebra.field.p, len(m.summands)
     end, mult, coords = endo_data(m)
-    rad = radical(field, mult, list(coords[:, 1:].T))
-    if end.dim - rad.cols != k:
-        raise InputError("endomorphism algebra of the summands is not basic elementary")
+    d, idem = end.dim, coords[:, 1:]
+    rad = radical(field, mult, list(idem.T))
+    # e_j*b_t*e_i modulo R for every pair, read on a complement of R
+    quot, _ = complement_projection(rad)
+    left = mulmod(idem.T, mult.reshape(d, d * d), p).reshape(k * d, d)  # [(j, t), s]: e_j*b_t
+    right = mulmod(mult.transpose(0, 2, 1).reshape(d * d, d), idem, p).reshape(d, d, k)  # [s, c, i]: b_s*e_i
+    residue = mulmod(right.transpose(2, 0, 1).reshape(k * d, d), quot.a.T, p).reshape(k, d, quot.rows)
+    linked = mulmod(left, residue.transpose(1, 0, 2).reshape(d, -1), p).reshape(k, d, k, -1).any(axis=(1, 3))
+    first = np.argmax(linked | np.eye(k, dtype=bool), axis=0)  # the first summand isomorphic to each
+    rad_maps = mulmod(end.matrix.a, rad.a, p).T.reshape(rad.cols, m.dim, m.dim)
+    classes, composites = [], [np.zeros((h.dim, 0), dtype=np.int64)]
+    for i in sorted(set(first.tolist())):
+        lo, hi = m.offsets[i], m.offsets[i + 1]
+        # H*R*e_i and H*e_i restricted to M_i, one column per map; the pivots
+        # of H*e_i modulo H*R*e_i pick its maps outside H*R*e_i
+        hr = h.precompose(rad_maps[:, :, lo:hi].transpose(1, 0, 2).reshape(m.dim, -1))
+        hr = hr.reshape(h.dim, x.dim, rad.cols, hi - lo).transpose(1, 3, 0, 2)
+        he = h.maps()[:, :, lo:hi]
+        modulo, _ = complement_projection(PrimeMatrix(field, hr.reshape(he[0].size, h.dim * rad.cols)))
+        _, _, outside = rref(PrimeMatrix(field, mulmod(modulo.a, he.reshape(h.dim, -1).T, p)))
+        classes.append(([j for j in range(k) if first[j] == i], he[outside]))
+        in_block = (lo <= np.arange(m.dim)) & (np.arange(m.dim) < hi)  # f_j o e_i
+        composites.extend(h.read(end.postcompose(h.maps()[j] * in_block)) for j in outside)
+    # Hom(m, f) is onto H iff the composites f_j o e_i o End(m) span H
+    if PrimeMatrix(field, np.hstack(composites)).rank() != h.dim:
+        raise InternalCheckError("approximation does not map onto Hom(m, x): Hom(m, f) is not surjective")
+    return classes
+
+
+@dataclass
+class ApproxResult:
+    """f: sum M_i^(d_i) -> x as a flat ``DirectSum``; ``multiplicities`` has
+    d_i at the first summand of each isoclass of m and 0 elsewhere."""
+
+    morphism: Morphism
+    multiplicities: list[int]
+
+
+def min_add_approximation(m: DirectSum, x: ModuleRep) -> ApproxResult:
+    """Minimal right add(m)-approximation of x (``_top_of_hom``)."""
+    multiplicities = [0] * len(m.summands)
+    source, maps = [], [np.zeros((x.dim, 0), dtype=np.int64)]
+    for members, tops in _top_of_hom(m, x):
+        multiplicities[members[0]] = len(tops)
+        source.extend([m.summands[members[0]]] * len(tops))
+        maps.extend(tops)
+    f = PrimeMatrix(m.algebra.field, np.hstack(maps))
+    return ApproxResult(Morphism(DirectSum(m.algebra, source), x, f), multiplicities)
+
+
+def is_isomorphic(summands: list[ModuleRep], n: ModuleRep) -> bool:
+    """Is n isomorphic to the sum m of ``summands``?  Exact at every prime;
+    isomorphic summands are allowed.  With f: sum M_i^(d_i) -> n from
+    ``_top_of_hom``, it is iff every d_i is the size of its isoclass and f
+    is invertible: an isomorphism m -> n is its own minimal approximation.
+    """
+    m = DirectSum(n.algebra, [s for s in summands if s.dim])  # a zero summand has no class
     if m.dim != n.dim:
         return False
-    h = HomSpace(m, n)
-    # the idempotents e_i, then a basis of R, as endomorphisms of m
-    ends = mulmod(end.matrix.a, np.hstack([coords[:, 1:], rad.a]), p).T.reshape(-1, m.dim, m.dim)
-    f = np.zeros((n.dim, m.dim), dtype=np.int64)
-    for e in ends[:k]:
-        # r*e_i for each radical basis element r, then e_i, composed after H
-        g = np.concatenate([mulmod(ends[k:].reshape(-1, m.dim), e, p).reshape(-1, *e.shape), e[None]])
-        comp = h.precompose(g.transpose(1, 0, 2).reshape(m.dim, -1))
-        comp = comp.reshape(h.dim, n.dim, len(g), m.dim).transpose(2, 0, 1, 3)
-        # pivots past the H*R*e_i columns: maps of H*e_i outside H*R*e_i
-        _, _, pivots = rref(PrimeMatrix(field, h.read(comp.reshape(-1, n.dim, m.dim))))
-        outside = [c - rad.cols * h.dim for c in pivots if c >= rad.cols * h.dim]
-        if not outside:
-            return False
-        f = (f + comp[rad.cols, outside[0]]) % p
-    return PrimeMatrix(field, f).is_invertible()
+    classes = _top_of_hom(m, n)
+    maps = [np.zeros((n.dim, 0), dtype=np.int64)] + [f for _, tops in classes for f in tops]
+    sizes = all(len(tops) == len(members) for members, tops in classes)
+    return sizes and PrimeMatrix(m.algebra.field, np.hstack(maps)).is_invertible()
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_selforth_gencogen_nakayama_endo_approx(capsys):
     assert results_dict(out)["endo_dim"] == "5"
 
     code, out, _ = run_cli(capsys, "approx", "k2", "regular+S", "S")
-    assert results_dict(out)["copies"] == "1"
+    assert results_dict(out)["multiplicities"] == "0,1"
 
 
 def test_corpus_list(capsys):
@@ -285,6 +285,7 @@ GOLDEN_COMMANDS = [
     "approx k2 regular+S S",
     "approx k2 regular+S S --field 2",
     "approx k2 regular+regular S",
+    "approx k2 S+S S",
     "tensor ka2 k2 --out {tmp}/ka2xk2.alg",
     "tensor k2 k2",
     "verify muller --algebra k2 --module M=regular+S --cutoff 6",

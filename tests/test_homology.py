@@ -15,11 +15,11 @@ import quivalg.homology
 import quivalg.linalg
 import quivalg.modules
 from quivalg import corpus
-from quivalg.algebra import opposite, tensor_product
+from quivalg.algebra import column_span_basis, opposite, tensor_product
 from quivalg.catalog import named_modules, resolve_expression
 from quivalg.checks import bar_ext_oracle
 from quivalg.errors import InputError, InternalCheckError
-from quivalg.linalg import coordinates, mulmod, nullspace
+from quivalg.linalg import PrimeMatrix, coordinates, mulmod, nullspace
 from quivalg.homology import (
     dominant_dimension,
     endomorphism_algebra,
@@ -28,7 +28,6 @@ from quivalg.homology import (
     id_bounded,
     is_injective,
     is_projective,
-    min_add_approximation,
     minimal_gen_cogen,
     minimal_resolution,
     nakayama,
@@ -43,6 +42,7 @@ from quivalg.modules import (
     zero_module,
     dualize,
     is_isomorphic,
+    min_add_approximation,
     projective_cover,
     rad_module,
     standard_modules,
@@ -716,7 +716,8 @@ def test_standard_modules_share_the_opposite_projectives(monkeypatch):
 def test_approx_zero_target(K2):
     std = standard_modules(K2)
     ap = min_add_approximation(DirectSum(K2, [std.regular]), zero_module(K2))
-    assert ap.copies == 0
+    assert ap.multiplicities == [0]
+    assert ap.morphism.source.dim == 0
 
 
 def test_approx_by_regular_is_cover(KA2):
@@ -724,15 +725,17 @@ def test_approx_by_regular_is_cover(KA2):
     regular = DirectSum(KA2, list(std.projectives))
     for x in std.simples + std.injectives:
         ap = min_add_approximation(regular, x)
-        assert ap.copies == sum(top_multiplicities(x))
+        assert ap.multiplicities == top_multiplicities(x)
         assert ap.morphism.map.rank() == x.dim
 
 
 def test_approx_k2_example(K2):
+    # id_S, not the whole of A + S
     std = standard_modules(K2)
     both = DirectSum(K2, [std.regular, std.simples[0]])
     ap = min_add_approximation(both, std.simples[0])
-    assert ap.copies == 1
+    assert ap.multiplicities == [0, 1]
+    assert ap.morphism.source.summands == [std.simples[0]]
 
 
 def test_approx_refuses_a_summand_whose_end_is_not_local(K2):
@@ -742,6 +745,62 @@ def test_approx_refuses_a_summand_whose_end_is_not_local(K2):
     s2 = DirectSum(K2, [std.simples[0], std.simples[0]])
     with pytest.raises(InputError, match="not basic"):
         min_add_approximation(DirectSum(K2, [s2]), std.simples[0])
+
+
+def is_right_minimal(f: Morphism) -> bool:
+    """f is right minimal iff K = {psi in End(source) : f o psi = 0} lies in
+    rad End(source).  K is a right ideal, so that holds iff K is nilpotent:
+    the chain K, K*K, K*K*K, ... reaches 0.  Read from one HomSpace of the
+    source, with no idempotent and no radical routine."""
+    field, p = f.map.field, f.map.field.p
+    end = HomSpace(f.source, f.source)
+    after = PrimeMatrix(field, end.postcompose(f.map.a).reshape(end.dim, -1).T)
+    k = mulmod(end.matrix.a, nullspace(after).a, p).T.reshape(-1, f.source.dim, f.source.dim)
+    power = k
+    while len(power):
+        products = mulmod(power.reshape(-1, f.source.dim), np.hstack(list(k)), p)
+        products = products.reshape(len(power), f.source.dim, len(k), f.source.dim).transpose(0, 2, 1, 3)
+        span = column_span_basis(PrimeMatrix(field, products.reshape(-1, f.source.dim**2).T))
+        if span.cols == len(power):
+            return False  # K^(j+1) = K^j != 0
+        power = span.a.T.reshape(-1, f.source.dim, f.source.dim)
+    return True
+
+
+def approximation_cases(corpus_loaded):
+    """(name, m, x): k2 regular+S, regular+regular and S+S, and every corpus
+    generator-cogenerator, each against every simple and D(A)."""
+    cases = [("k2", "regular+S"), ("k2", "regular+regular"), ("k2", "S+S")]
+    cases += [(e.name, "gencogen") for e in corpus.ENTRIES]
+    for name, expr in cases:
+        loaded = corpus_loaded[name]
+        std = standard_modules(loaded.algebra)
+        for x in std.simples + [std.coregular]:
+            yield f"{name} {expr}", resolve_expression(loaded, expr), x
+
+
+def test_approximations_are_right_minimal(corpus_loaded):
+    # the oracle reads no idempotent and no radical: each map is checked to
+    # be a module map, right minimal, and onto Hom(m, x) under Hom(m, -)
+    for name, m, x in approximation_cases(corpus_loaded):
+        f = min_add_approximation(m, x).morphism
+        f.check()
+        assert is_right_minimal(f), name
+        through = HomSpace(m, f.source)
+        composites = mulmod(f.map.a, np.hstack(list(through.maps())), f.map.field.p)
+        composites = composites.reshape(x.dim, through.dim, m.dim).transpose(1, 0, 2).reshape(through.dim, -1)
+        assert PrimeMatrix(f.map.field, composites.T).rank() == HomSpace(m, x).dim, name
+
+
+def test_right_minimality_oracle_refuses_a_redundant_summand(K2):
+    # f = [0 0 1]: A + S -> S is fixed by the idempotent of S, which is not
+    # invertible
+    std = standard_modules(K2)
+    source = DirectSum(K2, [std.regular, std.simples[0]])
+    redundant = Morphism(source, std.simples[0], K2.field.matrix([[0, 0, 1]]))
+    redundant.check()
+    assert not is_right_minimal(redundant)
+    assert is_right_minimal(Morphism.identity(std.simples[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -919,13 +978,13 @@ def test_nakayama_maps_are_pinned(corpus_loaded):
 
 
 # sha256 of the map of min_add_approximation(M, X) for X the simples and
-# D(A), recorded while the radical composites were read one
-# HomSpace.coords call per element
+# D(A), recorded when the approximation became right minimal (its source is
+# sum M_i^(d_i), not copies of the whole of M)
 APPROX_SHA256 = {
-    "k2 regular+S": "815cdd3f56cf5de471831c840d274b46cc9ce6237a08c9f42edeed4d3cbaf580",
-    "ka3 gencogen": "2025042faf70ed4fad252f005176950cc56ef9df69284a81adac242796bb6ad7",
-    "aus gencogen": "966defadf12ff8c845a385f8be0e2de749b6195d50979b55276a4f23ae8dc9ae",
-    "ka2xk2 gencogen": "6c1785e954a702473be51235ed8a385c237458baf2949838bc767b8e396b07c8",
+    "k2 regular+S": "5e8568ea5cb1269e51046c51541665a88a19714c1d57120480716596d5f79a88",
+    "ka3 gencogen": "25cb4fcc83659f8e1b8b3053f427c98545a8ed824df6268fb6f4f6c0bcf33ef6",
+    "aus gencogen": "5b023c5b7dbf4ab751b201d4a3e56494bcaabcd35bfe9a502f4d24e9713cba24",
+    "ka2xk2 gencogen": "7f1185fb8eac0c240ece9f2980b6028d85ac5a8634cf843454761d50241948f2",
 }
 
 

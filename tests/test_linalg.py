@@ -513,6 +513,27 @@ def test_kronecker_products_build_only_the_allowed_systems():
     assert found == KRON_FUNCTIONS
 
 
+# the callers of the free function algebra.radical: the memoized radical of
+# an algebra, and the top of a Hom space, which reads rad End(m) once for
+# both approximations and isomorphism.  Anything else that needs the radical
+# of an End algebra goes through one of them
+RADICAL_CALLERS = {
+    ("algebra", "Algebra.radical"),
+    ("modules", "_top_of_hom"),
+}
+
+
+def test_only_the_allowed_functions_compute_a_radical():
+    found = {
+        (module, function)
+        for module, function, node in package_functions(with_linalg=True)
+        if isinstance(node, ast.Call)
+        and "radical" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and (node.args or node.keywords)  # the method Algebra.radical() takes none
+    }
+    assert found == RADICAL_CALLERS
+
+
 def test_only_linalg_chooses_how_a_basis_is_read():
     calls = [
         (module, node.lineno)

@@ -393,6 +393,19 @@ def test_quotient_by_a_spanning_set_equals_the_quotient_by_its_basis(corpus_alge
             assert got[2].tobytes() == want[2].tobytes()
 
 
+def test_quotient_of_a_sum_is_the_quotient_of_its_dense_sum(corpus_algebras):
+    # a DirectSum's quotient reads the action per summand; the quotient by
+    # the whole space has an empty section
+    for name, a in corpus_algebras.items():
+        for mods in direct_sum_cases(a):
+            s, dense = DirectSum(a, mods), dense_sum(a, mods)
+            for sub in (rad_module(dense)[1].map, FIELD.identity(s.dim)):
+                got, want = quotient_module(s, sub), quotient_module(dense, sub)
+                assert got[0].action.tobytes() == want[0].action.tobytes(), name
+                assert got[0].action.flags["C_CONTIGUOUS"], name
+                assert "action" not in s.__dict__, name
+
+
 def test_kernel_of_identity(K2):
     m = standard_modules(K2).regular
     ker, _ = kernel(Morphism.identity(m))
@@ -639,11 +652,38 @@ def test_iso_dimension_mismatch(KA2):
     assert not is_isomorphic([p1], i1)
 
 
-def test_iso_refuses_summands_that_are_not_basic(K2):
+def test_iso_allows_isomorphic_summands(K2, KA2):
     s = standard_modules(K2).simples[0]
-    twice = DirectSum(K2, [s, s])
-    with pytest.raises(InputError, match="not basic"):
-        is_isomorphic([s, s], twice)
+    assert is_isomorphic([s, s], DirectSum(K2, [s, s]))
+    assert not is_isomorphic([s, s], standard_modules(K2).regular)
+    std = standard_modules(KA2)
+    p1, s2 = std.projectives[0], std.simples[1]
+    assert is_isomorphic([p1, p1, s2], DirectSum(KA2, [s2, p1, p1]))
+    assert is_isomorphic([p1, zero_module(KA2)], p1)
+    assert is_isomorphic([zero_module(KA2)], zero_module(KA2))
+
+
+def isomorphic_by_composites(x, y):
+    """Indecomposable x and y are isomorphic iff some g_j o f_i of Hom basis
+    maps is invertible.  End(x) is local, so its non-units form a subspace; an
+    isomorphism writes id_x as a sum of the g_j o f_i, so one of them is a
+    unit."""
+    if x.dim != y.dim:
+        return False
+    there, back = HomSpace(x, y), HomSpace(y, x)
+    return any(
+        PrimeMatrix(x.algebra.field, mulmod(g, f, x.algebra.field.p)).is_invertible()
+        for f in there.maps()
+        for g in back.maps()
+    )
+
+
+def test_iso_agrees_with_invertible_composites(corpus_algebras):
+    for name, a in corpus_algebras.items():
+        std = standard_modules(a)
+        mods = std.projectives + std.simples + std.injectives
+        for x, y in itertools.product(mods, repeat=2):
+            assert is_isomorphic([x], y) == isomorphic_by_composites(x, y), name
 
 
 @pytest.mark.parametrize("p", [2, 3])
