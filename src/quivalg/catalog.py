@@ -361,7 +361,7 @@ def serialize(doc: AlgebraDoc) -> str:
     return "\n".join(out).rstrip("\n") + "\n"
 
 
-def doc_from_algebra(a: Algebra, modules: Optional[dict[str, ModuleRep]] = None) -> AlgebraDoc:
+def doc_from_algebra(a: Algebra) -> AlgebraDoc:
     """Table-mode document for an algebra built in memory."""
     doc = AlgebraDoc(version=FORMAT_VERSION, p=a.field.p, mode="table")
     doc.dim = a.dim
@@ -372,11 +372,6 @@ def doc_from_algebra(a: Algebra, modules: Optional[dict[str, ModuleRep]] = None)
     doc.mult_triples = [
         (int(i), int(j), int(c), int(a.mult[i, j, c])) for i, j, c in nz
     ]
-    for name, m in (modules or {}).items():
-        md = ModuleDoc(name=name)
-        for b in range(a.dim):
-            md.actions[b] = [[int(x) for x in row] for row in m.action[b]]
-        doc.modules.append(md)
     return doc
 
 

@@ -38,6 +38,7 @@ from .homology import (
     ext_dims,
     gen_cogen,
     id_bounded,
+    is_injective,
     is_projective,
     nakayama,
     pd_bounded,
@@ -46,7 +47,6 @@ from .linalg import PrimeMatrix, coordinates, mulmod
 from .modules import (
     DirectSum,
     ModuleRep,
-    dualize,
     enveloping_module,
     regular_module,
     standard_modules,
@@ -540,7 +540,7 @@ def thick_shadow_check(
         if idb.finite:
             id_finite.append((name, mod))
         if pdb.finite and idb.finite:
-            if not (is_projective(mod) and is_projective(dualize(mod))):
+            if not (is_projective(mod) and is_injective(mod)):
                 failures.append(f"{name}:not-projective-injective")
     for uname, u in pd_finite:
         for vname, v in id_finite:

@@ -47,7 +47,7 @@ from .homology import (
     endomorphism_algebra,
     ext_dims,
     gen_cogen,
-    is_injective,
+    is_projective,
     nakayama,
     self_orthogonal,
 )
@@ -89,14 +89,13 @@ def _emit(results: Rows, human: list[str], machine: bool) -> None:
             print(line)
 
 
-def _header(args, command: str, p: int, input_hash: str) -> Rows:
+def _header(args, command: str, p: int) -> Rows:
+    """The rows every RESULTS block opens with; callers append the rest."""
     return [
         ("command", command),
         ("engine", catalog.ENGINE_VERSION),
         ("field", str(p)),
         ("seed", str(args.seed)),
-        ("cutoff", str(args.cutoff)),
-        ("input_hash", input_hash),
     ]
 
 
@@ -116,7 +115,8 @@ def _module(args, dest: str = "module") -> DirectSum:
 def _inspect(args) -> tuple[Rows, int]:
     a = args.algebra.algebra
     named = catalog.named_modules(args.algebra)
-    self_inj = all(is_injective(p) for p in standard_modules(a).projectives)
+    # the I(v) are pairwise non-isomorphic: all projective iff A is self-injective
+    self_inj = all(is_projective(i) for i in standard_modules(a).injectives)
     return [
         ("dim", str(a.dim)),
         ("idempotents", str(len(a.idempotents))),
@@ -245,7 +245,9 @@ def cmd_tensor(args) -> int:
     lb = _load_algebra(args.algebra2, args.field)
     t = tensor_product(la.algebra, lb.algebra)
     doc = catalog.doc_from_algebra(t)
-    results = _header(args, "tensor", la.algebra.field.p, la.input_hash) + [
+    results = _header(args, "tensor", la.algebra.field.p) + [
+        ("cutoff", str(args.cutoff)),
+        ("input_hash", la.input_hash),
         ("input_hash_b", lb.input_hash),
         ("dim", str(t.dim)),
         ("idempotents", str(len(t.idempotents))),
@@ -264,14 +266,9 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    p = args.field or catalog.DEFAULT_FIELD
     if args.action == "list":
-        results = [
-            ("command", "corpus-list"),
-            ("engine", catalog.ENGINE_VERSION),
-            ("field", str(args.field or catalog.DEFAULT_FIELD)),
-            ("seed", str(args.seed)),
-            ("entries", ",".join(e.name for e in corpus.ENTRIES)),
-        ]
+        results = _header(args, "corpus-list", p) + [("entries", ",".join(e.name for e in corpus.ENTRIES))]
         human = []
         for e in corpus.ENTRIES:
             results.append((f"{e.name}.dim", str(e.dim)))
@@ -280,13 +277,7 @@ def cmd_corpus(args) -> int:
         _emit(results, human, args.machine)
         return 0
     # corpus run
-    results = [
-        ("command", "corpus-run"),
-        ("engine", catalog.ENGINE_VERSION),
-        ("field", str(args.field or catalog.DEFAULT_FIELD)),
-        ("seed", str(args.seed)),
-        ("cutoff", str(args.cutoff)),
-    ]
+    results = _header(args, "corpus-run", p) + [("cutoff", str(args.cutoff))]
     human = []
     checks = 0
     mismatches = 0
@@ -311,18 +302,14 @@ def cmd_cache(args) -> int:
     if not args.catalog:
         print("error: cache command needs --catalog PATH", file=sys.stderr)
         return 3
-    header = [
-        ("engine", catalog.ENGINE_VERSION),
-        ("field", str(args.field or catalog.DEFAULT_FIELD)),
-        ("seed", str(args.seed)),
-    ]
+    p = args.field or catalog.DEFAULT_FIELD
     if args.action == "clear":
         n = catalog.cache_clear(args.catalog)
-        results = [("command", "cache-clear")] + header + [("removed", str(n))]
+        results = _header(args, "cache-clear", p) + [("removed", str(n))]
         _emit(results, [f"removed {n} records"], args.machine)
         return 0
     info = catalog.cache_info(args.catalog)
-    results = [("command", "cache-info")] + header + [
+    results = _header(args, "cache-info", p) + [
         ("records", str(info["records"])),
         ("bytes", str(info["bytes"])),
     ]
@@ -460,7 +447,10 @@ def _run(spec: Command, args) -> int:
         rows, code = spec.run(args)
         if key is not None:
             catalog.cache_put(args.catalog, key, {"rows": rows, "exit": code})
-    results = _header(args, spec.title.format_map(vars(args)), p, input_hash) + rows
+    results = _header(args, spec.title.format_map(vars(args)), p) + [
+        ("cutoff", str(args.cutoff)),
+        ("input_hash", input_hash),
+    ] + rows
     _emit(results, [spec.summary.format_map(dict(results))], args.machine)
     return code
 

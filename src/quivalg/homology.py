@@ -1,13 +1,15 @@
 """Resolutions, Ext groups, dominant dimension, Nakayama functor.
 
-Minimal resolutions iterate projective covers (injective coresolutions go
-through the dual); every term is a ``DirectSum`` of P(v) or I(v) over its
-vertex list, and each map is kept as the images of the generators of its
-source.  Ext, projective dimension and dominant dimension read the vertex
-lists and the images, never a term's action or a dense map.  A module's
-memo keeps its resolution as far as it was asked for, with its deepest
-syzygy only: a deeper request adds only the missing covers, and no syzygy
-is built past the last term.
+Minimal resolutions iterate projective covers; every term is a
+``DirectSum`` of P(v) over its vertex list, and each map is kept as the
+images of the generators of its source.  The injective side is read
+through the duality D: mod A -> mod A^op: the injective coresolution of m
+is the dual of the projective resolution of D(m), so injective dimension
+and dominant dimension resolve a dual module.  Ext, projective dimension
+and dominant dimension read the vertex lists and the images, never a
+term's action or a dense map.  A module's memo keeps its resolution as far
+as it was asked for, with its deepest syzygy only: a deeper request adds
+only the missing covers, and no syzygy is built past the last term.
 End algebras take a ``DirectSum``, one idempotent per summand (minimal
 approximations, which read End(m) the same way, live in ``modules``).
 Ext dimensions are cohomology ranks of the induced hom complex.
@@ -71,22 +73,20 @@ __all__ = [
 
 @dataclass
 class Resolution:
-    """Minimal projective resolution or injective coresolution to a depth.
+    """Minimal projective resolution to a depth.
 
-    For kind "projective": maps[0] : terms[0] -> base, maps[i] : terms[i] ->
-    terms[i-1], syzygies[i] is the i+1-st syzygy, and column s of images[i]
-    is where maps[i] sends the generator of the s-th summand of terms[i].
-    For kind "injective" the arrows point the other way, syzygies are
-    cosyzygies and images are those of the dual's resolution.  ``maps`` and
-    ``syzygies`` are built from the images when read and are not kept.
+    maps[0] : terms[0] -> base, maps[i] : terms[i] -> terms[i-1],
+    syzygies[i] is the i+1-st syzygy, and column s of images[i] is where
+    maps[i] sends the generator of the s-th summand of terms[i].  ``maps``
+    and ``syzygies`` are built from the images when read and are not kept.
+    An injective coresolution is the dual of the resolution of D(m).
     """
 
-    kind: str
     base: ModuleRep
-    terms: list[ModuleRep]
+    terms: list[DirectSum]
     term_summands: list[list[int]]
     images: list[np.ndarray]
-    _state: _Resolved | _Coresolved = field(repr=False, compare=False)
+    _state: _Resolved = field(repr=False, compare=False)
 
     @property
     def maps(self) -> list[Morphism]:
@@ -148,22 +148,18 @@ class DomDimEvidence:
 # resolutions
 
 
-def minimal_resolution(m: ModuleRep, kind: str, depth: int) -> Resolution:
-    """The minimal resolution of m to ``depth``, every term a ``DirectSum``.
+def minimal_resolution(m: ModuleRep, depth: int) -> Resolution:
+    """The minimal projective resolution of m to ``depth``, every term a
+    ``DirectSum``.
 
-    ``m.memo["resolutions"]`` keeps the state of each kind without any
-    reference to m, so a resolved module is freed by reference counting
-    alone.  A deeper request extends that state from its deepest syzygy,
-    which is built only when the next cover or ``syzygies`` reads it.
+    ``m.memo["resolution"]`` keeps its state without any reference to m, so
+    a resolved module is freed by reference counting alone.  A deeper
+    request extends that state from its deepest syzygy, which is built only
+    when the next cover or ``syzygies`` reads it.
     """
     if depth < 0:
         raise InputError("resolution depth must be nonnegative")
-    if kind not in ("projective", "injective"):
-        raise InputError(f"unknown resolution kind {kind!r}")
-    cache = m.memo.setdefault("resolutions", {})
-    if kind not in cache:
-        cache[kind] = _Resolved() if kind == "projective" else _Coresolved(m)
-    return cache[kind].resolution(m, depth)
+    return m.memo.setdefault("resolution", _Resolved()).resolution(m, depth)
 
 
 class _Resolved:
@@ -219,30 +215,7 @@ class _Resolved:
     def resolution(self, m: ModuleRep, depth: int) -> Resolution:
         self.extend(m, depth)
         n = depth + 1
-        return Resolution("projective", m, self.terms[:n], self.summands[:n], self.images[:n], self)
-
-
-class _Coresolved:
-    """The injective coresolution of a module: its dual with the dual's
-    projective resolution.  Terms, maps and cosyzygies are transposed and
-    dualized from it when read."""
-
-    def __init__(self, m: ModuleRep):
-        self.dual = dualize(m)
-        self.projective = _Resolved()
-
-    def dense_maps(self, m: ModuleRep, terms: list[ModuleRep]) -> list[Morphism]:
-        duals = self.projective.dense_maps(self.dual, self.projective.terms[: len(terms)])
-        return [Morphism(s, t, f.map.transpose()) for s, t, f in zip([m] + terms, terms, duals)]
-
-    def syzygies(self, m: ModuleRep, depth: int) -> list[ModuleRep]:
-        return [dualize(s) for s in self.projective.syzygies(self.dual, depth)]
-
-    def resolution(self, m: ModuleRep, depth: int) -> Resolution:
-        pres = self.projective.resolution(self.dual, depth)
-        injectives = standard_modules(m.algebra).injectives
-        terms = [DirectSum(m.algebra, [injectives[v] for v in s]) for s in pres.term_summands]
-        return Resolution("injective", m, terms, pres.term_summands, pres.images, self)
+        return Resolution(m, self.terms[:n], self.summands[:n], self.images[:n], self)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +241,7 @@ def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
         raise InputError("cutoff must be nonnegative")
     a = m.algebra
     p = a.field.p
-    res = minimal_resolution(m, "projective", cutoff + 1)
+    res = minimal_resolution(m, cutoff + 1)
     std = standard_modules(a)
     pdim = [b.cols for b in std.proj_bases]
     idem = np.stack([n.act(e) for e in a.idempotents])
@@ -303,7 +276,7 @@ def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
 
 
 def pd_bounded(m: ModuleRep, cutoff: int) -> DimBound:
-    res = minimal_resolution(m, "projective", cutoff)
+    res = minimal_resolution(m, cutoff)
     for i, t in enumerate(res.terms):
         if t.dim == 0:
             return DimBound("exact", max(i - 1, 0))
@@ -331,21 +304,22 @@ def is_injective(m: ModuleRep) -> bool:
 
 
 def dominant_dimension(a: Algebra, cutoff: int) -> DomDimEvidence:
-    """Evidence per the coresolution of the regular module.
+    """Evidence per the injective coresolution of the regular module.
 
-    Infinity is certified only by self-injectivity (every indecomposable
-    projective has an isomorphic injective envelope); otherwise terms are
-    scanned up to the cutoff for a non-projective one, by one projectivity
-    test per injective I(v).
+    That coresolution is the dual of the projective resolution of D(A)
+    over A^op (the opposite algebra's memoized ``coregular``): its term i
+    is the sum of the I(v) over the i-th vertex list, projective iff each
+    of those I(v) is.  Infinity is certified only by self-injectivity: the
+    I(v) are pairwise non-isomorphic indecomposables, so all are
+    projective iff they are the P(v).  Otherwise terms are scanned up to
+    the cutoff for a non-projective one.
     """
     if cutoff < 1:
         raise InputError("cutoff must be at least 1")
-    std = standard_modules(a)
-    if all(is_injective(p) for p in std.projectives):
+    projective = [is_projective(inj) for inj in standard_modules(a).injectives]
+    if all(projective):
         return DomDimEvidence("infinity", None, cutoff)
-    res = minimal_resolution(std.regular, "injective", cutoff - 1)
-    # a term is projective iff each of its summands I(v) is
-    projective = [is_projective(inj) for inj in std.injectives]
+    res = minimal_resolution(standard_modules(opposite(a)).coregular, cutoff - 1)
     for i, summands in enumerate(res.term_summands):
         if not all(projective[v] for v in summands):
             return DomDimEvidence("exact", i, cutoff)

@@ -2,22 +2,21 @@
 
 A ModuleRep stores one dim x dim action matrix per algebra basis element.
 A ``DirectSum`` is a direct sum kept as its list of summands: projective
-covers, injective envelopes, resolution terms and every named sum are kept
-that way, and its action matrices are built only when some caller reads
-them.  Submodules read the moved copies of their basis from
-``ModuleRep.moved``, one product for a dense module and one per distinct
-summand for a sum, so a kernel out of a sum never touches the sum's zero
-blocks; they read it a block of basis columns at a time, so a large kernel
-never holds all of its moved copies at once; a quotient reads the moved
-copies of its section the same way.  The radical, top and socle of a module
-read only the action of the algebra's arrows (``Algebra.arrows``), which
-generate its radical.
-All constructions (kernels, quotients, duals, covers, envelopes) produce
-explicit matrices with deterministic bases, so downstream invariants are
-bit-reproducible.  Minimal right add(m)-approximations and isomorphism
-read one routine, the top of Hom(m, x) over End(m) (``_top_of_hom``): it
-takes rad End(m) once, groups the summands of m into isoclasses and keeps,
-per class, the maps outside Hom(m, x)*rad End(m).  Both are exact at every
+covers, resolution terms and every named sum are kept that way, and its
+action matrices are built only when some caller reads them.  Submodules read
+the moved copies of their basis from ``ModuleRep.moved``, one product for a
+dense module and one per distinct summand for a sum, so a kernel out of a
+sum never touches the sum's zero blocks; they read it a block of basis
+columns at a time, so a large kernel never holds all of its moved copies at
+once; a quotient reads the moved copies of its section the same way.  The
+radical, top and socle of a module read only the action of the algebra's
+arrows (``Algebra.arrows``), which generate its radical.
+All constructions (kernels, quotients, duals, covers) produce explicit
+matrices with deterministic bases, so downstream invariants are
+bit-reproducible.  Minimal right add(m)-approximations and isomorphism read
+one routine, the top of Hom(m, x) over End(m) (``_top_of_hom``): it takes
+rad End(m) once, groups the summands of m into isoclasses and keeps, per
+class, the maps outside Hom(m, x)*rad End(m).  Both are exact at every
 prime; nothing here is randomized.
 """
 
@@ -58,7 +57,6 @@ __all__ = [
     "top_multiplicities",
     "soc_multiplicities",
     "projective_cover",
-    "injective_envelope",
     "ApproxResult",
     "min_add_approximation",
     "is_isomorphic",
@@ -75,8 +73,8 @@ class ModuleRep:
     """Left module over a basic algebra, given by action matrices.
 
     ``memo`` caches values derived from the action, which is immutable by
-    convention.  The homology layer sets "resolutions", per kind the state
-    of the minimal resolution as far as it was asked for: its terms and
+    convention.  The homology layer sets "resolution", the state of the
+    minimal projective resolution as far as it was asked for: its terms and
     generator images, and its deepest syzygy; the bar oracle in ``checks``
     sets "bar_graded" and "bar_chains".
     """
@@ -307,12 +305,6 @@ class HomSpace:
         self.dim = self.matrix.cols
         self._reader = coordinates(self.matrix)
 
-    def basis_map(self, j: int) -> PrimeMatrix:
-        return PrimeMatrix(self.matrix.field, self.maps()[j].copy())
-
-    def morphisms(self) -> list[Morphism]:
-        return [Morphism(self.source, self.target, self.basis_map(j)) for j in range(self.dim)]
-
     def maps(self) -> np.ndarray:
         """The basis maps as one (dim, target.dim, source.dim) array."""
         return self.matrix.a.T.reshape(self.dim, self.target.dim, self.source.dim)
@@ -344,16 +336,6 @@ class HomSpace:
         if c is None:
             raise InputError("map is not in the hom space")
         return c
-
-    def coords(self, f: PrimeMatrix) -> np.ndarray:
-        """Coordinates of one intertwiner in this basis, checked as ``read``
-        checks a stack."""
-        return self.read(f.a[None])[:, 0]
-
-    def from_coords(self, c: np.ndarray) -> PrimeMatrix:
-        p = self.matrix.field.p
-        vec = mulmod(self.matrix.a, np.asarray(c, dtype=np.int64) % p, p)
-        return PrimeMatrix(self.matrix.field, vec.reshape(self.target.dim, self.source.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +468,15 @@ def standard_modules(a: Algebra) -> StandardModules:
 
 
 # ---------------------------------------------------------------------------
-# projective covers and injective envelopes
+# projective covers
 
 
 @dataclass
 class Cover:
-    """A projective cover P -> m (or dually m -> I), with the vertex index
-    of each indecomposable summand of the projective (injective) side and
-    the images of their generators: column s is where the generator e_v of
-    the s-th summand P(v) goes (for an envelope, those of the dual cover)."""
+    """A projective cover P -> m, with the vertex index of each
+    indecomposable summand of P and the images of their generators: column
+    s is where the generator e_v of the s-th summand P(v) goes.  The
+    injective envelope of m is the dual of the cover of D(m)."""
 
     morphism: Morphism
     summands: list[int]
@@ -530,16 +512,6 @@ def projective_cover(m: ModuleRep) -> Cover:
     big = DirectSum(alg, [standard_modules(alg).projectives[v] for v in vertex_of])
     images = np.hstack(lifts)
     return Cover(Morphism(big, m, generator_map(m, vertex_of, images)), vertex_of, images)
-
-
-def injective_envelope(m: ModuleRep) -> Cover:
-    """Essential embedding of m into a sum of I(i), via the dual cover: the
-    dual of the sum of P(i) over the opposite algebra is the sum of the I(i)."""
-    cov = projective_cover(dualize(m))
-    injectives = standard_modules(m.algebra).injectives
-    target = DirectSum(m.algebra, [injectives[v] for v in cov.summands])
-    emb = Morphism(m, target, cov.morphism.map.transpose())
-    return Cover(emb, list(cov.summands), cov.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from quivalg.algebra import (
     one_dimensional_algebra,
     tensor_product,
 )
-from quivalg.linalg import PrimeField
+from quivalg.linalg import PrimeField, PrimeMatrix, mulmod
 from quivalg.modules import ModuleRep
 
 FIELD = PrimeField(32003)
@@ -29,6 +29,14 @@ def dense_sum(algebra, mods):
     for s, m in enumerate(mods):
         action[:, offs[s] : offs[s + 1], offs[s] : offs[s + 1]] = m.action
     return ModuleRep(algebra, action)
+
+
+def hom_member(h, c):
+    """The member of the hom space h with coordinates c: the basis columns
+    ``h.matrix`` times c, reshaped to a target.dim x source.dim matrix."""
+    p = h.matrix.field.p
+    vec = mulmod(h.matrix.a, np.asarray(c, dtype=np.int64) % p, p)
+    return PrimeMatrix(h.matrix.field, vec.reshape(h.target.dim, h.source.dim))
 
 
 def cyclic_nakayama(n, p):

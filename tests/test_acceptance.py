@@ -356,7 +356,7 @@ def test_criterion_9_property_suites(loaded_corpus):
         for m, n in itertools.product(mods[:4], mods[:4]):
             ok = ok and HomSpace(m, n).dim == HomSpace(dualize(n), dualize(m)).dim
         for m in corpus_modules(a, max_dim=4):
-            res = minimal_resolution(m, "projective", 3)
+            res = minimal_resolution(m, 3)
             for j, s in enumerate(std.simples):
                 dims = ext_dims(m, s, 3).dims
                 for i in range(4):

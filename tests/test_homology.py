@@ -71,7 +71,7 @@ def small_corpus_modules(alg, max_dim=6):
 
 def test_periodic_resolution_k2(K2):
     std = standard_modules(K2)
-    res = minimal_resolution(std.simples[0], "projective", 3)
+    res = minimal_resolution(std.simples[0], 3)
     assert [t.dim for t in res.terms] == [2, 2, 2, 2]
     for s in res.syzygies:
         assert is_isomorphic([std.simples[0]], s)
@@ -80,25 +80,27 @@ def test_periodic_resolution_k2(K2):
 def test_hereditary_resolution_ka2(KA2):
     std = standard_modules(KA2)
     s0, s1 = std.simples
-    for kind, m, syzygy in (("projective", s0, s1), ("injective", s1, s0)):
-        # to depth 0 the one syzygy is the kernel (cokernel) of the first map
-        res = minimal_resolution(ModuleRep(KA2, m.action), kind, 0)
-        assert is_isomorphic([syzygy], res.syzygies[0]), kind
-    res = minimal_resolution(std.simples[0], "projective", 2)
+    # to depth 0 the one syzygy is the kernel of the first map
+    res = minimal_resolution(ModuleRep(KA2, s0.action), 0)
+    assert is_isomorphic([s1], res.syzygies[0])
+    # the injective side, read through the dual: the cosyzygy of S(1) is S(0)
+    res = minimal_resolution(dualize(s1), 0)
+    assert is_isomorphic([s0], dualize(res.syzygies[0]))
+    res = minimal_resolution(std.simples[0], 2)
     assert [t.dim for t in res.terms] == [2, 1, 0]
     assert is_isomorphic([std.simples[1]], res.syzygies[0])
 
 
 def test_resolution_of_projective_is_short(KA2):
     std = standard_modules(KA2)
-    res = minimal_resolution(std.projectives[0], "projective", 3)
+    res = minimal_resolution(std.projectives[0], 3)
     assert [t.dim for t in res.terms] == [2, 0, 0, 0]
 
 
 def test_resolution_exact_and_minimal(corpus_algebras):
     for name, a in corpus_algebras.items():
         for m in small_corpus_modules(a, max_dim=4):
-            res = minimal_resolution(m, "projective", 3)
+            res = minimal_resolution(m, 3)
             # exactness by ranks: rank d_i + rank d_{i+1} = dim P_i
             for i in range(3):
                 r_i = res.maps[i].map.rank()
@@ -115,13 +117,17 @@ def test_resolution_exact_and_minimal(corpus_algebras):
 
 
 def test_injective_coresolution_structure(KA2):
-    std = standard_modules(KA2)
-    res = minimal_resolution(std.regular, "injective", 1)
-    assert res.maps[0].source.dim == 3
+    # the coresolution of A is the dual of the resolution of D(A) over A^op
+    res = minimal_resolution(standard_modules(opposite(KA2)).coregular, 1)
+    assert res.maps[0].target.dim == 3
     assert [t.dim for t in res.terms] == [4, 1]
     assert res.term_summands[0] == [1, 1]
-    res.maps[0].check()
-    res.maps[1].check()
+    injectives = standard_modules(KA2).injectives
+    for term, summands in zip(res.terms, res.term_summands):
+        assert is_isomorphic([injectives[v] for v in summands], dualize(term))
+    for f in res.maps:
+        f.check()
+        Morphism(dualize(f.target), dualize(f.source), f.map.transpose()).check()
 
 
 def dense_resolution(m, depth):
@@ -162,17 +168,13 @@ def resolution_test_modules(corpus_loaded):
 
 def test_resolutions_equal_the_dense_route(corpus_loaded):
     for name, m in resolution_test_modules(corpus_loaded):
-        terms, maps, syzygies = dense_resolution(m, 3)
-        res = minimal_resolution(m, "projective", 3)
-        assert [t.action.tobytes() for t in res.terms] == [t.tobytes() for t in terms], name
-        assert [f.map for f in res.maps] == maps, name
-        assert [s.action.tobytes() for s in res.syzygies] == [s.tobytes() for s in syzygies], name
-        # injective: the transposes of the dense route over the opposite algebra
-        terms, maps, syzygies = dense_resolution(dualize(m), 3)
-        res = minimal_resolution(m, "injective", 3)
-        assert [t.action.tobytes() for t in res.terms] == [t.transpose(0, 2, 1).tobytes() for t in terms], name
-        assert [f.map for f in res.maps] == [f.transpose() for f in maps], name
-        assert [s.action.tobytes() for s in res.syzygies] == [s.transpose(0, 2, 1).tobytes() for s in syzygies], name
+        # the injective side is read as the resolution of the dual
+        for x in (m, dualize(m)):
+            terms, maps, syzygies = dense_resolution(x, 3)
+            res = minimal_resolution(x, 3)
+            assert [t.action.tobytes() for t in res.terms] == [t.tobytes() for t in terms], name
+            assert [f.map for f in res.maps] == maps, name
+            assert [s.action.tobytes() for s in res.syzygies] == [s.tobytes() for s in syzygies], name
 
 
 def test_ext_pd_and_domdim_never_build_a_term_action(monkeypatch):
@@ -187,13 +189,14 @@ def test_ext_pd_and_domdim_never_build_a_term_action(monkeypatch):
         for m in mods + sums:
             ext_dims(m, mods[0], 3)
             pd_bounded(m, 5)
-            assert all("action" not in t.__dict__ for t in minimal_resolution(m, "projective", 5).terms), entry.name
+            assert all("action" not in t.__dict__ for t in minimal_resolution(m, 5).terms), entry.name
         dominant_dimension(a, 5)
-        res = minimal_resolution(standard_modules(a).regular, "injective", 4)
+        # the coresolution dominant_dimension reads: D(A) over A^op
+        res = minimal_resolution(standard_modules(opposite(a)).coregular, 4)
         assert all("action" not in t.__dict__ for t in res.terms), entry.name
         # read once, a term's action is the block sum of its summands
         t = res.terms[0]
-        assert t.action.tobytes() == dense_sum(a, t.summands).action.tobytes()
+        assert t.action.tobytes() == dense_sum(t.algebra, t.summands).action.tobytes()
     assert not dense_maps
 
 
@@ -203,12 +206,11 @@ def test_a_resolved_module_is_freed_without_the_cycle_collector(KA2):
     gc.collect()
     gc.disable()
     try:
-        for kind in ("projective", "injective"):
-            minimal_resolution(m, kind, 3)
-            res = minimal_resolution(m, kind, 2)  # a memo hit rebuilds base and the first map
-            assert res.base is m and m in (res.maps[0].source, res.maps[0].target)
-            res = minimal_resolution(m, kind, 5)  # extended from the memo
-            assert len(res.syzygies) == 6
+        minimal_resolution(m, 3)
+        res = minimal_resolution(m, 2)  # a memo hit rebuilds base and the first map
+        assert res.base is m and res.maps[0].target is m
+        res = minimal_resolution(m, 5)  # extended from the memo
+        assert len(res.syzygies) == 6
         del res
         ref = weakref.ref(m)
         del m
@@ -256,20 +258,19 @@ def test_no_syzygy_is_built_past_the_last_term(K2, corpus_loaded, monkeypatch):
         assert len(kernels) == (0 if evidence.kind == "infinity" else 3), entry.name
 
 
-@pytest.mark.parametrize("kind", ["projective", "injective"])
-def test_a_deeper_request_extends_the_memo(corpus_loaded, monkeypatch, kind):
+def test_a_deeper_request_extends_the_memo(corpus_loaded, monkeypatch):
     covers = count_calls(monkeypatch, "projective_cover")
     for name, loaded in corpus_loaded.items():
         a = loaded.algebra
         for i, m in enumerate(standard_module_list(a)):
             m = ModuleRep(a, m.action)
-            shallow = minimal_resolution(m, kind, 2)
+            shallow = minimal_resolution(m, 2)
             if i % 2:  # the last syzygy, read before the extension or after it
                 assert len(shallow.syzygies) == 3
             del covers[:]
-            res = minimal_resolution(m, kind, 5)
+            res = minimal_resolution(m, 5)
             assert len(covers) == 3, name
-            fresh = minimal_resolution(ModuleRep(a, m.action), kind, 5)
+            fresh = minimal_resolution(ModuleRep(a, m.action), 5)
             assert res.term_summands == fresh.term_summands, name
             assert [t.action.tobytes() for t in res.terms] == [t.action.tobytes() for t in fresh.terms], name
             assert [f.map.a.tobytes() for f in res.maps] == [f.map.a.tobytes() for f in fresh.maps], name
@@ -292,15 +293,13 @@ def generator_columns(a, vertices):
 
 
 def test_generator_images_are_the_maps_at_the_generators(corpus_loaded):
-    # the dense route: each differential times the generator coordinates;
-    # the images of a coresolution are those of the dual's resolution
+    # the dense route: each differential times the generator coordinates
     for name, m in resolution_test_modules(corpus_loaded):
-        for kind, a in (("projective", m.algebra), ("injective", opposite(m.algebra))):
-            res = minimal_resolution(m, kind, 3)
-            for i, f in enumerate(res.maps):
-                d = f.map if kind == "projective" else f.map.transpose()
-                dense = mulmod(d.a, generator_columns(a, res.term_summands[i]), a.field.p)
-                assert np.array_equal(res.images[i], dense), (name, kind, i)
+        a = m.algebra
+        res = minimal_resolution(m, 3)
+        for i, f in enumerate(res.maps):
+            dense = mulmod(f.map.a, generator_columns(a, res.term_summands[i]), a.field.p)
+            assert np.array_equal(res.images[i], dense), (name, i)
 
 
 def held_modules(obj):
@@ -321,7 +320,7 @@ def test_the_memo_keeps_one_syzygy(K2):
     a = tensor_product(tensor_product(K2, K2), K2)
     s = ModuleRep(a, standard_modules(a).simples[0].action)
     assert ext_dims(s, s, 9).dims == [(i + 1) * (i + 2) // 2 for i in range(10)]
-    state = s.memo["resolutions"]["projective"]
+    state = s.memo["resolution"]
     assert len(state.terms) == 11
     # every other module it holds is a term, a sum of P(v)
     syzygies = [x for x in held_modules(state).values() if not isinstance(x, DirectSum)]
@@ -496,7 +495,7 @@ def test_minimality_witness(corpus_algebras):
     for name, a in corpus_algebras.items():
         std = standard_modules(a)
         for m in small_corpus_modules(a, max_dim=4):
-            res = minimal_resolution(m, "projective", 3)
+            res = minimal_resolution(m, 3)
             for j, s in enumerate(std.simples):
                 dims = ext_dims(m, s, 3).dims
                 for i in range(4):
@@ -538,13 +537,11 @@ def test_dominant_dimension_table(corpus_algebras):
 
 
 def test_domdim_at_least_one_iff_envelope_projective(corpus_algebras):
-    from quivalg.modules import injective_envelope
-
+    # the injective envelope of A is the dual of the projective cover of D(A)
     for name, a in corpus_algebras.items():
         ev = dominant_dimension(a, 6)
-        env = injective_envelope(standard_modules(a).regular)
-        env_proj = is_projective(env.morphism.target)
-        assert ev.at_least(1) == env_proj, name
+        env = dualize(projective_cover(dualize(standard_modules(a).regular)).projective)
+        assert ev.at_least(1) == is_projective(env), name
 
 
 def test_domdim_opposite_invariance(corpus_algebras):
@@ -553,6 +550,55 @@ def test_domdim_opposite_invariance(corpus_algebras):
         lhs = dominant_dimension(a, 6)
         rhs = dominant_dimension(opposite(a), 6)
         assert (lhs.kind, lhs.value) == (rhs.kind, rhs.value), name
+
+
+def self_injectivity_cases():
+    """Every corpus algebra at p = 2, 3 and 32003, its opposite, and End of
+    its minimal generator-cogenerator wherever that End is accepted."""
+    for entry in corpus.ENTRIES:
+        for p in (2, 3, 32003):
+            a = corpus.load_entry(entry.name, p).algebra
+            yield f"{entry.name}-{p}", a
+            yield f"{entry.name}-{p}-op", opposite(a)
+            try:
+                yield f"{entry.name}-{p}-end", endomorphism_algebra(minimal_gen_cogen(a)).algebra
+            except InputError:
+                pass
+
+
+def test_self_injective_iff_every_injective_is_projective():
+    # dominant_dimension certifies infinity from the I(v) alone: for a basic
+    # algebra, all I(v) projective iff all P(v) injective
+    verdicts = set()
+    for name, a in self_injectivity_cases():
+        std = standard_modules(a)
+        by_injectives = all(is_projective(i) for i in std.injectives)
+        assert by_injectives == all(is_injective(q) for q in std.projectives), name
+        for c in range(1, 7):
+            assert (dominant_dimension(a, c).kind == "infinity") == by_injectives, (name, c)
+        verdicts.add(by_injectives)
+    assert verdicts == {True, False}
+
+
+def test_the_coresolution_is_memoized_on_the_dual_of_a(monkeypatch):
+    covers = count_calls(monkeypatch, "projective_cover")
+    checked = 0
+    for entry in corpus.ENTRIES:
+        a = corpus.load_entry(entry.name).algebra  # no memoized coresolution
+        del covers[:]
+        if dominant_dimension(a, 6).kind == "infinity":
+            assert not covers, entry.name
+            continue
+        assert len(covers) == 6, entry.name  # I^0..I^5
+        del covers[:]
+        dominant_dimension(a, 6)
+        assert not covers, entry.name
+        dominant_dimension(a, 8)
+        assert len(covers) == 2, entry.name  # I^6 and I^7 only
+        state = standard_modules(opposite(a)).coregular.memo["resolution"]
+        assert len(state.terms) == 8, entry.name
+        checked += 1
+    assert checked == 4  # ka2, ka3, aus, ka2xk2
 
 
 # ---------------------------------------------------------------------------

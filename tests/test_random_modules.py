@@ -26,6 +26,8 @@ from quivalg.modules import (
     top_multiplicities,
 )
 
+from conftest import hom_member
+
 
 def random_modules(alg, rng, count=6, max_dim=8):
     std = standard_modules(alg)
@@ -40,7 +42,7 @@ def random_modules(alg, rng, count=6, max_dim=8):
         if h.dim == 0:
             continue
         coeffs = np.array([rng.randrange(alg.field.p) for _ in range(h.dim)], dtype=np.int64)
-        f = h.from_coords(coeffs)
+        f = hom_member(h, coeffs)
         mor = Morphism(src, tgt, f)
         pick = rng.randrange(3)
         m = (kernel(mor)[0], image(mor)[0], cokernel(mor)[0])[pick]
