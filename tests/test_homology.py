@@ -258,19 +258,22 @@ def test_no_syzygy_is_built_past_the_last_term(K2, corpus_loaded, monkeypatch):
         assert len(kernels) == (0 if evidence.kind == "infinity" else 3), entry.name
 
 
-def test_a_deeper_request_extends_the_memo(corpus_loaded, monkeypatch):
+@pytest.mark.parametrize("side", ["projective", "injective"])
+def test_a_deeper_request_extends_the_memo(corpus_loaded, monkeypatch, side):
+    # the injective side is read as the resolution of the dual over A^op
     covers = count_calls(monkeypatch, "projective_cover")
+    read = (lambda x: x) if side == "projective" else dualize
     for name, loaded in corpus_loaded.items():
         a = loaded.algebra
         for i, m in enumerate(standard_module_list(a)):
-            m = ModuleRep(a, m.action)
+            m = read(ModuleRep(a, m.action))
             shallow = minimal_resolution(m, 2)
             if i % 2:  # the last syzygy, read before the extension or after it
                 assert len(shallow.syzygies) == 3
             del covers[:]
             res = minimal_resolution(m, 5)
             assert len(covers) == 3, name
-            fresh = minimal_resolution(ModuleRep(a, m.action), 5)
+            fresh = minimal_resolution(ModuleRep(m.algebra, m.action), 5)
             assert res.term_summands == fresh.term_summands, name
             assert [t.action.tobytes() for t in res.terms] == [t.action.tobytes() for t in fresh.terms], name
             assert [f.map.a.tobytes() for f in res.maps] == [f.map.a.tobytes() for f in fresh.maps], name
