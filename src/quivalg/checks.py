@@ -5,7 +5,10 @@ resolution with terms A (x)_S J (x)_S ... (x)_S J (x)_S m, where S is the
 span of the idempotents and J the radical.  Tensoring over S instead of k
 keeps the chain spaces small enough to sweep while staying a genuine second
 route: no projective covers are involved, exactness comes from an explicit
-contracting homotopy, and cohomology is read off by ranks.
+contracting homotopy, and cohomology is read off by ranks.  Each coboundary
+is built as (row, column, value) triplets, never as a dense matrix, and
+ranked by the oracle's own sparse elimination mod p, which no engine route
+shares: a defect in the engine's rank cannot cancel out between the routes.
 
 What depends on one argument alone is built once and memoized on it: the
 graded radical and its product table in ``Algebra.memo["bar_graded"]``; a
@@ -239,11 +242,48 @@ def _bar_chains(g: _GradedData, gm: _GradedModule, cutoff: int, budget: int) -> 
     return _BarChains(tags, heads, tails, diffs)
 
 
+def _sparse_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:
+    """Rank mod p of the matrix given by (row, column, value) triplets.
+
+    Duplicate triplets are summed mod p and zeros dropped; each row is a
+    ``{column: value}`` dict.  Rows are taken sparsest first, and each is
+    reduced by the pivot rows found so far at its leading column until it
+    vanishes or leads at a new pivot column.  Python ints keep it exact for
+    every p.
+    """
+    table: dict[int, dict[int, int]] = {}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        row = table.setdefault(r, {})
+        row[c] = row.get(c, 0) + v
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> rest of its row, scaled to lead 1
+    cleaned = ({c: v % p for c, v in row.items() if v % p} for row in table.values())
+    for row in sorted(cleaned, key=len):
+        while row:
+            lead = min(row)
+            f = row.pop(lead)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(f, -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            for c, v in pivot.items():
+                x = (row.get(c, 0) - f * v) % p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
+
+
 def bar_ext_oracle(
     m: ModuleRep, n: ModuleRep, cutoff: int, budget: int = DEFAULT_BUDGET
 ) -> ExtTable:
     """Ext dims of (m, n) through the bar-type radical chain, as an oracle
     independent of minimal resolutions.
+
+    Each coboundary is (row, column, value) triplets, ranked by the
+    oracle's own sparse elimination ``_sparse_rank``, which no engine route
+    shares.
 
     Raises BudgetError when a chain or cochain space would exceed ``budget``;
     the chains come from the memo, and their dimensions are checked on every
@@ -278,7 +318,8 @@ def bar_ext_oracle(
 
     ranks = []
     for i in range(cutoff + 1):
-        delta = np.zeros((cdims[i + 1], cdims[i]), dtype=np.int64)
+        # delta_i: C^i -> C^{i+1} as (row, column, value) triplets
+        rs, cs, vs = [], [], []
         # term  +(first slot acts on the value): for j in e_u J e_v one block
         # of its action e_v n -> e_u n, at every chain with head j (these
         # chains are consecutive, since chains are ordered by head)
@@ -286,18 +327,20 @@ def bar_ext_oracle(
         for j, (u, v) in enumerate(g.j_tags):
             at = slice(bounds[j], bounds[j + 1])
             out, into = slice(n_starts[u], n_starts[u] + n_dims[u]), slice(n_starts[v], n_starts[v] + n_dims[v])
-            r = offsets[i + 1][at][:, None, None] + np.arange(n_dims[u])[:, None]
-            c = offsets[i][ch.tails[i + 1][at]][:, None, None] + np.arange(n_dims[v])
-            delta[r, c] = gn.act[j, out, into]
+            block = gn.act[j, out, into]
+            br, bc = np.nonzero(block)
+            rs.append((offsets[i + 1][at][:, None] + br).ravel())
+            cs.append((offsets[i][ch.tails[i + 1][at]][:, None] + bc).ravel())
+            vs.append(np.tile(block[br, bc], bounds[j + 1] - bounds[j]))
         # term  -(f o D_i): for each vertex u, a scaled identity on e_u n at
         # every nonzero of D_i between chains in e_u W
         rows, cols, vals = ch.diffs[i]
         for u, s in enumerate(n_dims):
             at = ch.tags[i][rows] == u
-            r = (offsets[i + 1][cols[at]][:, None] + np.arange(s)).ravel()
-            c = (offsets[i][rows[at]][:, None] + np.arange(s)).ravel()
-            delta[r, c] = (delta[r, c] - np.repeat(vals[at], s)) % p
-        ranks.append(PrimeMatrix(a.field, delta).rank())
+            rs.append((offsets[i + 1][cols[at]][:, None] + np.arange(s)).ravel())
+            cs.append((offsets[i][rows[at]][:, None] + np.arange(s)).ravel())
+            vs.append(-np.repeat(vals[at], s))
+        ranks.append(_sparse_rank(np.concatenate(rs), np.concatenate(cs), np.concatenate(vs), p))
     dims = [cdims[0] - ranks[0]]
     for i in range(1, cutoff + 1):
         dims.append(cdims[i] - ranks[i] - ranks[i - 1])

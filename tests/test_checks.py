@@ -8,10 +8,12 @@ import pytest
 
 import quivalg.algebra
 import quivalg.homology
+import quivalg.linalg
 import quivalg.modules
 from quivalg import corpus
 from quivalg.checks import (
     _graded_data,
+    _sparse_rank,
     bar_ext_oracle,
     diamond,
     kunneth_check,
@@ -23,6 +25,7 @@ from quivalg.checks import (
 )
 from quivalg.errors import BudgetError, InputError
 from quivalg.homology import ext_dims, minimal_gen_cogen
+from quivalg.linalg import PrimeField, PrimeMatrix
 from quivalg.modules import DirectSum, ModuleRep, standard_modules
 
 from test_algebra import rebased
@@ -111,8 +114,9 @@ def test_bar_oracle_near_two_to_the_29():
 
 def test_bar_oracle_runs_no_resolution_cover_or_hom(corpus_loaded, monkeypatch):
     # the oracle is a second Ext route: on the corpus sweep pool it must not
-    # reach the minimal-resolution machinery, Hom spaces or the arrows that
-    # the minimal route reads radicals and socles through
+    # reach the minimal-resolution machinery, Hom spaces, the arrows that
+    # the minimal route reads radicals and socles through, or the engine's
+    # rank (the coboundaries are ranked by the oracle's own elimination)
     cases = []
     for loaded in corpus_loaded.values():
         pool = small_corpus_modules(loaded.algebra, corpus.BAR_SWEEP_MAX_DIM)
@@ -136,9 +140,52 @@ def test_bar_oracle_runs_no_resolution_cover_or_hom(corpus_loaded, monkeypatch):
                 if any(value is r for r in real):
                     monkeypatch.setattr(mod, key, forbidden)
     monkeypatch.setattr(quivalg.algebra.Algebra, "arrows", forbidden)
+    monkeypatch.setattr(quivalg.linalg.PrimeMatrix, "rank", forbidden)
     for pool, want in cases:
         got = [bar_ext_oracle(m, n, corpus.BAR_SWEEP_DEGREE).dims for m in pool for n in pool]
         assert got == want
+
+
+def triplet_cases(rng, p):
+    """(shape, rows, columns, values) with duplicate triplets, some of which
+    cancel mod p, and values of either sign as the coboundaries carry them."""
+    none = np.zeros(0, dtype=np.int64)
+    yield (0, 0), none, none, none
+    yield (4, 6), none, none, none
+    r, c = rng.integers(0, 4, 10), rng.integers(0, 6, 10)
+    yield (4, 6), r, c, np.zeros(10, dtype=np.int64)
+    yield (4, 6), r, c, p * rng.integers(-2, 3, 10)
+    # every triplet cancelled by a duplicate
+    v = rng.integers(1, p, 10)
+    yield (4, 6), np.concatenate([r, r]), np.concatenate([c, c]), np.concatenate([v, -v])
+    # sparse and dense random matrices, a quarter of their triplets cancelled
+    for shape, count in [((12, 9), 8), ((12, 9), 30), ((30, 40), 60), ((30, 40), 2000), ((25, 20), 1500)]:
+        r, c = rng.integers(0, shape[0], count), rng.integers(0, shape[1], count)
+        v = rng.integers(-(p - 1), p, count)
+        pick = rng.choice(count, count // 4, replace=False)
+        yield shape, np.concatenate([r, r[pick]]), np.concatenate([c, c[pick]]), np.concatenate([v, p - v[pick]])
+    # a dense matrix of rank at most 3, each entry split into two triplets
+    left = rng.integers(0, p, (15, 3)).astype(object)
+    right = rng.integers(0, p, (3, 11)).astype(object)
+    dense = np.array((left @ right) % p, dtype=np.int64)
+    r, c = np.nonzero(dense)
+    part = rng.integers(-(p - 1), p, r.size)
+    yield dense.shape, np.concatenate([r, r]), np.concatenate([c, c]), np.concatenate([part, dense[r, c] - part])
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_sparse_rank_matches_the_engine_rank(p):
+    rng = np.random.default_rng(p % 1009)
+    ranks = []
+    for shape, r, c, v in triplet_cases(rng, p):
+        dense = np.zeros(shape, dtype=object)
+        for i, j, x in zip(r.tolist(), c.tolist(), v.tolist()):
+            dense[i, j] += x
+        want = PrimeMatrix(PrimeField(p), np.array(dense % p, dtype=np.int64).reshape(shape)).rank()
+        assert _sparse_rank(r, c, v, p) == want
+        ranks.append(want)
+    assert ranks[:5] == [0] * 5
+    assert ranks[-2] == 20 and 0 < ranks[-1] <= 3
 
 
 # sha256 of the graded radical basis and of its product table, recorded

@@ -353,6 +353,25 @@ def test_a_deep_resolution_has_a_bounded_working_set(K2):
     assert peak <= 16e6, f"{peak / 1e6:.1f} MB"
 
 
+def test_the_bar_oracle_has_a_bounded_working_set():
+    # the traced peak of a fresh bar_ext_oracle(A, A, 3) over k[x]/(x^4):
+    # its largest coboundary is 1296 x 432 with 2,592 nonzeros, which a
+    # dense int64 matrix held in 12 MB; as triplets the call peaks near 1 MB
+    a = corpus.load_entry("k4").algebra
+    m = standard_modules(a).regular
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert bar_ext_oracle(m, m, 3).dims == [4, 0, 0, 0]
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 4e6, f"{peak / 1e6:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # Ext
 

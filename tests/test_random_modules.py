@@ -80,7 +80,7 @@ def test_random_ext_agreement(corpus_algebras):
         mods = random_modules(alg, rng, count=3, max_dim=5)
         for m in mods:
             for n in mods:
-                assert bar_ext_oracle(m, n, 2).dims == ext_dims(m, n, 2).dims, name
+                assert bar_ext_oracle(m, n, 3).dims == ext_dims(m, n, 3).dims, name
 
 
 def test_ext_additive_in_first_argument(corpus_algebras):
