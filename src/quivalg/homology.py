@@ -9,7 +9,8 @@ and dominant dimension resolve a dual module.  Ext, projective dimension
 and dominant dimension read the vertex lists and the images, never a
 term's action or a dense map.  A module's memo keeps its resolution as far
 as it was asked for, with its deepest syzygy only: a deeper request adds
-only the missing covers, and no syzygy is built past the last term.
+only the missing covers, and no syzygy is built past the last term.  One
+syzygy is alive at a time: each is dropped before the next kernel is built.
 End algebras take a ``DirectSum``, one idempotent per summand (minimal
 approximations, which read End(m) the same way, live in ``modules``).
 Ext dimensions are cohomology ranks of the induced hom complex.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .algebra import Algebra, opposite
 from .errors import InputError, InternalCheckError
-from .linalg import PrimeMatrix, mulmod
+from .linalg import PrimeMatrix, mulmod, nullspace
 from .linalg import rref  # noqa: F401  (unused here; read by test_tracer_replaces_every_binding_and_restores_it)
 from .modules import (
     DirectSum,
@@ -40,6 +41,7 @@ from .modules import (
     kernel,
     projective_cover,
     standard_modules,
+    submodule,
     tensor_over_algebra,
     top_multiplicities,
 )
@@ -179,27 +181,32 @@ class _Resolved:
         self.cover: Optional[PrimeMatrix] = None  # until its kernel is taken
         self.syzygy: Optional[tuple[ModuleRep, Morphism]] = None  # the deepest, with its inclusion
 
-    def deepest_syzygy(self, m: ModuleRep) -> tuple[ModuleRep, Morphism]:
-        """The kernel of the deepest cover and its inclusion, taken once."""
+    def deepest_syzygy(self) -> tuple[ModuleRep, Morphism]:
+        """The kernel of the deepest cover in the last term, with its
+        inclusion, taken once, after the previous syzygy is dropped."""
         if self.cover is not None:
-            target = self.syzygy[0] if self.syzygy else m
-            self.syzygy = kernel(Morphism(self.terms[-1], target, self.cover))
-            self.cover = None
+            cover, self.cover, self.syzygy = self.cover, None, None
+            self.syzygy = submodule(self.terms[-1], nullspace(cover))
         return self.syzygy
 
     def extend(self, m: ModuleRep, depth: int) -> None:
         """Cover until terms[depth] exists, from the deepest syzygy on."""
-        for i in range(len(self.terms), depth + 1):
-            if i == 0:
-                cov = projective_cover(m)
-                self.images.append(cov.generators)
-            else:
-                syz, inc = self.deepest_syzygy(m)
-                cov = projective_cover(syz)
-                self.images.append(mulmod(inc.map.a, cov.generators, m.algebra.field.p))
-            self.terms.append(cov.projective)
-            self.summands.append(cov.summands)
-            self.cover = cov.morphism.map
+        while len(self.terms) <= depth:
+            self._cover_next(m)
+
+    def _cover_next(self, m: ModuleRep) -> None:
+        """Cover m, or the deepest syzygy once a term exists; no cover or
+        syzygy outlives the call in its locals."""
+        if not self.terms:
+            cov = projective_cover(m)
+            self.images.append(cov.generators)
+        else:
+            syz, inc = self.deepest_syzygy()
+            cov = projective_cover(syz)
+            self.images.append(mulmod(inc.map.a, cov.generators, m.algebra.field.p))
+        self.terms.append(cov.projective)
+        self.summands.append(cov.summands)
+        self.cover = cov.morphism.map
 
     def dense_maps(self, m: ModuleRep, terms: list[ModuleRep]) -> list[Morphism]:
         targets = [m] + terms
@@ -210,7 +217,7 @@ class _Resolved:
         others are rebuilt from the maps."""
         if depth < len(self.terms) - 1:
             return [kernel(f)[0] for f in self.dense_maps(m, self.terms[: depth + 1])]
-        return [kernel(f)[0] for f in self.dense_maps(m, self.terms[:depth])] + [self.deepest_syzygy(m)[0]]
+        return [kernel(f)[0] for f in self.dense_maps(m, self.terms[:depth])] + [self.deepest_syzygy()[0]]
 
     def resolution(self, m: ModuleRep, depth: int) -> Resolution:
         self.extend(m, depth)

@@ -1,16 +1,19 @@
 """Finite-dimensional left modules and their morphisms.
 
 A ModuleRep stores one dim x dim action matrix per algebra basis element.
+Its reads multiply at most 2^16 action entries, or one matrix, at once: a
+small module's whole action, a large one's a few basis elements at a time
+(``act`` skips zero coefficients), so no read copies a large action whole.
 A ``DirectSum`` is a direct sum kept as its list of summands: projective
 covers, resolution terms and every named sum are kept that way, and its
 action matrices are built only when some caller reads them.  Submodules read
-the moved copies of their basis from ``ModuleRep.moved``, one product for a
-dense module and one per distinct summand for a sum, so a kernel out of a
-sum never touches the sum's zero blocks; they read it a block of basis
-columns at a time, so a large kernel never holds all of its moved copies at
-once; a quotient reads the moved copies of its section the same way.  The
-radical, top and socle of a module read only the action of the algebra's
-arrows (``Algebra.arrows``), which generate its radical.
+the moved copies of their basis from ``ModuleRep.moved``, by those blocks
+for a dense module and one product per distinct summand for a sum, so
+a kernel out of a sum never touches the sum's zero blocks; they read it a
+block of basis columns at a time, so a large kernel never holds all of its
+moved copies at once; a quotient reads the moved copies of its section the
+same way.  The radical, top and socle of a module read only the action of
+the algebra's arrows (``Algebra.arrows``), which generate its radical.
 All constructions (kernels, quotients, duals, covers) produce explicit
 matrices with deterministic bases, so downstream invariants are
 bit-reproducible.  Minimal right add(m)-approximations and isomorphism read
@@ -68,6 +71,8 @@ __all__ = [
     "endo_data",
 ]
 
+_BLOCK = 2**16  # the most action or moved entries that one product reads
+
 
 class ModuleRep:
     """Left module over a basic algebra, given by action matrices.
@@ -80,27 +85,51 @@ class ModuleRep:
     """
 
     def __init__(self, algebra: Algebra, action: np.ndarray):
-        self.algebra = algebra
-        action = np.asarray(action, dtype=np.int64) % algebra.field.p
+        self._hold(algebra, np.asarray(action, dtype=np.int64) % algebra.field.p)
+
+    @classmethod
+    def _built(cls, algebra: Algebra, action: np.ndarray) -> "ModuleRep":
+        """On a reduced int64 action no caller holds: kept, not copied."""
+        m = cls.__new__(cls)
+        m._hold(algebra, action)
+        return m
+
+    def _hold(self, algebra: Algebra, action: np.ndarray):
         if action.ndim != 3 or action.shape[0] != algebra.dim or action.shape[1] != action.shape[2]:
             raise InputError("action tensor has wrong shape")
-        self.action = action
-        self.dim = action.shape[1]
-        self.memo: dict = {}
+        self.algebra, self.action, self.dim, self.memo = algebra, action, action.shape[1], {}
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Matrix of the action of the algebra element with coordinates x."""
-        p = self.algebra.field.p
+        return self._combine(np.asarray(x)[:, None])[0]
+
+    def _combine(self, x: np.ndarray) -> np.ndarray:
+        """The actions of the algebra elements with coordinates the columns
+        of x, r x dim x dim: one product if the action has at most _BLOCK
+        entries, else a sum over each element's nonzero coordinates, one
+        action matrix at a time."""
+        p, n = self.algebra.field.p, self.dim
         x = np.asarray(x, dtype=np.int64) % p
-        return mulmod(x[None, :], self.action.reshape(self.algebra.dim, -1), p).reshape(self.dim, self.dim)
+        if self.action.size <= _BLOCK:
+            return mulmod(x.T, self.action.reshape(len(x), n * n), p).reshape(x.shape[1], n, n)
+        out = np.zeros((x.shape[1], n, n), dtype=np.int64)
+        for a, j in zip(*np.nonzero(x)):
+            out[j] += x[a, j] * self.action[a]  # below p + (p-1)^2 < 2^63
+            out[j] %= p
+        return out
 
     def moved(self, basis: np.ndarray) -> np.ndarray:
         """The copies of basis (dim x k) moved by every algebra basis
-        element, side by side: [a_0.basis | a_1.basis | ...], from one
-        product."""
+        element, side by side: [a_0.basis | a_1.basis | ...], from
+        products of at most _BLOCK action entries or one matrix."""
         d, n, k = self.algebra.dim, self.dim, basis.shape[1]
-        prod = mulmod(self.action.reshape(d * n, n), basis, self.algebra.field.p)
-        return prod.reshape(d, n, k).transpose(1, 0, 2).reshape(n, d * k)
+        step = max(1, _BLOCK // max(1, n * n))
+        out = np.empty((n, d, k), dtype=np.int64)
+        for a in range(0, d, step):
+            block = self.action[a : a + step]
+            prod = mulmod(block.reshape(len(block) * n, n), basis, self.algebra.field.p)
+            out[:, a : a + step] = prod.reshape(len(block), n, k).transpose(1, 0, 2)
+        return out.reshape(n, d * k)
 
     def check(self):
         """Assert the action respects structure constants and the unit.
@@ -240,14 +269,14 @@ def submodule(m: ModuleRep, basis: PrimeMatrix) -> tuple[ModuleRep, Morphism]:
     reader = coordinates(basis)
     if reader is None:
         raise InputError("submodule basis has dependent columns")
-    step = max(1, 2**16 // (m.dim * d))
+    step = max(1, _BLOCK // (m.dim * d))
     action = np.empty((d, c, c), dtype=np.int64)
     for j in range(0, c, step):
         coords = reader.read(m.moved(basis.a[:, j : j + step]))
         if coords is None:
             raise InputError("subspace is not invariant under the action")
         action[:, :, j : j + step] = coords.reshape(c, d, -1).transpose(1, 0, 2)
-    sub = ModuleRep(alg, action)
+    sub = ModuleRep._built(alg, action)
     return sub, Morphism(sub, m, basis)
 
 
@@ -262,7 +291,7 @@ def quotient_module(m: ModuleRep, sub: PrimeMatrix) -> tuple[ModuleRep, Morphism
     q = proj.rows
     # proj . a . sec for every basis element a: the moved section, then one product
     action = mulmod(proj.a, m.moved(sec.a), alg.field.p).reshape(q, alg.dim, q).transpose(1, 0, 2)
-    quot = ModuleRep(alg, np.ascontiguousarray(action))
+    quot = ModuleRep._built(alg, np.ascontiguousarray(action))
     return quot, Morphism(m, quot, proj), sec
 
 
@@ -360,7 +389,7 @@ def cokernel(f: Morphism) -> tuple[ModuleRep, Morphism]:
 def dualize(m: ModuleRep) -> ModuleRep:
     """k-linear dual, a module over the opposite algebra (transposed action).
     Dualizing twice returns equal matrices over the original algebra."""
-    return ModuleRep(opposite(m.algebra), np.transpose(m.action, (0, 2, 1)).copy())
+    return ModuleRep._built(opposite(m.algebra), np.transpose(m.action, (0, 2, 1)).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +398,7 @@ def dualize(m: ModuleRep) -> ModuleRep:
 
 def _arrow_action(m: ModuleRep) -> np.ndarray:
     """The action on m of each arrow (``Algebra.arrows``), k x dim x dim."""
-    alg = m.algebra
-    x = alg.arrows()
-    return mulmod(x.a.T, m.action.reshape(alg.dim, -1), alg.field.p).reshape(x.cols, m.dim, m.dim)
+    return m._combine(m.algebra.arrows().a)
 
 
 def _radical_span(m: ModuleRep) -> PrimeMatrix:
@@ -497,10 +524,14 @@ def generator_map(target: ModuleRep, vertices: list[int], images: np.ndarray) ->
     alg = target.algebra
     if not vertices:
         return alg.field.zeros(target.dim, 0)
-    bases = standard_modules(alg).proj_bases
+    proj_bases = standard_modules(alg).proj_bases
+    bases = [proj_bases[v].a for v in vertices]
     aw = target.moved(images).reshape(target.dim, alg.dim, len(vertices))
-    cols = [mulmod(aw[:, :, s], bases[v].a, alg.field.p) for s, v in enumerate(vertices)]
-    return PrimeMatrix(alg.field, np.hstack(cols))
+    offs = np.cumsum([0] + [b.shape[1] for b in bases])
+    out = np.empty((target.dim, offs[-1]), dtype=np.int64)
+    for s, b in enumerate(bases):
+        out[:, offs[s] : offs[s + 1]] = mulmod(aw[:, :, s], b, alg.field.p)
+    return PrimeMatrix(alg.field, out)
 
 
 def projective_cover(m: ModuleRep) -> Cover:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from quivalg.modules import (
 )
 
 from conftest import FIELD, cyclic_nakayama, dense_sum, hom_member
+from test_algebra import PRESENTATIONS, rebased
 
 
 def small_corpus_modules(alg, max_dim=10):
@@ -136,6 +138,80 @@ def test_block_reads_refuse_a_column_of_the_last_block(deep_kernel):
     assert wider.cols > 2 * read_step(m) and wider.cols % read_step(m) > 1
     with pytest.raises(InputError, match="not invariant"):
         submodule(m, wider)
+
+
+def test_a_submodule_keeps_the_action_it_built(deep_kernel):
+    # the 287-dim kernel's action (5.3 MB) is built once and kept: the traced
+    # peak was 2.11 times its size while the module reduced a copy of it,
+    # and is 1.46 times now (the rest is the block reads)
+    m, basis = deep_kernel
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sub, _ = submodule(m, basis)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 1.75 * sub.action.nbytes, f"{peak / sub.action.nbytes:.2f}"
+
+
+def test_module_input_is_reduced_and_never_aliased(KA2):
+    rng = np.random.default_rng(5)
+    action = standard_modules(KA2).regular.action
+    m = ModuleRep(KA2, action + FIELD.p * rng.integers(-3, 3, size=action.shape))
+    assert m.action.dtype == np.int64 and m.action.tobytes() == action.tobytes()
+    # a reduced int64 action of the caller's is still copied, so that the
+    # caller may change it afterwards
+    given = action.copy()
+    m = ModuleRep(KA2, given)
+    assert not np.shares_memory(m.action, given)
+    given[:] = 0
+    assert m.action.tobytes() == action.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# reads of the action
+
+
+def whole_action_reads(m, x, basis):
+    """act(x), moved(basis) and the arrows' actions from the whole action
+    tensor at once, in Python integers: the reference for the block
+    reads."""
+    p, d = m.algebra.field.p, m.algebra.dim
+    act = m.action.astype(object)
+    act_x = np.tensordot(np.asarray(x, dtype=object) % p, act, axes=1) % p
+    moved = np.concatenate([act[a].dot(basis.astype(object)) % p for a in range(d)], axis=1)
+    arrows = m.algebra.arrows().a.astype(object)
+    arrow_action = np.tensordot(arrows.T, act, axes=1) % p
+    return [z.astype(np.int64).reshape(shape) for z, shape in (
+        (act_x, (m.dim, m.dim)),
+        (moved, (m.dim, d * basis.shape[1])),
+        (arrow_action, (arrows.shape[1], m.dim, m.dim)),
+    )]
+
+
+@pytest.mark.parametrize("p", [2, 32003, 2**31 - 1])
+def test_action_reads_equal_the_whole_action_formulas(p):
+    # aus in a random basis: its arrows have several nonzero coordinates at
+    # p > 2; at 2^31 - 1 every product takes mulmod's int64 route
+    rng = np.random.default_rng(p)
+    alg = rebased(build_from_quiver(PRESENTATIONS["aus"], PrimeField(p)), rng)
+    std = standard_modules(alg)
+    # the reads are linear in the action tensor, so a random one tests them
+    # too; this one is past the size that one product reads at once
+    noise = ModuleRep(alg, rng.integers(0, p, size=(alg.dim, 120, 120)))
+    assert noise.action.size > quivalg.modules._BLOCK
+    mods = [zero_module(alg), std.regular, std.coregular, noise, DirectSum(alg, [std.regular, noise, std.regular])]
+    for m in mods:
+        for x in (np.zeros(alg.dim, dtype=np.int64), rng.integers(-2 * p, 2 * p, size=alg.dim), alg.unit):
+            basis = rng.integers(0, p, size=(m.dim, 3))
+            act, moved, arrow_action = whole_action_reads(m, x, basis)
+            assert m.act(x).tobytes() == act.tobytes()
+            assert m.moved(basis).tobytes() == moved.tobytes()
+            assert quivalg.modules._arrow_action(m).tobytes() == arrow_action.tobytes()
 
 
 # ---------------------------------------------------------------------------
