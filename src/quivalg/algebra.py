@@ -23,7 +23,6 @@ __all__ = [
     "Algebra",
     "Extension",
     "build_from_quiver",
-    "one_dimensional_algebra",
     "opposite",
     "tensor_product",
     "enveloping",
@@ -112,11 +111,6 @@ class Algebra:
         p = self.field.p
         ymult = self.mult.transpose(1, 0, 2).reshape(self.dim, -1)
         return mulmod(y % p, ymult, p).reshape(self.dim, self.dim).T
-
-    def basis_vector(self, i: int) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[i] = 1
-        return v
 
     def regular_action(self) -> np.ndarray:
         """action[a] = matrix of left multiplication by basis element a."""
@@ -408,18 +402,6 @@ def build_from_quiver(pres: QuiverPresentation, field: PrimeField) -> Algebra:
     return alg
 
 
-def one_dimensional_algebra(field: PrimeField) -> Algebra:
-    one = np.array([1], dtype=np.int64)
-    return Algebra(
-        field,
-        ["1"],
-        np.ones((1, 1, 1), dtype=np.int64),
-        one,
-        [one],
-        basis_path_lengths=[0],
-    )
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -591,10 +573,3 @@ class Extension:
     @staticmethod
     def identity(a: Algebra) -> "Extension":
         return Extension(a, a, a.field.identity(a.dim))
-
-    @staticmethod
-    def ground_field(a: Algebra) -> "Extension":
-        """k -> A sending 1 to the unit."""
-        k = one_dimensional_algebra(a.field)
-        emb = PrimeMatrix(a.field, a.unit.reshape(-1, 1).copy())
-        return Extension(k, a, emb)

@@ -78,7 +78,6 @@ class CheckReport:
     check_id: str
     verdict: str  # "pass" | "fail" | "inconclusive"
     inputs: dict[str, str]
-    cutoff: int
     witness: dict = dc_field(default_factory=dict)
 
     def results_items(self) -> list[tuple[str, str]]:
@@ -374,7 +373,7 @@ def muller_check(lam: Algebra, dm: DirectSum, cutoff: int) -> CheckReport:
         ok = d.kind == "exact" and d.value == e + 1
     else:
         ok = d.kind in ("at-least", "infinity")
-    return CheckReport("muller", "pass" if ok else "fail", inputs, cutoff, witness)
+    return CheckReport("muller", "pass" if ok else "fail", inputs, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +418,7 @@ def wg_lemma_check(lam: Algebra, dm: DirectSum, cutoff: int) -> CheckReport:
         "biconditional_agrees": left_side == right_side,
     }
     verdict = "pass" if mismatch is None else "fail"
-    return CheckReport("wg-lemma", verdict, inputs, cutoff, witness)
+    return CheckReport("wg-lemma", verdict, inputs, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +452,7 @@ def remark32_check(b: Algebra, cutoff: int, budget: int = DEFAULT_BUDGET) -> Che
         "first_mismatch": "none" if mismatch is None else mismatch,
         "enveloping_module_structure": "outer",
     }
-    return CheckReport(
-        "remark32", "pass" if mismatch is None else "fail", inputs, cutoff, witness
-    )
+    return CheckReport("remark32", "pass" if mismatch is None else "fail", inputs, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +462,10 @@ def remark32_check(b: Algebra, cutoff: int, budget: int = DEFAULT_BUDGET) -> Che
 def _evidence_min(x: DomDimEvidence, y: DomDimEvidence, cutoff: int) -> DomDimEvidence:
     exact = [e for e in (x, y) if e.kind == "exact"]
     if exact:
-        return DomDimEvidence("exact", min(e.value for e in exact), cutoff)
+        return DomDimEvidence("exact", min(e.value for e in exact))
     if x.kind == "at-least" or y.kind == "at-least":
-        return DomDimEvidence("at-least", cutoff, cutoff)
-    return DomDimEvidence("infinity", None, cutoff)
+        return DomDimEvidence("at-least", cutoff)
+    return DomDimEvidence("infinity", None)
 
 
 def kunneth_check(a: Algebra, b: Algebra, cutoff: int, budget: int = DEFAULT_BUDGET) -> CheckReport:
@@ -491,7 +488,7 @@ def kunneth_check(a: Algebra, b: Algebra, cutoff: int, budget: int = DEFAULT_BUD
     db = dominant_dimension(b, cutoff)
     dc = dominant_dimension(c, cutoff)
     want = _evidence_min(da, db, cutoff)
-    dom_ok = (dc.kind, dc.value) == (want.kind, want.value)
+    dom_ok = dc == want
     witness = {
         "seq_a": seqs["a"],
         "seq_b": seqs["b"],
@@ -505,7 +502,7 @@ def kunneth_check(a: Algebra, b: Algebra, cutoff: int, budget: int = DEFAULT_BUD
         "domdim_ok": dom_ok,
     }
     verdict = "pass" if (conv_ok and dom_ok) else "fail"
-    return CheckReport("kunneth", verdict, inputs, cutoff, witness)
+    return CheckReport("kunneth", verdict, inputs, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +524,12 @@ def diamond(a: Algebra, cutoff: int) -> CheckReport:
     }
     if dd.kind == "exact" or first_nonzero is not None:
         witness["grade"] = "fails"
-        return CheckReport("diamond", "fail", inputs, cutoff, witness)
+        return CheckReport("diamond", "fail", inputs, witness)
     if dd.kind == "infinity":
         witness["grade"] = "holds-certified"
-        return CheckReport("diamond", "pass", inputs, cutoff, witness)
+        return CheckReport("diamond", "pass", inputs, witness)
     witness["grade"] = "holds-at-cutoff"
-    return CheckReport("diamond", "inconclusive", inputs, cutoff, witness)
+    return CheckReport("diamond", "inconclusive", inputs, witness)
 
 
 def nc_evidence_scan(a: Algebra, cutoff: int) -> CheckReport:
@@ -548,9 +545,9 @@ def nc_evidence_scan(a: Algebra, cutoff: int) -> CheckReport:
     }
     if dia.verdict != "fail" and not self_inj:
         witness["status"] = "tension-specimen"
-        return CheckReport("nc-scan", "inconclusive", inputs, cutoff, witness)
+        return CheckReport("nc-scan", "inconclusive", inputs, witness)
     witness["status"] = "consistent"
-    return CheckReport("nc-scan", "pass", inputs, cutoff, witness)
+    return CheckReport("nc-scan", "pass", inputs, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +567,6 @@ def thick_shadow_check(
             "thick-shadow",
             "inconclusive",
             inputs,
-            cutoff,
             {"status": "hypothesis-not-met", "diamond_grade": dia.witness["grade"]},
         )
     pd_finite, id_finite = [], []
@@ -604,4 +600,4 @@ def thick_shadow_check(
         "failures": failures if failures else "none",
     }
     verdict = "pass" if not failures else "fail"
-    return CheckReport("thick-shadow", verdict, inputs, cutoff, witness)
+    return CheckReport("thick-shadow", verdict, inputs, witness)

@@ -213,7 +213,6 @@ def _bar_oracle(args) -> CheckReport:
         "bar-oracle",
         "pass" if oracle.dims == minimal.dims else "fail",
         {"algebra": args.algebra.input_hash[:16]},
-        args.cutoff,
         {"oracle_dims": oracle.dims, "minimal_dims": minimal.dims},
     )
 

@@ -130,7 +130,6 @@ class DomDimEvidence:
 
     kind: str  # "exact" | "at-least" | "infinity"
     value: Optional[int]
-    cutoff: int
 
     def __str__(self) -> str:
         if self.kind == "infinity":
@@ -325,12 +324,12 @@ def dominant_dimension(a: Algebra, cutoff: int) -> DomDimEvidence:
         raise InputError("cutoff must be at least 1")
     projective = [is_projective(inj) for inj in standard_modules(a).injectives]
     if all(projective):
-        return DomDimEvidence("infinity", None, cutoff)
+        return DomDimEvidence("infinity", None)
     res = minimal_resolution(standard_modules(opposite(a)).coregular, cutoff - 1)
     for i, summands in enumerate(res.term_summands):
         if not all(projective[v] for v in summands):
-            return DomDimEvidence("exact", i, cutoff)
-    return DomDimEvidence("at-least", cutoff, cutoff)
+            return DomDimEvidence("exact", i)
+    return DomDimEvidence("at-least", cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +435,6 @@ class EndoAlgebra:
     the endomorphisms on m (end_action[t] is the matrix of basis element t)."""
 
     algebra: Algebra
-    hom: HomSpace
     end_action: np.ndarray
 
 
@@ -453,7 +451,7 @@ def endomorphism_algebra(m: DirectSum, seed: int = 0) -> EndoAlgebra:
     """
     h, mult, coords = endo_data(m)
     algebra = Algebra(m.algebra.field, [f"f{t}" for t in range(h.dim)], mult, coords[:, 0], list(coords[:, 1:].T))
-    return EndoAlgebra(algebra, h, h.maps())
+    return EndoAlgebra(algebra, h.maps())
 
 
 def minimal_gen_cogen(a: Algebra, seed: int = 0) -> DirectSum:

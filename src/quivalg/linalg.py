@@ -172,36 +172,16 @@ class PrimeMatrix:
         self._samefield(other)
         return PrimeMatrix(self.field, mulmod(self.a, other.a, self.field.p))
 
-    def __add__(self, other: "PrimeMatrix") -> "PrimeMatrix":
-        self._samefield(other)
-        return PrimeMatrix(self.field, (self.a + other.a) % self.field.p)
-
-    def __sub__(self, other: "PrimeMatrix") -> "PrimeMatrix":
-        self._samefield(other)
-        return PrimeMatrix(self.field, (self.a - other.a) % self.field.p)
-
-    def __neg__(self) -> "PrimeMatrix":
-        return PrimeMatrix(self.field, (-self.a) % self.field.p)
-
-    def scale(self, c: int) -> "PrimeMatrix":
-        return PrimeMatrix(self.field, (self.a * (int(c) % self.field.p)) % self.field.p)
-
     def transpose(self) -> "PrimeMatrix":
-        return PrimeMatrix(self.field, self.a.T.copy())
+        """A view of ``a``, which no method mutates: not a copy."""
+        return PrimeMatrix(self.field, self.a.T)
 
     def hstack(self, other: "PrimeMatrix") -> "PrimeMatrix":
         self._samefield(other)
         return PrimeMatrix(self.field, np.hstack([self.a, other.a]))
 
-    def vstack(self, other: "PrimeMatrix") -> "PrimeMatrix":
-        self._samefield(other)
-        return PrimeMatrix(self.field, np.vstack([self.a, other.a]))
-
     def take_cols(self, idx) -> "PrimeMatrix":
         return PrimeMatrix(self.field, self.a[:, list(idx)].copy())
-
-    def is_zero(self) -> bool:
-        return not self.a.any()
 
     def rank(self) -> int:
         """Rank: the forced columns of the singleton rows, plus the rank of

@@ -12,8 +12,9 @@ for a dense module and one product per distinct summand for a sum, so
 a kernel out of a sum never touches the sum's zero blocks; they read it a
 block of basis columns at a time, so a large kernel never holds all of its
 moved copies at once; a quotient reads the moved copies of its section the
-same way.  The radical, top and socle of a module read only the action of
-the algebra's arrows (``Algebra.arrows``), which generate its radical.
+same way.  The radical and top of a module read only the action of the
+algebra's arrows (``Algebra.arrows``), which generate its radical.  The
+image and cokernel of a map are ``submodule`` and ``quotient_module``.
 All constructions (kernels, quotients, duals, covers) produce explicit
 matrices with deterministic bases, so downstream invariants are
 bit-reproducible.  Minimal right add(m)-approximations and isomorphism read
@@ -48,17 +49,12 @@ __all__ = [
     "quotient_module",
     "HomSpace",
     "kernel",
-    "image",
-    "cokernel",
     "dualize",
     "standard_modules",
     "Cover",
     "generator_map",
-    "rad_module",
     "top",
-    "soc",
     "top_multiplicities",
-    "soc_multiplicities",
     "projective_cover",
     "ApproxResult",
     "min_add_approximation",
@@ -233,10 +229,6 @@ class Morphism:
     def is_iso(self) -> bool:
         return self.source.dim == self.target.dim and self.map.is_invertible()
 
-    @staticmethod
-    def identity(m: ModuleRep) -> "Morphism":
-        return Morphism(m, m, m.algebra.field.identity(m.dim))
-
 
 # ---------------------------------------------------------------------------
 # elementary constructions
@@ -368,22 +360,12 @@ class HomSpace:
 
 
 # ---------------------------------------------------------------------------
-# kernels, images, cokernels, duality
+# kernels, duality
 
 
 def kernel(f: Morphism) -> tuple[ModuleRep, Morphism]:
     basis = nullspace(f.map)
     return submodule(f.source, basis)
-
-
-def image(f: Morphism) -> tuple[ModuleRep, Morphism]:
-    basis = column_span_basis(f.map)
-    return submodule(f.target, basis)
-
-
-def cokernel(f: Morphism) -> tuple[ModuleRep, Morphism]:
-    quot, proj, _ = quotient_module(f.target, f.map)
-    return quot, proj
 
 
 def dualize(m: ModuleRep) -> ModuleRep:
@@ -393,35 +375,19 @@ def dualize(m: ModuleRep) -> ModuleRep:
 
 
 # ---------------------------------------------------------------------------
-# socle, top, radical of a module
-
-
-def _arrow_action(m: ModuleRep) -> np.ndarray:
-    """The action on m of each arrow (``Algebra.arrows``), k x dim x dim."""
-    return m._combine(m.algebra.arrows().a)
+# top and radical of a module
 
 
 def _radical_span(m: ModuleRep) -> PrimeMatrix:
-    """Columns spanning rad(m) = X.m: the arrows' actions side by side."""
-    arr = _arrow_action(m)
+    """Columns spanning rad(m) = X.m: the actions on m of the arrows X
+    (``Algebra.arrows``) side by side."""
+    arr = m._combine(m.algebra.arrows().a)
     return PrimeMatrix(m.algebra.field, arr.transpose(1, 0, 2).reshape(m.dim, len(arr) * m.dim))
-
-
-def rad_module(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
-    """rad(m) = (radical of the algebra) . m, as a submodule."""
-    return submodule(m, column_span_basis(_radical_span(m)))
 
 
 def top(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
     quot, proj, _ = quotient_module(m, _radical_span(m))
     return quot, proj
-
-
-def soc(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
-    """Joint kernel of the radical action, that is of the arrows' actions."""
-    arr = _arrow_action(m)
-    stacked = arr.reshape(len(arr) * m.dim, m.dim)
-    return submodule(m, nullspace(PrimeMatrix(m.algebra.field, stacked)))
 
 
 def _top_lifts(m: ModuleRep) -> list[np.ndarray]:
@@ -442,12 +408,6 @@ def _top_lifts(m: ModuleRep) -> list[np.ndarray]:
 def top_multiplicities(m: ModuleRep) -> list[int]:
     """Multiplicity of each simple S(i) in top(m)."""
     return [lift.shape[1] for lift in _top_lifts(m)]
-
-
-def soc_multiplicities(m: ModuleRep) -> list[int]:
-    """Multiplicity of each simple S(i) in soc(m): dim e_i.soc(m)."""
-    s, _ = soc(m)
-    return [PrimeMatrix(s.algebra.field, s.act(e)).rank() for e in s.algebra.idempotents]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from quivalg import corpus
+from quivalg import corpus, modules
 from quivalg.algebra import (
+    Extension,
     QuiverPresentation,
     build_from_quiver,
-    one_dimensional_algebra,
+    column_span_basis,
     tensor_product,
 )
-from quivalg.linalg import PrimeField, PrimeMatrix, mulmod
-from quivalg.modules import ModuleRep
+from quivalg.linalg import PrimeField, PrimeMatrix, mulmod, nullspace
+from quivalg.modules import ModuleRep, Morphism, quotient_module, submodule
 
 FIELD = PrimeField(32003)
 
@@ -37,6 +38,48 @@ def hom_member(h, c):
     p = h.matrix.field.p
     vec = mulmod(h.matrix.a, np.asarray(c, dtype=np.int64) % p, p)
     return PrimeMatrix(h.matrix.field, vec.reshape(h.target.dim, h.source.dim))
+
+
+def image(f):
+    """The image of the morphism f, as the submodule of its target on the
+    pivot columns of f's matrix."""
+    return submodule(f.target, column_span_basis(f.map))
+
+
+def cokernel(f):
+    """The cokernel of the morphism f and the projection onto it: the
+    quotient of f's target by the span of f's columns."""
+    quot, proj, _ = quotient_module(f.target, f.map)
+    return quot, proj
+
+
+def rad_module(m):
+    """rad(m) = X.m, X the arrows of the algebra, as a submodule of m."""
+    return submodule(m, column_span_basis(modules._radical_span(m)))
+
+
+def soc(m):
+    """soc(m), the joint kernel of the arrows' actions, as a submodule of m:
+    the actions [X_1 | ... | X_k] side by side, stacked one above another."""
+    k = m.algebra.arrows().cols
+    acts = modules._radical_span(m).a.reshape(m.dim, k, m.dim).transpose(1, 0, 2)
+    return submodule(m, nullspace(PrimeMatrix(m.algebra.field, acts.reshape(k * m.dim, m.dim))))
+
+
+def soc_multiplicities(m):
+    """Multiplicity of each simple S(i) in soc(m): dim e_i.soc(m)."""
+    s, _ = soc(m)
+    return [PrimeMatrix(s.algebra.field, s.act(e)).rank() for e in s.algebra.idempotents]
+
+
+def identity_morphism(m):
+    return Morphism(m, m, m.algebra.field.identity(m.dim))
+
+
+def ground_field_extension(a):
+    """k <= A sending 1 to the unit, with k the corpus entry "k" at A's prime."""
+    k = corpus.load_entry("k", a.field.p).algebra
+    return Extension(k, a, PrimeMatrix(a.field, a.unit.reshape(-1, 1)))
 
 
 def cyclic_nakayama(n, p):
@@ -80,7 +123,7 @@ def AUS():
 
 @pytest.fixture(scope="session")
 def GROUND():
-    return one_dimensional_algebra(FIELD)
+    return corpus.load_entry("k").algebra
 
 
 @pytest.fixture(scope="session")

@@ -42,6 +42,8 @@ from quivalg.modules import (
     standard_modules,
 )
 
+from conftest import ground_field_extension
+
 
 def criterion(num, desc, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -317,14 +319,14 @@ def test_criterion_8_frobenius_predicates(loaded_corpus):
     details = []
     for name in ("k2", "k3", "k4"):
         a = loaded_corpus[name].algebra
-        r = extension_predicates(Extension.ground_field(a))
+        r = extension_predicates(ground_field_extension(a))
         ok = ok and r.frobenius and r.split
         details.append(f"k<={name}: frob={r.frobenius} split={r.split}")
     for name in ("k2", "ka2"):
         a = loaded_corpus[name].algebra
         r = extension_predicates(Extension.identity(a))
         ok = ok and r.frobenius and r.separable and r.split
-    rka2 = extension_predicates(Extension.ground_field(loaded_corpus["ka2"].algebra))
+    rka2 = extension_predicates(ground_field_extension(loaded_corpus["ka2"].algebra))
     ok = ok and not rka2.frobenius
     details.append(f"k<=ka2: frob={rka2.frobenius}")
     criterion(8, "Frobenius / split / separable predicates", ok, "; ".join(details))

@@ -13,7 +13,6 @@ from quivalg.algebra import (
     QuiverPresentation,
     build_from_quiver,
     enveloping,
-    one_dimensional_algebra,
     opposite,
     radical,
     tensor_product,
@@ -22,7 +21,7 @@ from quivalg.errors import InputError, UnsupportedFieldError
 from quivalg.homology import endomorphism_algebra, minimal_gen_cogen
 from quivalg.linalg import PrimeField, PrimeMatrix, solve
 
-from conftest import FIELD, quiver
+from conftest import FIELD, ground_field_extension, quiver
 
 
 def test_k2_build(K2):
@@ -301,16 +300,16 @@ def test_enveloping_module(K2):
     m.check()
 
 
-def test_extension_validation(K2):
+def test_extension_validation(K2, GROUND):
     ext = Extension.identity(K2)
     assert ext.embed.rank() == 2
-    extk = Extension.ground_field(K2)
+    extk = ground_field_extension(K2)
     assert extk.sub.dim == 1
     # non-multiplicative embedding rejected: send 1 to x + 1 inside K2 x K2? use
     # a map k -> K2 sending 1 to x (not the unit)
     bad = PrimeMatrix(FIELD, np.array([[0], [1]]))
     with pytest.raises(InputError):
-        Extension(one_dimensional_algebra(FIELD), K2, bad)
+        Extension(GROUND, K2, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +438,8 @@ def test_radical_powers_a_basis_of_each_corner(name, p, monkeypatch):
     # in a random basis every e_u*b_j*e_u is nonzero: only a basis of each
     # corner e_u*A*e_u is raised to powers, each as a row of a stack
     a = rebased(corpus.load_entry(name, p).algebra, np.random.default_rng(3))
-    corners = [np.array([a.multiply(a.multiply(e, a.basis_vector(j)), e) for j in range(a.dim)]) for e in a.idempotents]
+    basis = np.eye(a.dim, dtype=np.int64)
+    corners = [np.array([a.multiply(a.multiply(e, b), e) for b in basis]) for e in a.idempotents]
     bound = sum(PrimeMatrix(a.field, c).rank() for c in corners)
     real, stacks = quivalg.algebra.mulmod, []
 

@@ -12,6 +12,8 @@ from quivalg.algebra import Extension, QuiverPresentation, build_from_quiver, te
 from quivalg.extensions import extension_predicates
 from quivalg.linalg import PrimeField, PrimeMatrix
 
+from conftest import ground_field_extension
+
 # (frobenius, separable, split) at p = 32003 on the ground-field and identity
 # extensions of every corpus algebra and on each factor B (x) 1 or 1 (x) C of
 # five tensor products B (x) C.  Each is a known value: k <= A is Frobenius
@@ -51,17 +53,18 @@ VERDICTS = {
 
 def extension(case, loaded):
     if case.startswith("ground-field "):
-        return Extension.ground_field(loaded[case.split()[1]].algebra)
+        return ground_field_extension(loaded[case.split()[1]].algebra)
     if case.startswith("identity "):
         return Extension.identity(loaded[case.split()[1]].algebra)
     side, _, b_name, _, c_name = case.split()
     b, c = loaded[b_name].algebra, loaded[c_name].algebra
     a = tensor_product(b, c)
+    # column i of the embedding is b_i (x) 1 or 1 (x) c_i
     if side == "left":
-        sub, cols = b, [np.kron(b.basis_vector(i), c.unit) for i in range(b.dim)]
+        sub, embed = b, np.kron(np.eye(b.dim, dtype=np.int64), c.unit[:, None])
     else:
-        sub, cols = c, [np.kron(b.unit, c.basis_vector(i)) for i in range(c.dim)]
-    return Extension(sub, a, PrimeMatrix(a.field, np.stack(cols, axis=1) % a.field.p))
+        sub, embed = c, np.kron(b.unit[:, None], np.eye(c.dim, dtype=np.int64))
+    return Extension(sub, a, PrimeMatrix(a.field, embed % a.field.p))
 
 
 @pytest.mark.parametrize("case", list(VERDICTS))
@@ -98,10 +101,9 @@ def test_a_separable_extension_that_does_not_split(p):
 SEPARABLE_CHILD = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-from conftest import cyclic_nakayama
-from quivalg.algebra import Extension
+from conftest import cyclic_nakayama, ground_field_extension
 from quivalg.extensions import _separable
-print(_separable(Extension.ground_field(cyclic_nakayama(9, 32003))))
+print(_separable(ground_field_extension(cyclic_nakayama(9, 32003))))
 """
 
 

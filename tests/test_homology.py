@@ -44,12 +44,11 @@ from quivalg.modules import (
     is_isomorphic,
     min_add_approximation,
     projective_cover,
-    rad_module,
     standard_modules,
     top_multiplicities,
 )
 
-from conftest import dense_sum, quiver
+from conftest import dense_sum, identity_morphism, quiver, rad_module
 from test_algebra import rebased
 from test_random_modules import random_modules
 
@@ -742,7 +741,7 @@ def test_nakayama_rejects_routes_that_disagree(monkeypatch, KA2, corruption, mes
         return dataclasses.replace(
             t,
             dim=2 * t.dim,
-            proj=t.proj.vstack(t.proj.field.zeros(t.proj.rows, t.proj.cols)),
+            proj=PrimeMatrix(t.proj.field, np.vstack([t.proj.a, np.zeros_like(t.proj.a)])),
             sec=t.sec.hstack(t.sec),
             module=doubled,
         )
@@ -900,7 +899,7 @@ def test_right_minimality_oracle_refuses_a_redundant_summand(K2):
     redundant = Morphism(source, std.simples[0], K2.field.matrix([[0, 0, 1]]))
     redundant.check()
     assert not is_right_minimal(redundant)
-    assert is_right_minimal(Morphism.identity(std.simples[0]))
+    assert is_right_minimal(identity_morphism(std.simples[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ from quivalg.modules import (
     DirectSum,
     HomSpace,
     Morphism,
-    cokernel,
     dualize,
-    image,
     kernel,
     projective_cover,
     standard_modules,
@@ -26,7 +24,7 @@ from quivalg.modules import (
     top_multiplicities,
 )
 
-from conftest import hom_member
+from conftest import cokernel, hom_member, image
 
 
 def random_modules(alg, rng, count=6, max_dim=8):
