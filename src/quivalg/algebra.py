@@ -67,8 +67,8 @@ class Algebra:
     ``memo`` caches values derived from the structure constants, which are
     immutable by convention, so an entry never goes stale.  Keys:
     "radical", "arrows", "content_hash", "opposite" (set here),
-    "projectives", "standard_modules" and "bar_graded" (set by the modules
-    and checks layers).
+    "generators", "projectives", "standard_modules" and "bar_graded" (set
+    by the modules and checks layers).
     """
 
     def __init__(

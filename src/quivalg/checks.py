@@ -203,9 +203,22 @@ def _check_budget(dim: int, budget: int):
         raise BudgetError(f"bar oracle chain dimension {dim} exceeds budget {budget}")
 
 
+def _matches(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position of the sorted keys equal to some wanted[c], laid end
+    to end: the index c of each match, and its position."""
+    lo = np.searchsorted(keys, wanted)
+    counts = np.searchsorted(keys, wanted, side="right") - lo
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, lo[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+
+
 def _bar_chains(g: _GradedData, gm: _GradedModule, cutoff: int, budget: int) -> _BarChains:
+    """Each D_i (i >= 1) is built as triplets from those of D_{i-1}, never
+    as a dense array: per chain (j, t) of W_{i+1}, the merge of j with the
+    head of t at the tail of t, minus j tensor the column t of D_{i-1}."""
     p = g.algebra.field.p
     j_tags = np.array(g.j_tags, dtype=np.int64).reshape(-1, 2)
+    r = len(j_tags)
     tags, heads, tails = [gm.tags], [None], [None]
     for i in range(cutoff + 1):
         parts = [np.flatnonzero(tags[i] == v) for v in j_tags[:, 1]]
@@ -215,30 +228,51 @@ def _bar_chains(g: _GradedData, gm: _GradedModule, cutoff: int, budget: int) -> 
         tags.append(j_tags[head, 0])
         heads.append(head)
         tails.append(tail)
+    # the terms (target, coefficient) of each product j*h, ordered by j*r + h
+    table = sorted(g.products.items())
+    keys = np.array([j * r + h for (j, h), ts in table for _ in ts], dtype=np.int64)
+    terms = np.array([t for _, ts in table for t in ts], dtype=np.int64).reshape(-1, 2)
     diffs = []
     for i in range(cutoff + 1):
         head, tail = heads[i + 1], tails[i + 1]
         if i == 0:
             # the radical element acting on the graded module basis
             d = gm.act[head, :, tail].T
+            rows, cols = np.nonzero(d)
+            diffs.append((rows, cols, d[rows, cols]))
         else:
-            pos = np.zeros((len(j_tags), tags[i - 1].size), dtype=np.intp)
+            pos = np.zeros((r, tags[i - 1].size), dtype=np.intp)
             pos[heads[i], tails[i]] = np.arange(tags[i].size)
-            d = np.zeros((tags[i].size, head.size), dtype=np.int64)
-            for col, (j, t) in enumerate(zip(head, tail)):
-                # merge of the first two radical slots
-                for tgt, coeff in g.products[(j, heads[i][t])]:
-                    d[pos[tgt, tails[i][t]], col] += coeff
-                # minus the head tensor the previous differential of the tail
-                nz = np.flatnonzero(prev[:, t])
-                d[pos[j, nz], col] -= prev[nz, t]
-            d %= p
-        rows, cols = np.nonzero(d)
+            # merge of the first two radical slots
+            col, at = _matches(keys, head * r + heads[i][tail])
+            merge_rows = pos[terms[at, 0], tails[i][tail[col]]]
+            # minus the head tensor the previous differential of the tail
+            prev_rows, prev_cols, prev_vals = diffs[-1]
+            by_col = np.argsort(prev_cols, kind="stable")
+            col2, at2 = _matches(prev_cols[by_col], tail)
+            at2 = by_col[at2]
+            diffs.append(_summed(
+                np.concatenate([merge_rows, pos[head[col2], prev_rows[at2]]]),
+                np.concatenate([col, col2]),
+                np.concatenate([terms[at, 1], -prev_vals[at2]]),
+                head.size, p,
+            ))
+        rows, cols, _ = diffs[-1]
         if (tags[i][rows] != tags[i + 1][cols]).any():
             raise InternalCheckError("bar differential left its grading cell")
-        diffs.append((rows, cols, d[rows, cols]))
-        prev = d
     return _BarChains(tags, heads, tails, diffs)
+
+
+def _summed(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int, p: int):
+    """The triplets with duplicates summed mod p and zeros dropped, in
+    row-major order, as ``np.nonzero`` lists a dense matrix."""
+    key = rows * ncols + cols
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = np.add.reduceat(vals, first) % p if key.size else vals
+    key = key[first][sums != 0]
+    return key // ncols, key % ncols, sums[sums != 0]
 
 
 def _sparse_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:

@@ -11,6 +11,8 @@ term's action or a dense map.  A module's memo keeps its resolution as far
 as it was asked for, with its deepest syzygy only: a deeper request adds
 only the missing covers, and no syzygy is built past the last term.  One
 syzygy is alive at a time: each is dropped before the next kernel is built.
+A syzygy is a ``Submodule`` of its term, read through that term, so its
+top and cover never build its action.
 End algebras take a ``DirectSum``, one idempotent per summand (minimal
 approximations, which read End(m) the same way, live in ``modules``).
 Ext dimensions are cohomology ranks of the induced hom complex.
@@ -182,10 +184,11 @@ class _Resolved:
 
     def deepest_syzygy(self) -> tuple[ModuleRep, Morphism]:
         """The kernel of the deepest cover in the last term, with its
-        inclusion, taken once, after the previous syzygy is dropped."""
+        inclusion, taken once, after the previous syzygy and the cover's
+        matrix are dropped."""
         if self.cover is not None:
-            cover, self.cover, self.syzygy = self.cover, None, None
-            self.syzygy = submodule(self.terms[-1], nullspace(cover))
+            basis, self.cover, self.syzygy = nullspace(self.cover), None, None
+            self.syzygy = submodule(self.terms[-1], basis)
         return self.syzygy
 
     def extend(self, m: ModuleRep, depth: int) -> None:

@@ -19,17 +19,18 @@ is rounded and there is no tolerance anywhere.  Pivoting is deterministic (leftm
 column, topmost row, free variables set to zero) so every derived
 invariant is bit-reproducible.
 
-``nullspace`` and ``PrimeMatrix.rank`` share one forced-zero pass
-(``_split_singletons``): a row with a single nonzero entry forces its
-unknown to zero, and only the rows with two or more nonzeros, cut down to
-the unforced columns, are eliminated.  This is the singleton step of
+``nullspace``, ``complement_projection`` and ``PrimeMatrix.rank`` share one
+forced-zero pass (``_split_singletons``): a row with a single nonzero entry
+forces its unknown to zero, and only the rows with two or more nonzeros,
+cut down to the unforced columns, are eliminated.  This is the singleton step of
 structured Gaussian elimination (LaMacchia and Odlyzko, "Solving large
 sparse linear systems over finite fields", CRYPTO '90).  The row space of
 the matrix is the span of the unit rows of the forced columns plus that of
 the smaller system, which is zero on every forced column.  So the rank is
 the number of forced columns plus the rank of the smaller system, and,
 because the reduced echelon form of a row space is unique, the nullspace
-basis is the one a full ``rref`` would give, bit for bit.
+basis and the quotient projection are the ones a full ``rref`` would give,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -248,7 +249,8 @@ def _eliminate(a: np.ndarray, p: int, full: bool) -> list[int]:
 
 
 def _split_singletons(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forced-zero pass of ``nullspace`` and ``PrimeMatrix.rank``.
+    """The forced-zero pass of ``nullspace``, ``complement_projection`` and
+    ``PrimeMatrix.rank``.
 
     Returns the mask of forced columns (those holding the only nonzero of
     some row), a copy of the rows with two or more nonzeros restricted to the
@@ -378,14 +380,20 @@ def complement_projection(sub: PrimeMatrix) -> tuple[PrimeMatrix, PrimeMatrix]:
     subtracting, at each pivot c, its entry times the echelon row of c, and
     read at the free coordinates; echelon rows vanish on the other pivots,
     so the projection is the identity on the free columns and minus the
-    rows' free entries on the pivot columns."""
+    rows' free entries on the pivot columns.
+
+    As in ``nullspace``, a column of sub with one nonzero entry is a unit
+    echelon row and only the others are row-reduced, so proj and sec are
+    those of a full ``rref``."""
     p = sub.field.p
     n = sub.rows
-    red, rank, pivots = rref(sub.transpose())
-    free = np.delete(np.arange(n), pivots)
+    _, coupled, unforced = _split_singletons(sub.transpose().a)
+    red, rank, pivots = rref(PrimeMatrix(sub.field, coupled))
+    free_at = np.delete(np.arange(unforced.size), pivots)
+    free = unforced[free_at]
     proj = np.zeros((free.size, n), dtype=np.int64)
     proj[np.arange(free.size), free] = 1
-    proj[:, pivots] = (-red.a[:rank, free].T) % p
+    proj[:, unforced[pivots]] = (-red.a[:rank, free_at].T) % p
     sec = np.zeros((n, free.size), dtype=np.int64)
     sec[free, np.arange(free.size)] = 1
     return PrimeMatrix(sub.field, proj), PrimeMatrix(sub.field, sec)

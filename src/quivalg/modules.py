@@ -1,27 +1,23 @@
 """Finite-dimensional left modules and their morphisms.
 
-A ModuleRep stores one dim x dim action matrix per algebra basis element.
-Its reads multiply at most 2^16 action entries, or one matrix, at once: a
-small module's whole action, a large one's a few basis elements at a time
-(``act`` skips zero coefficients), so no read copies a large action whole.
-A ``DirectSum`` is a direct sum kept as its list of summands: projective
-covers, resolution terms and every named sum are kept that way, and its
-action matrices are built only when some caller reads them.  Submodules read
-the moved copies of their basis from ``ModuleRep.moved``, by those blocks
-for a dense module and one product per distinct summand for a sum, so
-a kernel out of a sum never touches the sum's zero blocks; they read it a
-block of basis columns at a time, so a large kernel never holds all of its
-moved copies at once; a quotient reads the moved copies of its section the
-same way.  The radical and top of a module read only the action of the
-algebra's arrows (``Algebra.arrows``), which generate its radical.  The
-image and cokernel of a map are ``submodule`` and ``quotient_module``.
-All constructions (kernels, quotients, duals, covers) produce explicit
-matrices with deterministic bases, so downstream invariants are
-bit-reproducible.  Minimal right add(m)-approximations and isomorphism read
-one routine, the top of Hom(m, x) over End(m) (``_top_of_hom``): it takes
-rad End(m) once, groups the summands of m into isoclasses and keeps, per
-class, the maps outside Hom(m, x)*rad End(m).  Both are exact at every
-prime; nothing here is randomized.
+A ModuleRep stores one dim x dim action matrix per algebra basis element;
+its reads multiply at most 2^16 action entries, or one matrix, at once, so
+no read copies a large action whole.  A ``DirectSum`` is kept as its list of
+summands and a ``Submodule`` as its ambient module and basis; both build
+their action matrices only when some caller reads them.  A sum reads with
+one product per distinct summand, so a kernel out of a sum never touches
+its zero blocks.  A submodule reads through its ambient module, a block of
+columns at a time, and gathers the coordinates: ``submodule`` checks
+closure once, on the idempotents and the arrows (``Algebra.arrows``),
+which generate the algebra, and hands those actions to the first top.
+The radical and top of a module read only the arrows' actions.  The image
+and cokernel of a map are ``submodule`` and ``quotient_module``.  Bases are
+deterministic, so downstream invariants are bit-reproducible.  Minimal
+right add(m)-approximations and isomorphism read one routine, the top of
+Hom(m, x) over End(m) (``_top_of_hom``): it takes rad End(m) once, groups
+the summands of m into isoclasses and keeps, per class, the maps outside
+Hom(m, x)*rad End(m).  Both are exact at every prime; nothing here is
+randomized.
 """
 
 from __future__ import annotations
@@ -35,12 +31,13 @@ import numpy as np
 
 from .algebra import Algebra, column_span_basis, enveloping, opposite, radical
 from .errors import InputError, InternalCheckError
-from .linalg import PrimeMatrix, complement_projection, coordinates, mulmod, nullspace, rref
+from .linalg import Coordinates, PrimeMatrix, complement_projection, coordinates, mulmod, nullspace, rref
 from .linalg import solve  # noqa: F401  (unused here; perfbench's tracer test reads modules.solve)
 
 __all__ = [
     "ModuleRep",
     "DirectSum",
+    "Submodule",
     "Morphism",
     "StandardModules",
     "zero_module",
@@ -114,16 +111,26 @@ class ModuleRep:
             out[j] %= p
         return out
 
-    def moved(self, basis: np.ndarray) -> np.ndarray:
+    def _generator_action(self) -> np.ndarray:
+        """The actions of the idempotents, then the arrows (``_generators``)."""
+        return self._combine(_generators(self.algebra))
+
+    def moved(self, basis: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
         """The copies of basis (dim x k) moved by every algebra basis
-        element, side by side: [a_0.basis | a_1.basis | ...], from
-        products of at most _BLOCK action entries or one matrix."""
-        d, n, k = self.algebra.dim, self.dim, basis.shape[1]
+        element, side by side: [a_0.basis | a_1.basis | ...], from products
+        of at most _BLOCK action entries or one matrix.  With x, the copies
+        moved by the elements whose coordinates are the columns of x."""
+        n, k, p = self.dim, basis.shape[1], self.algebra.field.p
+        if x is not None:
+            r = x.shape[1]
+            prod = mulmod(self._combine(x).reshape(r * n, n), basis, p)
+            return prod.reshape(r, n, k).transpose(1, 0, 2).reshape(n, r * k)
+        d = self.algebra.dim
         step = max(1, _BLOCK // max(1, n * n))
         out = np.empty((n, d, k), dtype=np.int64)
         for a in range(0, d, step):
             block = self.action[a : a + step]
-            prod = mulmod(block.reshape(len(block) * n, n), basis, self.algebra.field.p)
+            prod = mulmod(block.reshape(len(block) * n, n), basis, p)
             out[:, a : a + step] = prod.reshape(len(block), n, k).transpose(1, 0, 2)
         return out.reshape(n, d * k)
 
@@ -184,12 +191,13 @@ class DirectSum(ModuleRep):
             action[:, offs[s] : offs[s + 1], offs[s] : offs[s + 1]] = m.action
         return action
 
-    def moved(self, basis: np.ndarray) -> np.ndarray:
-        """As ``ModuleRep.moved``, with one product per distinct summand
-        object: its stacked action times the rows of basis on every slot it
+    def moved(self, basis: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
+        """As ``ModuleRep.moved``, with one read per distinct summand
+        object: its moved copies of the rows of basis on every slot it
         fills, placed side by side."""
-        d, k = self.algebra.dim, basis.shape[1]
-        out = np.empty((self.dim, d, k), dtype=np.int64)
+        k = basis.shape[1]
+        r = self.algebra.dim if x is None else x.shape[1]
+        out = np.empty((self.dim, r, k), dtype=np.int64)
         slots_of: dict[int, list[int]] = {}
         for s, m in enumerate(self.summands):
             if m.dim:
@@ -198,9 +206,61 @@ class DirectSum(ModuleRep):
             block = self.summands[slots[0]]
             rows = np.concatenate([np.arange(self.offsets[s], self.offsets[s + 1]) for s in slots])
             side = basis[rows].reshape(len(slots), block.dim, k).transpose(1, 0, 2).reshape(block.dim, -1)
-            prod = mulmod(block.action.reshape(d * block.dim, block.dim), side, self.algebra.field.p)
-            out[rows] = prod.reshape(d, block.dim, len(slots), k).transpose(2, 1, 0, 3).reshape(len(rows), d, k)
-        return out.reshape(self.dim, d * k)
+            prod = block.moved(side, x).reshape(block.dim, r, len(slots), k)
+            out[rows] = prod.transpose(2, 0, 1, 3).reshape(len(rows), r, k)
+        return out.reshape(self.dim, r * k)
+
+
+class Submodule(ModuleRep):
+    """The submodule of ``ambient`` spanned by the columns of ``basis``,
+    kept as the two, the way a ``DirectSum`` keeps its summands: reads go
+    through the ambient module, in blocks of at most _BLOCK moved entries,
+    and read coordinates by a gather on the basis (``submodule`` has checked
+    closure); ``action`` is built when first read."""
+
+    def __init__(self, ambient: ModuleRep, basis: PrimeMatrix, reader: Coordinates, generated: np.ndarray):
+        self.algebra, self.ambient, self.basis = ambient.algebra, ambient, basis
+        self.dim, self.memo = basis.cols, {}
+        self._rows, self._inverse = reader.rows, reader.inverse
+        self._generated: Optional[np.ndarray] = generated
+
+    def _generator_action(self) -> np.ndarray:
+        """The closure check's coordinates, handed to the first reader (the
+        module's top) and then dropped, so a kept submodule does not hold
+        them; a later read goes through the ambient module."""
+        acts, self._generated = self._generated, None
+        return super()._generator_action() if acts is None else acts
+
+    def _coords(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates of columns v of the ambient module that lie in the
+        span: a gather on the basis' reading rows, no membership check."""
+        c = v[self._rows]
+        return c if self._inverse is None else mulmod(self._inverse, c, self.algebra.field.p)
+
+    def _read(self, v: np.ndarray, x: Optional[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``ambient.moved(v, x)`` in coordinates, dim x r x k, written into
+        out if given, from blocks of at most _BLOCK moved entries of v's k
+        columns."""
+        r = self.algebra.dim if x is None else x.shape[1]
+        step = max(1, _BLOCK // max(1, self.ambient.dim * r))
+        if out is None:
+            out = np.empty((self.dim, r, v.shape[1]), dtype=np.int64)
+        for j in range(0, v.shape[1], step):
+            block = v[:, j : j + step]
+            out[:, :, j : j + step] = self._coords(self.ambient.moved(block, x)).reshape(self.dim, r, block.shape[1])
+        return out
+
+    @functools.cached_property
+    def action(self) -> np.ndarray:
+        action = np.empty((self.algebra.dim, self.dim, self.dim), dtype=np.int64)
+        self._read(self.basis.a, None, action.transpose(1, 0, 2))
+        return action
+
+    def _combine(self, x: np.ndarray) -> np.ndarray:
+        return self._read(self.basis.a, x).transpose(1, 0, 2)
+
+    def moved(self, basis: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._read(mulmod(self.basis.a, basis, self.algebra.field.p), x).reshape(self.dim, -1)
 
 
 @dataclass
@@ -242,33 +302,35 @@ def regular_module(algebra: Algebra) -> ModuleRep:
     return ModuleRep(algebra, algebra.regular_action())
 
 
-def submodule(m: ModuleRep, basis: PrimeMatrix) -> tuple[ModuleRep, Morphism]:
-    """Module structure on an invariant subspace; columns of basis must be
-    independent and closed under the action.
+def submodule(m: ModuleRep, basis: PrimeMatrix) -> tuple[Submodule, Morphism]:
+    """The submodule on an invariant subspace, kept as m and basis
+    (``Submodule``); columns of basis must be independent and closed under
+    the action.
 
-    The action of each algebra basis element on the subspace is the
-    coordinates of the moved basis.  They are read from ``m.moved`` a block
-    of basis columns at a time, at most 2^16 moved entries per block, and
-    each block is written straight into the action: a whole small module is
-    one block, and a large one never holds every moved copy at once.  Every
-    column is checked for membership.
+    Closure is checked once, exactly, on the idempotents and the arrows
+    (``Algebra.arrows``), which generate the algebra: J = X + J^2 and J is
+    nilpotent.  The moved copies of the basis are read from ``m.moved`` a
+    block of basis columns at a time, at most 2^16 moved entries per block,
+    and every column is checked for membership.  After that every read is an
+    exact gather of coordinates.
     """
     alg = m.algebra
-    d, c = alg.dim, basis.cols
-    if c == 0:
+    if basis.cols == 0:
         sub = zero_module(alg)
         return sub, Morphism(sub, m, basis)
     reader = coordinates(basis)
     if reader is None:
         raise InputError("submodule basis has dependent columns")
-    step = max(1, _BLOCK // (m.dim * d))
-    action = np.empty((d, c, c), dtype=np.int64)
+    gens = _generators(alg)
+    r, c = gens.shape[1], basis.cols
+    step = max(1, _BLOCK // (m.dim * r))
+    acts = np.empty((c, r, c), dtype=np.int64)
     for j in range(0, c, step):
-        coords = reader.read(m.moved(basis.a[:, j : j + step]))
+        coords = reader.read(m.moved(basis.a[:, j : j + step], gens))
         if coords is None:
             raise InputError("subspace is not invariant under the action")
-        action[:, :, j : j + step] = coords.reshape(c, d, -1).transpose(1, 0, 2)
-    sub = ModuleRep._built(alg, action)
+        acts[:, :, j : j + step] = coords.reshape(c, r, -1)
+    sub = Submodule(m, basis, reader, acts.transpose(1, 0, 2))
     return sub, Morphism(sub, m, basis)
 
 
@@ -378,11 +440,24 @@ def dualize(m: ModuleRep) -> ModuleRep:
 # top and radical of a module
 
 
+def _generators(alg: Algebra) -> np.ndarray:
+    """The idempotents, then the arrows (``Algebra.arrows``), as columns,
+    memoized on the algebra: they generate it, since J = X + J^2 and J is
+    nilpotent."""
+    if "generators" not in alg.memo:
+        alg.memo["generators"] = np.column_stack(alg.idempotents + [alg.arrows().a])
+    return alg.memo["generators"]
+
+
+def _side_by_side(m: ModuleRep, acts: np.ndarray) -> PrimeMatrix:
+    """The matrices acts (r x dim x dim) side by side, dim x (r * dim)."""
+    return PrimeMatrix(m.algebra.field, acts.transpose(1, 0, 2).reshape(m.dim, len(acts) * m.dim))
+
+
 def _radical_span(m: ModuleRep) -> PrimeMatrix:
     """Columns spanning rad(m) = X.m: the actions on m of the arrows X
     (``Algebra.arrows``) side by side."""
-    arr = m._combine(m.algebra.arrows().a)
-    return PrimeMatrix(m.algebra.field, arr.transpose(1, 0, 2).reshape(m.dim, len(arr) * m.dim))
+    return _side_by_side(m, m._combine(m.algebra.arrows().a))
 
 
 def top(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
@@ -393,13 +468,15 @@ def top(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
 def _top_lifts(m: ModuleRep) -> list[np.ndarray]:
     """Per vertex i, lifts to e_i.m of a basis of e_i.top(m), as columns.
     With the projection and section of top(m) = m/rad(m), e_i acts on top(m)
-    by proj.e_i.sec, and e_i.sec lifts a basis of its column span."""
+    by proj.e_i.sec, and e_i.sec lifts a basis of its column span.  The
+    idempotents and the arrows are read together (``_generators``)."""
     alg = m.algebra
-    p = alg.field.p
-    proj, sec = complement_projection(_radical_span(m))
+    p, nv = alg.field.p, len(alg.idempotents)
+    acts = m._generator_action()
+    proj, sec = complement_projection(_side_by_side(m, acts[nv:]))
     lifts = []
-    for e in alg.idempotents:
-        e_sec = mulmod(m.act(e), sec.a, p)
+    for e_act in acts[:nv]:
+        e_sec = mulmod(e_act, sec.a, p)
         block = column_span_basis(PrimeMatrix(alg.field, mulmod(proj.a, e_sec, p)))
         lifts.append(mulmod(e_sec, block.a, p))
     return lifts
@@ -435,8 +512,8 @@ def _projectives(a: Algebra) -> tuple[ModuleRep, list[ModuleRep], list[PrimeMatr
         projectives, proj_bases = [], []
         for e in a.idempotents:
             basis = column_span_basis(PrimeMatrix(a.field, a.right_mult(e)))
-            pi, _ = submodule(reg, basis)
-            projectives.append(pi)
+            # kept dense: every cover and every term reads it
+            projectives.append(ModuleRep._built(a, submodule(reg, basis)[0].action))
             proj_bases.append(basis)
         a.memo["projectives"] = (reg, projectives, proj_bases)
     return a.memo["projectives"]

@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+import quivalg.checks
 import quivalg.homology
 import quivalg.linalg
 import quivalg.modules
@@ -361,6 +362,34 @@ def test_one_syzygy_is_alive_at_a_time(K2, monkeypatch):
     assert alive == [[]] + [step for i in range(9) for step in ([], [i])]
 
 
+def test_no_syzygy_on_the_resolution_path_builds_its_action(K2, monkeypatch):
+    # a syzygy is read through the term it lies in: its top and its cover
+    # never build its action, nor does Ext, pd or dominant dimension
+    real_submodule, syzygies = quivalg.homology.submodule, []
+
+    def kernel_step(m, basis):
+        sub, inc = real_submodule(m, basis)
+        syzygies.append(sub)
+        return sub, inc
+
+    monkeypatch.setattr(quivalg.homology, "submodule", kernel_step)
+    a = tensor_product(tensor_product(K2, K2), K2)
+    s = ModuleRep(a, standard_modules(a).simples[0].action)
+    assert ext_dims(s, s, 6).dims == [(i + 1) * (i + 2) // 2 for i in range(7)]
+    for entry in corpus.ENTRIES:
+        a = corpus.load_entry(entry.name).algebra
+        mods = standard_module_list(a)
+        for m in mods:
+            m = ModuleRep(a, m.action)
+            ext_dims(m, mods[0], 3)
+            pd_bounded(m, 5)
+        dominant_dimension(a, 4)
+    syzygies = [x for x in syzygies if x.dim]  # a zero kernel is a zero module
+    assert len(syzygies) > 50
+    assert all(isinstance(x, quivalg.modules.Submodule) for x in syzygies)
+    assert not [x for x in syzygies if "action" in x.__dict__]
+
+
 def test_a_deep_resolution_has_a_bounded_working_set(K2):
     # the traced peak of a fresh ext_dims(S, S, 9) over k[x]/(x^2)^(x)3,
     # which is transient: the 241-dim kernel of P_9 -> P_8 (dim P_9 = 440)
@@ -368,7 +397,8 @@ def test_a_deep_resolution_has_a_bounded_working_set(K2):
     # radical elements for every top.  One read of the whole kernel and the
     # full radical traced 26.4 MB; whole-action products, two syzygies alive
     # at once and a reducing copy of each kernel's action 13.4 MB; one
-    # syzygy alive, read in bounded blocks, 9.2 MB
+    # syzygy alive, read in bounded blocks, 9.2 MB; one copy of each radical
+    # span 8.1 MB; each syzygy read through its term, with no action, 5.5 MB
     a = tensor_product(tensor_product(K2, K2), K2)
     s = standard_modules(a).simples[0]
     started = not tracemalloc.is_tracing()
@@ -381,7 +411,7 @@ def test_a_deep_resolution_has_a_bounded_working_set(K2):
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 11e6, f"{peak / 1e6:.1f} MB"
+    assert peak <= 7e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_the_bar_oracle_has_a_bounded_working_set():
@@ -401,6 +431,32 @@ def test_the_bar_oracle_has_a_bounded_working_set():
         if started:
             tracemalloc.stop()
     assert peak <= 4e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_the_bar_chains_hold_no_dense_differential():
+    # the traced peak of a fresh bar_ext_oracle(A, A, 9) over aus: its chain
+    # differential D_9 is 377 x 610 with 1,819 nonzeros; built as a dense
+    # int64 array (1.84 MB) it set the call's peak of 2.72 MB, and the chains
+    # alone peaked there too; as triplets from D_8 they peak near 0.3 MB and
+    # the call near 2.1 MB, in the coboundary ranks
+    a = corpus.load_entry("aus").algebra
+    m = standard_modules(a).regular
+    g = quivalg.checks._graded_data(a)
+    gm = quivalg.checks._graded_module(g, m)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        peaks = []
+        for call in (lambda: quivalg.checks._bar_chains(g, gm, 9, 2000), lambda: bar_ext_oracle(m, m, 9)):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert result.dims == [5] + [0] * 9
+    assert peaks[0] <= 1e6 and peaks[1] <= 2.4e6, [f"{x / 1e6:.2f} MB" for x in peaks]
 
 
 # ---------------------------------------------------------------------------

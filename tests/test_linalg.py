@@ -456,6 +456,49 @@ def test_complement_projection_reduces_by_the_echelon_rows():
             assert np.array_equal(proj.a[:, q], w[free])
 
 
+def whole_rref_complement(sub):
+    """proj and sec read off rref of the whole of sub^T: the reference for
+    the singleton pass of ``complement_projection``."""
+    p, n = sub.field.p, sub.rows
+    red, _, pivots = rref(PrimeMatrix(sub.field, sub.a.T.copy()))
+    free = [j for j in range(n) if j not in pivots]
+    proj = np.zeros((len(free), n), dtype=np.int64)
+    sec = np.zeros((n, len(free)), dtype=np.int64)
+    for k, f in enumerate(free):
+        proj[k, f] = sec[f, k] = 1
+        for i, c in enumerate(pivots):
+            proj[k, c] = (-red.a[i, f]) % p
+    return proj, sec
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_complement_projection_after_the_singleton_pass_equals_the_whole_rref(p):
+    # the columns of sub are the rows of sub^T that rref reduces: zero,
+    # singleton, repeated and coupled ones (``tall_sparse``)
+    f = PrimeField(p)
+    rng = np.random.default_rng(p + 2)
+    shapes = [(0, 4), (4, 0), (0, 0), (5, 7)]  # 5 x 7 stays all zero
+    inputs = [np.zeros(s, dtype=np.int64) for s in shapes]
+    # every column a singleton, some repeated, and no column a singleton
+    inputs.append(np.array([[p - 1, 0, 1, 0, 1], [0, 0, 0, 0, 0], [0, 1, 0, 1, 0], [0, 0, 0, 0, 0]]))
+    inputs.append(np.array([[1, 1, 0], [1, 0, p - 1], [0, 1, 1], [1, 1, 1]]))
+    # repeated unit columns beside a column coupled through their rows
+    inputs.append(np.array([[1, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]]))
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        inputs.append(tall_sparse(rng, p, int(rng.integers(n, 4 * n + 1)), n).T)
+        inputs.append(tall_sparse(rng, p, int(rng.integers(0, n)), n).T)
+    singletons = 0
+    for a in inputs:
+        sub = PrimeMatrix(f, a % p)
+        proj, sec = complement_projection(sub)
+        want_proj, want_sec = whole_rref_complement(sub)
+        assert proj.a.shape == want_proj.shape and proj.a.tobytes() == want_proj.tobytes()
+        assert sec.a.shape == want_sec.shape and sec.a.tobytes() == want_sec.tobytes()
+        singletons += int(((a != 0).sum(axis=0) == 1).any())
+    assert singletons >= 40
+
+
 # ---------------------------------------------------------------------------
 # one product path and one basis reader, outside linalg
 
