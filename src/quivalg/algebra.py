@@ -21,7 +21,6 @@ from .linalg import PrimeField, PrimeMatrix, complement_projection, coordinates,
 __all__ = [
     "QuiverPresentation",
     "Algebra",
-    "Extension",
     "build_from_quiver",
     "opposite",
     "tensor_product",
@@ -96,10 +95,6 @@ class Algebra:
             self._validate()
 
     # -- basic arithmetic ---------------------------------------------------
-
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        p = self.field.p
-        return mulmod(y % p, self.left_mult(x).T, p)
 
     def left_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of v -> x*v on the underlying space."""
@@ -535,41 +530,3 @@ def radical(field: PrimeField, mult: np.ndarray, idempotents: list[np.ndarray]) 
     gram = mulmod(flat.reshape(d * d, d), trace, p).reshape(d, d)
     return nullspace(PrimeMatrix(field, gram))
 
-
-# ---------------------------------------------------------------------------
-# extensions of algebras
-
-
-@dataclass
-class Extension:
-    """A subalgebra inclusion B <= A sharing the identity.
-
-    ``embed`` maps B-coordinates into A-coordinates.
-    """
-
-    sub: Algebra
-    amb: Algebra
-    embed: PrimeMatrix
-
-    def __post_init__(self):
-        B, A, E = self.sub, self.amb, self.embed
-        if E.rows != A.dim or E.cols != B.dim:
-            raise InputError("embedding matrix has wrong shape")
-        if E.rank() != B.dim:
-            raise InputError("embedding is not injective")
-        p = A.field.p
-        if not np.array_equal(mulmod(E.a, B.unit, p), A.unit):
-            raise InputError("embedding does not preserve the unit")
-        # multiplicative on basis pairs
-        for i in range(B.dim):
-            for j in range(B.dim):
-                img = A.multiply(E.a[:, i], E.a[:, j])
-                want = mulmod(E.a, B.mult[i, j], p)
-                if not np.array_equal(img, want):
-                    raise InputError(
-                        f"embedding is not multiplicative on basis pair ({i}, {j})"
-                    )
-
-    @staticmethod
-    def identity(a: Algebra) -> "Extension":
-        return Extension(a, a, a.field.identity(a.dim))

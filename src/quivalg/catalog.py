@@ -589,6 +589,8 @@ def cache_get(catalog: str, key: dict) -> Optional[dict]:
     except FileNotFoundError:
         return None
     except (OSError, json.JSONDecodeError):
+        record = None
+    if not isinstance(record, dict):  # unreadable, or valid JSON but not an object
         import sys
 
         print(f"warning: ignoring corrupt cache record {path}", file=sys.stderr)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import Algebra, column_span_basis, enveloping, tensor_product
+from .algebra import Algebra, column_span_basis, tensor_product
 from .errors import BudgetError, InputError, InternalCheckError
 from .homology import (
     DomDimEvidence,
@@ -471,9 +471,8 @@ def remark32_check(b: Algebra, cutoff: int, budget: int = DEFAULT_BUDGET) -> Che
     both = DirectSum(b, [std.regular, std.coregular])
     seq1 = ext_dims(both, both, cutoff).dims
     seq2 = ext_dims(std.coregular, std.regular, cutoff).dims
-    env = enveloping(b)
-    b_as_env = enveloping_module(b, env)
-    seq3 = ext_dims(b_as_env, regular_module(env), cutoff).dims
+    b_as_env = enveloping_module(b)
+    seq3 = ext_dims(b_as_env, regular_module(b_as_env.algebra), cutoff).dims
     mismatch = None
     for i in range(1, cutoff + 1):
         if not (seq1[i] == seq2[i] == seq3[i]):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import Algebra, opposite
 from .errors import InputError, InternalCheckError
-from .linalg import PrimeMatrix, mulmod, nullspace
+from .linalg import PrimeMatrix, coordinates, mulmod, nullspace
 from .linalg import rref  # noqa: F401  (unused here; read by test_tracer_replaces_every_binding_and_restores_it)
 from .modules import (
     DirectSum,
@@ -169,32 +169,41 @@ class _Resolved:
     """The minimal projective resolution of a module as far as it has been
     asked for, kept as where the generators of each term go (Green, Solberg
     and Zacharia, Trans. AMS 353, 2001): per degree the term, its vertex
-    list and the generator images.  To extend, it keeps the matrix of the
-    deepest cover until its kernel is taken, then that kernel, the deepest
-    syzygy, with its inclusion.  It holds no reference to the module, so
-    methods that need it take it as an argument.
+    list and the generator images, and the deepest syzygy taken, with its
+    inclusion.  Within one ``extend`` each cover's matrix passes to the step
+    that takes its kernel; none is kept after the call, so a later, deeper
+    request rebuilds the last cover once, onto the kept syzygy (or the
+    module) from the images read in its coordinates.  It holds no reference
+    to the module, so methods that need it take it as an argument.
     """
 
     def __init__(self):
         self.terms: list[DirectSum] = []
         self.summands: list[list[int]] = []
         self.images: list[np.ndarray] = []
-        self.cover: Optional[PrimeMatrix] = None  # until its kernel is taken
-        self.syzygy: Optional[tuple[ModuleRep, Morphism]] = None  # the deepest, with its inclusion
+        self.cover: Optional[PrimeMatrix] = None  # during extend, until its kernel is taken
+        self.syzygy: Optional[tuple[ModuleRep, Morphism]] = None  # the deepest taken, with its inclusion
 
-    def deepest_syzygy(self) -> tuple[ModuleRep, Morphism]:
+    def deepest_syzygy(self, m: ModuleRep) -> tuple[ModuleRep, Morphism]:
         """The kernel of the deepest cover in the last term, with its
         inclusion, taken once, after the previous syzygy and the cover's
         matrix are dropped."""
-        if self.cover is not None:
+        if self.syzygy is None or self.syzygy[1].target is not self.terms[-1]:
+            if self.cover is None:  # onto the kept syzygy, or m, from the images in its coordinates
+                target, inc = self.syzygy or (m, None)
+                gens = self.images[-1] if inc is None else coordinates(inc.map).read(self.images[-1])
+                self.cover = generator_map(target, self.summands[-1], gens)
+                del target, inc
             basis, self.cover, self.syzygy = nullspace(self.cover), None, None
             self.syzygy = submodule(self.terms[-1], basis)
         return self.syzygy
 
     def extend(self, m: ModuleRep, depth: int) -> None:
-        """Cover until terms[depth] exists, from the deepest syzygy on."""
+        """Cover until terms[depth] exists, from the deepest syzygy on; the
+        last cover's matrix is not kept."""
         while len(self.terms) <= depth:
             self._cover_next(m)
+        self.cover = None
 
     def _cover_next(self, m: ModuleRep) -> None:
         """Cover m, or the deepest syzygy once a term exists; no cover or
@@ -203,7 +212,7 @@ class _Resolved:
             cov = projective_cover(m)
             self.images.append(cov.generators)
         else:
-            syz, inc = self.deepest_syzygy()
+            syz, inc = self.deepest_syzygy(m)
             cov = projective_cover(syz)
             self.images.append(mulmod(inc.map.a, cov.generators, m.algebra.field.p))
         self.terms.append(cov.projective)
@@ -215,11 +224,11 @@ class _Resolved:
         return [Morphism(s, t, generator_map(t, v, u)) for s, t, v, u in zip(terms, targets, self.summands, self.images)]
 
     def syzygies(self, m: ModuleRep, depth: int) -> list[ModuleRep]:
-        """The kernels of maps[0..depth]: the deepest cover's is kept, the
-        others are rebuilt from the maps."""
+        """The kernels of maps[0..depth]: the deepest cover's is taken once
+        (``deepest_syzygy``), the others are rebuilt from the maps."""
         if depth < len(self.terms) - 1:
             return [kernel(f)[0] for f in self.dense_maps(m, self.terms[: depth + 1])]
-        return [kernel(f)[0] for f in self.dense_maps(m, self.terms[:depth])] + [self.deepest_syzygy()[0]]
+        return [kernel(f)[0] for f in self.dense_maps(m, self.terms[:depth])] + [self.deepest_syzygy(m)[0]]
 
     def resolution(self, m: ModuleRep, depth: int) -> Resolution:
         self.extend(m, depth)

@@ -19,8 +19,8 @@ is rounded and there is no tolerance anywhere.  Pivoting is deterministic (leftm
 column, topmost row, free variables set to zero) so every derived
 invariant is bit-reproducible.
 
-``nullspace``, ``complement_projection`` and ``PrimeMatrix.rank`` share one
-forced-zero pass (``_split_singletons``): a row with a single nonzero entry
+``nullspace`` (which ``complement_projection`` reads) and ``PrimeMatrix.rank``
+share one forced-zero pass (``_split_singletons``): a row with a single nonzero entry
 forces its unknown to zero, and only the rows with two or more nonzeros,
 cut down to the unforced columns, are eliminated.  This is the singleton step of
 structured Gaussian elimination (LaMacchia and Odlyzko, "Solving large
@@ -249,8 +249,7 @@ def _eliminate(a: np.ndarray, p: int, full: bool) -> list[int]:
 
 
 def _split_singletons(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forced-zero pass of ``nullspace``, ``complement_projection`` and
-    ``PrimeMatrix.rank``.
+    """The forced-zero pass of ``nullspace`` and ``PrimeMatrix.rank``.
 
     Returns the mask of forced columns (those holding the only nonzero of
     some row), a copy of the rows with two or more nonzeros restricted to the
@@ -294,7 +293,8 @@ def nullspace(m: PrimeMatrix) -> PrimeMatrix:
     """Matrix whose columns are a basis of {v : mv = 0}.
 
     The basis follows the standard free-variable construction: for each
-    non-pivot column f (in increasing order) the vector has a 1 in slot f.
+    non-pivot column f (in increasing order) the vector has a 1 in slot f,
+    so slot f is its last nonzero row.
 
     A row with one nonzero entry forces that unknown to zero, so only the
     rows with two or more nonzeros are eliminated, on the unforced columns.
@@ -303,16 +303,23 @@ def nullspace(m: PrimeMatrix) -> PrimeMatrix:
     the unit rows are zero off their own column, and the smaller system is
     zero on every forced column.  That form is unique, so the pivots, the
     free columns and the basis are exactly those of ``rref(m)``.  Only the
-    coupled rows are copied, never the whole of m.
+    coupled rows are copied, once, and eliminated in place; never the whole
+    of m.
     """
     p = m.field.p
     _, coupled, unforced = _split_singletons(m.a)
-    red, rank, pivots = rref(PrimeMatrix(m.field, coupled))
+    pivots = _eliminate(coupled, p, full=True)
     free = np.delete(np.arange(unforced.size), pivots)
     basis = np.zeros((m.cols, free.size), dtype=np.int64)
-    basis[unforced[pivots]] = (-red.a[:rank, free]) % p
+    basis[unforced[pivots]] = (-coupled[: len(pivots), free]) % p
     basis[unforced[free], np.arange(free.size)] = 1
     return PrimeMatrix(m.field, basis)
+
+
+def _last_nonzero_rows(a: np.ndarray) -> np.ndarray:
+    """The last nonzero row of each column of a: the free row of each column
+    of a ``nullspace`` basis."""
+    return a.shape[0] - 1 - np.argmax(a[::-1] != 0, axis=0) if a.size else np.zeros(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -363,7 +370,7 @@ def coordinates(basis: PrimeMatrix) -> Optional[Coordinates]:
     """
     a = basis.a
     n = basis.rows
-    last = n - 1 - np.argmax(a[::-1] != 0, axis=0) if a.size else np.zeros(0, dtype=np.intp)
+    last = _last_nonzero_rows(a)
     if np.array_equal(a[last], np.eye(basis.cols, dtype=np.int64)):
         return Coordinates(basis, last)
     red, _, pivots = rref(basis.transpose().hstack(basis.field.identity(basis.cols)))
@@ -380,20 +387,11 @@ def complement_projection(sub: PrimeMatrix) -> tuple[PrimeMatrix, PrimeMatrix]:
     subtracting, at each pivot c, its entry times the echelon row of c, and
     read at the free coordinates; echelon rows vanish on the other pivots,
     so the projection is the identity on the free columns and minus the
-    rows' free entries on the pivot columns.
-
-    As in ``nullspace``, a column of sub with one nonzero entry is a unit
-    echelon row and only the others are row-reduced, so proj and sec are
-    those of a full ``rref``."""
-    p = sub.field.p
-    n = sub.rows
-    _, coupled, unforced = _split_singletons(sub.transpose().a)
-    red, rank, pivots = rref(PrimeMatrix(sub.field, coupled))
-    free_at = np.delete(np.arange(unforced.size), pivots)
-    free = unforced[free_at]
-    proj = np.zeros((free.size, n), dtype=np.int64)
-    proj[np.arange(free.size), free] = 1
-    proj[:, unforced[pivots]] = (-red.a[:rank, free_at].T) % p
-    sec = np.zeros((n, free.size), dtype=np.int64)
+    rows' free entries on the pivot columns.  That is the transpose of the
+    ``nullspace`` basis of sub^T, whose free rows are the last nonzero rows
+    of its columns; the section is the unit vectors there."""
+    proj = nullspace(sub.transpose()).transpose()
+    free = _last_nonzero_rows(proj.a.T)
+    sec = np.zeros((sub.rows, free.size), dtype=np.int64)
     sec[free, np.arange(free.size)] = 1
-    return PrimeMatrix(sub.field, proj), PrimeMatrix(sub.field, sec)
+    return proj, PrimeMatrix(sub.field, sec)

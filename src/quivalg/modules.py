@@ -59,7 +59,6 @@ __all__ = [
     "tensor_over_algebra",
     "TensorResult",
     "enveloping_module",
-    "module_over_tensor",
     "endo_structure_constants",
     "endo_data",
 ]
@@ -695,24 +694,21 @@ def is_isomorphic(summands: list[ModuleRep], n: ModuleRep) -> bool:
 
 @dataclass
 class TensorResult:
-    """x (x)_A y as an explicit quotient of the vector-space tensor product."""
+    """x (x)_A y as an explicit quotient of the vector-space tensor product,
+    with the left action it inherits from x."""
 
     dim: int
     proj: PrimeMatrix  # (x.dim * y.dim) -> dim
     sec: PrimeMatrix
-    module: Optional[ModuleRep]  # present when a commuting left action was given
+    module: ModuleRep
 
 
-def tensor_over_algebra(
-    x_right: ModuleRep,
-    y: ModuleRep,
-    left: Optional[tuple[Algebra, np.ndarray]] = None,
-) -> TensorResult:
+def tensor_over_algebra(x_right: ModuleRep, y: ModuleRep, left: tuple[Algebra, np.ndarray]) -> TensorResult:
     """Tensor over A of a right module (given as a module over A^op) with a
     left module.
 
-    ``left`` optionally supplies (B, matrices) for a left B-action on x that
-    commutes with the right A-action; the quotient then inherits it.
+    ``left`` supplies (B, matrices) for a left B-action on x that commutes
+    with the right A-action; the quotient inherits it.
     """
     a_op = x_right.algebra
     a = opposite(a_op)
@@ -727,36 +723,21 @@ def tensor_over_algebra(
     rels = [(np.kron(rx, eye_y) - np.kron(eye_x, ry)) % p for rx, ry in zip(x_right.action, y.action)]
     relmat = PrimeMatrix(field, np.hstack(rels) if rels else np.zeros((big, 0), dtype=np.int64))
     proj, sec = complement_projection(relmat)
-    module = None
-    if left is not None:
-        b_alg, left_action = left
-        action = np.zeros((b_alg.dim, proj.rows, proj.rows), dtype=np.int64)
-        for bi in range(b_alg.dim):
-            action[bi] = mulmod(mulmod(proj.a, np.kron(left_action[bi] % p, eye_y), p), sec.a, p)
-        module = ModuleRep(b_alg, action)
-    return TensorResult(proj.rows, proj, sec, module)
+    b_alg, left_action = left
+    action = np.zeros((b_alg.dim, proj.rows, proj.rows), dtype=np.int64)
+    for bi in range(b_alg.dim):
+        action[bi] = mulmod(mulmod(proj.a, np.kron(left_action[bi] % p, eye_y), p), sec.a, p)
+    return TensorResult(proj.rows, proj, sec, ModuleRep(b_alg, action))
 
 
-def enveloping_module(a: Algebra, env: Optional[Algebra] = None) -> ModuleRep:
+def enveloping_module(a: Algebra) -> ModuleRep:
     """The algebra as a left module over its enveloping algebra A (x) A^op:
     the pair (u, v) acts by z -> u z v."""
-    if env is None:
-        env = enveloping(a)
-    return module_over_tensor(env, a.dim, a.regular_action(), a.mult.transpose(1, 2, 0))
-
-
-def module_over_tensor(axb: Algebra, left_dim_a: int, left_action: np.ndarray, right_action: np.ndarray) -> ModuleRep:
-    """Module over a tensor algebra A (x) B from commuting actions.
-
-    ``left_action`` has one matrix per A basis element, ``right_action`` one
-    per B basis element; the pair basis (u, v) acts by their product.
-    """
-    dim_b = axb.dim // left_dim_a
-    d = left_action.shape[1]
-    p = axb.field.p
-    left_action, right_action = left_action % p, right_action % p
-    action = np.zeros((axb.dim, d, d), dtype=np.int64)
-    for u in range(left_dim_a):
-        for v in range(dim_b):
-            action[u * dim_b + v] = mulmod(left_action[u], right_action[v], p)
-    return ModuleRep(axb, action)
+    env = enveloping(a)
+    p = a.field.p
+    left, right = a.regular_action(), a.mult.transpose(1, 2, 0)
+    action = np.zeros((env.dim, a.dim, a.dim), dtype=np.int64)
+    for u in range(a.dim):
+        for v in range(a.dim):
+            action[u * a.dim + v] = mulmod(left[u], right[v], p)
+    return ModuleRep(env, action)

@@ -3,7 +3,6 @@ import pytest
 
 from quivalg import corpus, modules
 from quivalg.algebra import (
-    Extension,
     QuiverPresentation,
     build_from_quiver,
     column_span_basis,
@@ -76,10 +75,11 @@ def identity_morphism(m):
     return Morphism(m, m, m.algebra.field.identity(m.dim))
 
 
-def ground_field_extension(a):
-    """k <= A sending 1 to the unit, with k the corpus entry "k" at A's prime."""
-    k = corpus.load_entry("k", a.field.p).algebra
-    return Extension(k, a, PrimeMatrix(a.field, a.unit.reshape(-1, 1)))
+def multiply(a, x, y):
+    """x * y in the algebra a: left multiplication by x applied to y, one
+    ``mulmod``, so exact at every prime the field allows."""
+    p = a.field.p
+    return mulmod(a.left_mult(x), np.asarray(y, dtype=np.int64) % p, p)
 
 
 def cyclic_nakayama(n, p):

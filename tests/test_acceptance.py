@@ -21,10 +21,9 @@ import numpy as np
 import pytest
 
 from quivalg import catalog, corpus
-from quivalg.algebra import Extension, column_span_basis
+from quivalg.algebra import column_span_basis
 from quivalg.checks import bar_ext_oracle, kunneth_check, remark32_check
 from quivalg.cli import main as cli_main
-from quivalg.extensions import extension_predicates
 from quivalg.homology import (
     dominant_dimension,
     endomorphism_algebra,
@@ -42,7 +41,7 @@ from quivalg.modules import (
     standard_modules,
 )
 
-from conftest import ground_field_extension
+from conftest import multiply
 
 
 def criterion(num, desc, ok, detail=""):
@@ -223,7 +222,7 @@ def _aus_isomorphism_after_normalization(loaded, b) -> bool:
             else:
                 vec = arrow_img[path[-1]]
                 for name in list(path[:-1])[::-1]:
-                    vec = b.multiply(arrow_img[name], vec)
+                    vec = multiply(b, arrow_img[name], vec)
                 images.append(vec)
         phi = PrimeMatrix(b.field, np.array(images, dtype=np.int64).T)
         if not phi.is_invertible():
@@ -232,7 +231,7 @@ def _aus_isomorphism_after_normalization(loaded, b) -> bool:
         for i in range(qa.dim):
             for j in range(qa.dim):
                 want = (phi.a @ qa.mult[i, j]) % b.field.p
-                got = b.multiply(images[i], images[j])
+                got = multiply(b, images[i], images[j])
                 if not np.array_equal(want, got):
                     multiplicative = False
                     break
@@ -312,24 +311,6 @@ def test_criterion_7_dominant_dimensions(loaded_corpus):
     got = {name: str(dominant_dimension(loaded_corpus[name].algebra, 6)) for name in want}
     ok = got == want
     criterion(7, "dominant dimension table", ok, str(got))
-
-
-def test_criterion_8_frobenius_predicates(loaded_corpus):
-    ok = True
-    details = []
-    for name in ("k2", "k3", "k4"):
-        a = loaded_corpus[name].algebra
-        r = extension_predicates(ground_field_extension(a))
-        ok = ok and r.frobenius and r.split
-        details.append(f"k<={name}: frob={r.frobenius} split={r.split}")
-    for name in ("k2", "ka2"):
-        a = loaded_corpus[name].algebra
-        r = extension_predicates(Extension.identity(a))
-        ok = ok and r.frobenius and r.separable and r.split
-    rka2 = extension_predicates(ground_field_extension(loaded_corpus["ka2"].algebra))
-    ok = ok and not rka2.frobenius
-    details.append(f"k<=ka2: frob={rka2.frobenius}")
-    criterion(8, "Frobenius / split / separable predicates", ok, "; ".join(details))
 
 
 def test_criterion_9_property_suites(loaded_corpus):

@@ -17,11 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ENGINE = ROOT / "src" / "quivalg"
 BENCH = ROOT / "perfbench"
 
-# The Frobenius, separable and split predicates of the paper's extension
-# statement: public API that the acceptance tests check (criterion 8) and no
-# command reads yet.
-ALLOWED = {"extension_predicates"}
-
 
 def _public(tree: ast.Module) -> list[str]:
     for node in tree.body:
@@ -92,10 +87,7 @@ def unread_names(engine: Path, readers: list[Path], targets: set[tuple[str, str]
 
 def test_every_public_engine_name_has_an_engine_or_benchmark_reader():
     readers = sorted(ENGINE.glob("*.py")) + sorted(BENCH.rglob("*.py"))
-    unread = unread_names(ENGINE, readers, _targets(BENCH / "spans.py"))
-    assert [n for n in unread if n.split(".")[1] not in ALLOWED] == []
-    # the allowance is still needed: no engine or benchmark code reads it
-    assert sorted(n.split(".")[1] for n in unread) == sorted(ALLOWED)
+    assert unread_names(ENGINE, readers, _targets(BENCH / "spans.py")) == []
 
 
 def test_the_scan_sees_each_kind_of_reader(tmp_path):

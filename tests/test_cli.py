@@ -236,6 +236,20 @@ def test_cache_roundtrip_and_byte_identity(capsys, tmp_path):
     assert results_dict(out)["removed"] == "1"
 
 
+@pytest.mark.parametrize("record", ["[]", "7", '"x"'])
+def test_a_cache_record_that_is_not_an_object_is_a_miss(capsys, tmp_path, record):
+    # valid JSON that is not an object is as corrupt as broken JSON: a
+    # warning, then the command runs as if uncached
+    cat = tmp_path / "cat"
+    _, plain, _ = run_cli(capsys, "domdim", "k2", "--no-cache")
+    run_cli(capsys, "domdim", "k2", "--catalog", str(cat))
+    (path,) = cat.glob("*.json")
+    path.write_text(record)
+    code, out, err = run_cli(capsys, "domdim", "k2", "--catalog", str(cat))
+    assert (code, out) == (0, plain)
+    assert "warning: ignoring corrupt cache record" in err
+
+
 def test_cache_is_shared_across_seeds(capsys, tmp_path, monkeypatch):
     # no verdict depends on the seed: one record answers every seed, and
     # the header of a hit still prints the seed of the current run

@@ -178,8 +178,11 @@ def test_resolutions_equal_the_dense_route(corpus_loaded):
 
 
 def test_ext_pd_and_domdim_never_build_a_term_action(monkeypatch):
-    # nor a dense differential: those are built only when Resolution.maps is read
-    dense_maps = count_calls(monkeypatch, "generator_map")
+    # nor a dense differential: those are built only when Resolution.maps is
+    # read (a deeper request rebuilds only the last cover, onto its syzygy)
+    dense_maps = []
+    real = quivalg.homology._Resolved.dense_maps
+    monkeypatch.setattr(quivalg.homology._Resolved, "dense_maps", lambda *args: dense_maps.append(None) or real(*args))
     for entry in corpus.ENTRIES:
         loaded = corpus.load_entry(entry.name)
         a = loaded.algebra
@@ -331,6 +334,29 @@ def test_the_memo_keeps_one_syzygy(K2):
     assert len(syzygies) == 1
     # the deepest, the kernel of P_9 -> P_8: dim P_9 - dim P_8 + ... - dim P_0 + dim S
     assert syzygies[0].dim == sum((-1) ** (9 - j) * state.terms[j].dim for j in range(10)) + s.dim
+
+
+def test_a_deeper_request_rebuilds_the_last_cover_once(K2, corpus_loaded, monkeypatch):
+    # no cover matrix is kept at rest: a deeper request rebuilds the last
+    # cover once, onto the kept syzygy, and then holds the images, the
+    # syzygy and the Ext of a fresh request
+    k2_3 = tensor_product(tensor_product(K2, K2), K2)
+    cases = [ModuleRep(k2_3, standard_modules(k2_3).simples[0].action)]
+    cases += [m for _, m in resolution_test_modules(corpus_loaded)]
+    rebuilt = count_calls(monkeypatch, "generator_map")
+    for m in cases:
+        fresh, grown = (ModuleRep(m.algebra, m.action) for _ in range(2))
+        want = ext_dims(fresh, fresh, 6).dims
+        assert not rebuilt  # one request rebuilds nothing
+        ext_dims(grown, grown, 2)
+        assert grown.memo["resolution"].cover is None
+        assert ext_dims(grown, grown, 6).dims == want
+        assert len(rebuilt) == 1
+        del rebuilt[:]
+        got, fresh_state = grown.memo["resolution"], fresh.memo["resolution"]
+        assert len(got.images) == len(fresh_state.images) == 8
+        assert all(np.array_equal(x, y) for x, y in zip(got.images, fresh_state.images))
+        assert got.syzygy[1].map == fresh_state.syzygy[1].map
 
 
 def test_one_syzygy_is_alive_at_a_time(K2, monkeypatch):
@@ -586,7 +612,7 @@ def test_coordinate_reads_run_no_solve(monkeypatch):
     # coordinates are read through linalg.coordinates and HomSpace.read, so on
     # fresh corpus algebras, with nothing memoized, the bar oracle, End of the
     # minimal generator-cogenerator, the Nakayama map and approximations run
-    # no solve (the extension predicates still solve one system each)
+    # no solve
     forbid_solve(monkeypatch)
     for entry in corpus.ENTRIES:
         a = corpus.load_entry(entry.name).algebra

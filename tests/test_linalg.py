@@ -537,14 +537,13 @@ def test_matrix_products_outside_linalg_are_prime_matrix_products():
 
 
 # the functions that may build Kronecker products: the tensor product of two
-# algebras, and the linear systems of Hom spaces, of tensor products over an
-# algebra and of separability idempotents.  Any other space of module maps is
-# a HomSpace, so a hand-built intertwining system has no place to come back
+# algebras, and the linear systems of Hom spaces and of tensor products over
+# an algebra.  Any other space of module maps is a HomSpace, so a hand-built
+# intertwining system has no place to come back
 KRON_FUNCTIONS = {
     ("algebra", "tensor_product"),
     ("modules", "HomSpace.__init__"),
     ("modules", "tensor_over_algebra"),
-    ("extensions", "_separable"),
 }
 
 

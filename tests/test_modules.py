@@ -660,7 +660,9 @@ def test_tensor_unit_law(K2):
 def test_tensor_dual_with_simple(K2):
     std = standard_modules(K2)
     d_right = dualize(std.regular)
-    res = tensor_over_algebra(d_right, std.simples[0])
+    # D(A) is an A-bimodule: the left action is transposed right multiplication
+    res = tensor_over_algebra(d_right, std.simples[0], left=(K2, K2.mult.transpose(1, 0, 2)))
+    res.module.check()
     # dimension matches the dual-hom route
     assert res.dim == HomSpace(std.simples[0], std.regular).dim
 
@@ -669,7 +671,7 @@ def test_tensor_with_zero(K2):
     from quivalg.algebra import opposite
 
     reg_op = regular_module(opposite(K2))
-    res = tensor_over_algebra(reg_op, zero_module(K2))
+    res = tensor_over_algebra(reg_op, zero_module(K2), left=(K2, regular_module(K2).action))
     assert res.dim == 0
 
 
