@@ -59,6 +59,9 @@ class Algebra:
     """Basic elementary algebra given by structure constants.
 
     mult[a, b, c] is the coefficient of basis element c in (e_a * e_b).
+    ``validate`` runs ``_validate``: the d^5 associativity check, then
+    ``check_basic``.  Constructions whose factors were validated (tensor
+    products, opposites) skip both, and End(m) runs ``check_basic`` alone.
     ``basis_path_lengths`` gives the path length of each basis element of a
     quiver build, kept by tensor products and opposites (length 0 spans a
     complement of the radical); no computation here reads it.
@@ -183,6 +186,15 @@ class Algebra:
                     f"associativity fails on basis triple "
                     f"({self.labels[a0 + a]}, {self.labels[b]}, {self.labels[c]})"
                 )
+        self.check_basic()
+
+    def check_basic(self):
+        """Check every condition of ``_validate`` but associativity: a
+        two-sided unit, complete orthogonal idempotents summing to it, and
+        basic elementary, A/rad A one copy of F_p per idempotent.  An algebra
+        built unvalidated whose associativity holds by construction (End(m),
+        ``endomorphism_algebra``) runs this alone."""
+        p, d = self.field.p, self.dim
         ident = np.eye(self.dim, dtype=np.int64)
         if not np.array_equal(self.left_mult(self.unit), ident) or not np.array_equal(
             self.right_mult(self.unit), ident

@@ -451,19 +451,32 @@ class EndoAlgebra:
 
 
 def endomorphism_algebra(m: DirectSum, seed: int = 0) -> EndoAlgebra:
-    """End(m) of a sum of summands, checked to be basic and elementary.
+    """End(m) of a sum of summands, checked to be basic and elementary, and
+    kept in ``m.memo["endomorphism"]``, so every check on m reads one End
+    and its memos (radical, standard modules, resolutions).
 
-    With one idempotent per summand, End(m) is basic and elementary exactly
-    when every summand has a local End with residue field F_p and dim
-    End/rad End equals the number of summands (Assem, Simson and
-    Skowronski, Elements of the Representation Theory of Associative
-    Algebras 1, LMS 2006): no two summands are then isomorphic.  ``Algebra``
-    validation decides both at every prime and refuses any other End with an
-    InputError.  ``seed`` is unused and kept for callers that pass one.
+    Associativity is inherited, not checked: row i of the structure
+    constants is an exact read (``HomSpace.read``) of the composites
+    F_i o F_j, so sum_k c_ijk F_k = F_i o F_j holds in End_k(m) with the F_k
+    independent, and the constants are those of a subalgebra of matrices.
+    A composite that is not a member is refused by that read.  What the
+    construction does not guarantee is checked by ``Algebra.check_basic``:
+    the unit and the idempotents, and, with one idempotent per summand,
+    that End(m) is basic and elementary.  That holds exactly when every
+    summand has a local End with residue field F_p and dim End/rad End
+    equals the number of summands (Assem, Simson and Skowronski, Elements of
+    the Representation Theory of Associative Algebras 1, LMS 2006): no two
+    summands are then isomorphic.  Any other End is refused with an
+    InputError, at every prime.  ``seed`` is unused and kept for callers
+    that pass one.
     """
-    h, mult, coords = endo_data(m)
-    algebra = Algebra(m.algebra.field, [f"f{t}" for t in range(h.dim)], mult, coords[:, 0], list(coords[:, 1:].T))
-    return EndoAlgebra(algebra, h.maps())
+    if "endomorphism" not in m.memo:
+        h, mult, coords = endo_data(m)
+        labels = [f"f{t}" for t in range(h.dim)]
+        algebra = Algebra(m.algebra.field, labels, mult, coords[:, 0], list(coords[:, 1:].T), validate=False)
+        algebra.check_basic()
+        m.memo["endomorphism"] = EndoAlgebra(algebra, h.maps())
+    return m.memo["endomorphism"]
 
 
 def minimal_gen_cogen(a: Algebra, seed: int = 0) -> DirectSum:

@@ -72,7 +72,9 @@ class ModuleRep:
     ``memo`` caches values derived from the action, which is immutable by
     convention.  The homology layer sets "resolution", the state of the
     minimal projective resolution as far as it was asked for: its terms and
-    generator images, and its deepest syzygy; the bar oracle in ``checks``
+    generator images, and its deepest syzygy; and, on a ``DirectSum``,
+    "endomorphism", End(m) as ``endomorphism_algebra`` built it, with the
+    memos of that algebra; the bar oracle in ``checks``
     sets "bar_graded" and "bar_chains".
     """
 
@@ -352,12 +354,30 @@ def quotient_module(m: ModuleRep, sub: PrimeMatrix) -> tuple[ModuleRep, Morphism
 # hom spaces
 
 
+def _kron_difference(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """(left (x) I - I (x) right) mod p for an a x a left and a b x b right,
+    both reduced mod p, written entry by entry into one zeroed ab x ab
+    array, with no Kronecker or difference temporaries: entry [(i, j),
+    (k, l)] is left[i, k]*[j = l] - [i = k]*right[j, l].  Only the a diagonal
+    b x b blocks [(i, j), (i, l)] hold both terms, and only they are reduced."""
+    a, b = len(left), len(right)
+    out = np.zeros((a * b, a * b), dtype=np.int64)
+    grid = out.reshape(a, b, a, b)
+    np.einsum("ijkj->ikj", grid)[...] = left[:, :, None]
+    block = np.einsum("ijil->ijl", grid)
+    block -= right
+    block %= p
+    return out
+
+
 class HomSpace:
     """Basis of Hom_A(m, n) with coordinate bookkeeping.
 
     Vectorisation is row-major on (n.dim, m.dim) matrices; the basis is the
     deterministic nullspace basis of the intertwining constraints, one block
-    per basis element of the algebra.
+    rho_n(a) (x) I - I (x) rho_m(a)^T per basis element a of the algebra,
+    each written directly into its own array (``_kron_difference``) and
+    stacked once.
     That basis is the identity on its free rows (the free row of a basis
     column is its last nonzero row), so the coordinates of a member f
     are the entries of vec(f) on those rows, and membership is exact:
@@ -378,10 +398,8 @@ class HomSpace:
         alg = m.algebra
         p = alg.field.p
         nm = n.dim * m.dim
-        blocks = [
-            (np.kron(np.eye(n.dim, dtype=np.int64), rho_m.T) - np.kron(rho_n, np.eye(m.dim, dtype=np.int64))) % p
-            for rho_m, rho_n in zip(m.action, n.action)
-        ]
+        # rho_n(a) f - f rho_m(a) = 0 on row-major vec(f), per basis element a
+        blocks = [_kron_difference(rho_n, rho_m.T, p) for rho_m, rho_n in zip(m.action, n.action)]
         constraints = PrimeMatrix(alg.field, np.vstack(blocks) if blocks else np.zeros((0, nm), dtype=np.int64))
         self.matrix = nullspace(constraints)
         self.dim = self.matrix.cols
@@ -718,9 +736,8 @@ def tensor_over_algebra(x_right: ModuleRep, y: ModuleRep, left: tuple[Algebra, n
     p = field.p
     dx, dy = x_right.dim, y.dim
     big = dx * dy
-    eye_x = np.eye(dx, dtype=np.int64)
     eye_y = np.eye(dy, dtype=np.int64)
-    rels = [(np.kron(rx, eye_y) - np.kron(eye_x, ry)) % p for rx, ry in zip(x_right.action, y.action)]
+    rels = [_kron_difference(rx, ry, p) for rx, ry in zip(x_right.action, y.action)]
     relmat = PrimeMatrix(field, np.hstack(rels) if rels else np.zeros((big, 0), dtype=np.int64))
     proj, sec = complement_projection(relmat)
     b_alg, left_action = left

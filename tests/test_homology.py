@@ -16,12 +16,13 @@ import quivalg.homology
 import quivalg.linalg
 import quivalg.modules
 from quivalg import corpus
-from quivalg.algebra import column_span_basis, opposite, tensor_product
+from quivalg.algebra import Algebra, column_span_basis, opposite, tensor_product
 from quivalg.catalog import named_modules, resolve_expression
 from quivalg.checks import bar_ext_oracle
 from quivalg.errors import InputError, InternalCheckError
 from quivalg.linalg import PrimeMatrix, coordinates, mulmod, nullspace
 from quivalg.homology import (
+    DomDimEvidence,
     dominant_dimension,
     endomorphism_algebra,
     ext_dims,
@@ -45,6 +46,7 @@ from quivalg.modules import (
     is_isomorphic,
     min_add_approximation,
     projective_cover,
+    quotient_module,
     standard_modules,
     top_multiplicities,
 )
@@ -1021,6 +1023,62 @@ def test_endo_nonbasic_rejected(K2, KA2):
     dm = DirectSum(KA2, [standard_modules(KA2).regular])
     with pytest.raises(InputError, match="not basic"):
         endomorphism_algebra(dm)
+
+
+def test_endo_refuses_a_composite_outside_the_hom_space(monkeypatch, KA2):
+    # End's associativity is inherited from exact reads of the composites,
+    # so one corrupted composite is refused by its read
+    postcompose = HomSpace.postcompose
+
+    def corrupted(self, g):
+        out = postcompose(self, g)
+        out[-1, 0, 0] += 1
+        return out
+
+    dm = minimal_gen_cogen(KA2)
+    monkeypatch.setattr(HomSpace, "postcompose", corrupted)
+    with pytest.raises(InputError, match="not in the hom space"):
+        endomorphism_algebra(dm)
+
+
+def test_endo_is_built_once_and_not_revalidated(monkeypatch, AUS):
+    # no associativity pass on End(m), and one End per module: the checks on
+    # m share it and its memos; the full validation, run afterwards, passes
+    def refuse(self):
+        raise AssertionError("validated")
+
+    dm = minimal_gen_cogen(AUS)
+    monkeypatch.setattr(Algebra, "_validate", refuse)
+    endo = endomorphism_algebra(dm)
+    assert dm.memo["endomorphism"] is endo
+    assert endomorphism_algebra(dm) is endo
+    monkeypatch.undo()
+    b = endo.algebra
+    assert Algebra(b.field, b.labels, b.mult, b.unit, b.idempotents).radical() == b.radical()
+
+
+def auslander_algebra(n):
+    """Gamma_n = End(k[x]/(x) + ... + k[x]/(x^n)) over k[x]/(x^n), each
+    k[x]/(x^i) the regular module modulo the paths of length at least i
+    (the path lengths read from ``basis_paths``)."""
+    a = quiver(["1"], [("x", "1", "1")], [[(1, ("x",) * n)]], n - 1)
+    lengths = np.array([0 if q == ("1",) else len(q) for q in a.basis_paths])
+    reg, units = standard_modules(a).regular, np.eye(a.dim, dtype=np.int64)
+    summands = [quotient_module(reg, PrimeMatrix(a.field, units[:, lengths >= i]))[0] for i in range(1, n + 1)]
+    return endomorphism_algebra(DirectSum(a, summands)).algebra
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_auslander_algebras_match_their_closed_forms(n):
+    # Auslander (Representation Dimension of Artin Algebras, 1971): dim
+    # n(n+1)(2n+1)/6, n idempotents, global dimension 2 and, by Mueller,
+    # dominant dimension exactly 2
+    gamma = auslander_algebra(n)
+    assert gamma.dim == n * (n + 1) * (2 * n + 1) // 6
+    assert len(gamma.idempotents) == n
+    assert dominant_dimension(gamma, 4) == DomDimEvidence("exact", 2)
+    bounds = [pd_bounded(s, 4) for s in standard_modules(gamma).simples]
+    assert all(b.finite for b in bounds) and max(b.value for b in bounds) == 2
 
 
 def test_endo_at_small_primes_matches_32003():

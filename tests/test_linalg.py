@@ -537,23 +537,44 @@ def test_matrix_products_outside_linalg_are_prime_matrix_products():
 
 
 # the functions that may build Kronecker products: the tensor product of two
-# algebras, and the linear systems of Hom spaces and of tensor products over
-# an algebra.  Any other space of module maps is a HomSpace, so a hand-built
-# intertwining system has no place to come back
+# algebras, and the left action on a tensor product over an algebra
 KRON_FUNCTIONS = {
     ("algebra", "tensor_product"),
+    ("modules", "tensor_over_algebra"),
+}
+
+# the callers of _kron_difference, which writes intertwining blocks: the linear
+# systems of Hom spaces and of tensor products over an algebra.  Any other
+# space of module maps is a HomSpace, so a hand-built intertwining system has
+# no place to come back
+KRON_DIFFERENCE_CALLERS = {
     ("modules", "HomSpace.__init__"),
     ("modules", "tensor_over_algebra"),
 }
 
 
 def test_kronecker_products_build_only_the_allowed_systems():
-    found = {
+    def named(node, name):
+        return name in (getattr(node, "attr", None), getattr(node, "id", None))
+
+    found = {(module, function) for module, function, node in package_functions(with_linalg=True) if named(node, "kron")}
+    assert found == KRON_FUNCTIONS
+    callers = {
         (module, function)
         for module, function, node in package_functions(with_linalg=True)
-        if "kron" in (getattr(node, "attr", None), getattr(node, "id", None))
+        if isinstance(node, ast.Call) and named(node.func, "_kron_difference")
     }
-    assert found == KRON_FUNCTIONS
+    assert callers == KRON_DIFFERENCE_CALLERS
+
+
+def test_kron_difference_is_the_reduced_kronecker_difference():
+    # _kron_difference against np.kron, with a transposed (strided) right
+    # factor as HomSpace passes it, and empty factors
+    p, rng = 7, np.random.default_rng(0)
+    for a, b in [(0, 3), (3, 0), (1, 1), (2, 3), (4, 2)]:
+        left, right = rng.integers(0, p, (a, a)), rng.integers(0, p, (b, b))
+        want = (np.kron(left, np.eye(b, dtype=np.int64)) - np.kron(np.eye(a, dtype=np.int64), right.T)) % p
+        assert np.array_equal(quivalg.modules._kron_difference(left, right.T, p), want)
 
 
 # the callers of the free function algebra.radical: the memoized radical of
