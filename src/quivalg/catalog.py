@@ -477,14 +477,13 @@ def build_doc(doc: AlgebraDoc, field_override: Optional[int] = None) -> LoadedAl
         else:
             action = np.zeros((alg.dim, 0, 0), dtype=np.int64)
             if m.actions:
-                dims = {np.array(rows).shape for rows in m.actions.values() if rows}
-                mdim = next(iter(dims))[0] if dims else 0
+                mdim = next((len(rows) for rows in m.actions.values() if rows), 0)
                 action = np.zeros((alg.dim, mdim, mdim), dtype=np.int64)
                 for b in range(alg.dim):
                     rows = m.actions.get(b)
                     if rows is None:
                         raise InputError(f"module {m.name!r} missing action {b}")
-                    arr = np.array(rows, dtype=np.int64)
+                    arr = np.array(rows, dtype=np.int64) if rows else np.zeros((0, 0), dtype=np.int64)
                     if arr.shape != (mdim, mdim):
                         raise InputError(f"module {m.name!r}: action {b} has shape {arr.shape}")
                     action[b] = arr % field.p

@@ -277,7 +277,7 @@ def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
         # x[:, t, s] = u_st in algebra coordinates
         blocks = np.split(u, np.cumsum([pdim[v] for v in src])[:-1])
         x = np.stack([mulmod(std.proj_bases[v].a, b, p) for v, b in zip(src, blocks)], axis=1)
-        acts = mulmod(x.reshape(a.dim, -1).T, n.action.reshape(a.dim, -1), p)
+        acts = n._combine(x.reshape(a.dim, -1))
         delta = acts.reshape(len(src), len(tgt), n.dim, n.dim).transpose(1, 2, 0, 3).reshape(len(tgt), n.dim, -1)
         # u_st = e_{v_s}.u_st: row block s must be fixed by e_{v_s}
         if not np.array_equal(mulmod(idem[tgt], delta, p), delta):

@@ -7,13 +7,15 @@ summands and a ``Submodule`` as its ambient module and basis; both build
 their action matrices only when some caller reads them.  A sum reads with
 one product per distinct summand, so a kernel out of a sum never touches
 its zero blocks.  A submodule reads through its ambient module, a block of
-columns at a time, and gathers the coordinates: ``submodule`` checks
-closure once, on the idempotents and the arrows (``Algebra.arrows``),
-which generate the algebra, and hands those actions to the first top.
-The radical and top of a module read only the arrows' actions.  The image
-and cokernel of a map are ``submodule`` and ``quotient_module``.  Bases are
-deterministic, so downstream invariants are bit-reproducible.  Minimal
-right add(m)-approximations and isomorphism read one routine, the top of
+columns at a time, and gathers the coordinates.  Tests of A-linearity read
+the idempotents and the arrows (``_generators``), which generate A:
+``ModuleRep.check``, ``Morphism.check``, ``tensor_over_algebra``'s
+relations and ``submodule``'s closure check, whose actions go to the first
+top; only ``HomSpace`` keeps one block per basis element.  The radical and
+top of a module read only the arrows' actions.  The image and cokernel of
+a map are ``submodule`` and ``quotient_module``.  Bases are deterministic,
+so downstream invariants are bit-reproducible.  Minimal right
+add(m)-approximations and isomorphism read one routine, the top of
 Hom(m, x) over End(m) (``_top_of_hom``): it takes rad End(m) once, groups
 the summands of m into isoclasses and keeps, per class, the maps outside
 Hom(m, x)*rad End(m).  Both are exact at every prime; nothing here is
@@ -136,25 +138,23 @@ class ModuleRep:
         return out.reshape(n, d * k)
 
     def check(self):
-        """Assert the action respects structure constants and the unit.
-
-        Both sides are products mod p (``mulmod``), exact at every modulus
-        a field accepts.
+        """Assert that rho(g.b) = rho(g) rho(b) for every generator g
+        (``_generators``) and basis element b, one g at a time, and that
+        rho(1) = I.  That is exact: the a with rho(a.b) = rho(a) rho(b) for
+        every b form a subalgebra that holds the generators.  Both sides are
+        products mod p (``mulmod``), exact at every modulus a field accepts.
         """
-        alg = self.algebra
-        p = alg.field.p
-        d, n = alg.dim, self.dim
-        # lhs[a, b] = action[a] @ action[b]; rhs[a, b] = sum_c mult[a, b, c] action[c]
-        lhs = mulmod(self.action.reshape(d * n, n), self.action.transpose(1, 0, 2).reshape(n, d * n), p)
-        lhs = lhs.reshape(d, n, d, n).transpose(0, 2, 1, 3)
-        rhs = mulmod(alg.mult.reshape(d * d, d), self.action.reshape(d, n * n), p).reshape(d, d, n, n)
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere((lhs != rhs).any(axis=(2, 3)))[0]
-            raise InputError(
-                f"action violates structure constants on basis pair "
-                f"({alg.labels[bad[0]]}, {alg.labels[bad[1]]})"
-            )
-        if not np.array_equal(self.act(alg.unit), np.eye(self.dim, dtype=np.int64)):
+        alg, n = self.algebra, self.dim
+        p, d, gens = alg.field.p, alg.dim, _generators(alg)
+        products = mulmod(gens.T, alg.mult.reshape(d, d * d), p).reshape(-1, d, d)  # [g, b, c]: g.b
+        for g, (rho_g, gb) in enumerate(zip(self._combine(gens), products)):
+            # rho(g) rho(b) and rho(g.b) for every basis element b
+            lhs, rhs = mulmod(rho_g, self.action, p), mulmod(gb, self.action.reshape(d, n * n), p).reshape(d, n, n)
+            bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+            if bad.size:
+                name = f"{_generator_name(alg, g)} and basis element {alg.labels[bad[0]]}"
+                raise InputError(f"action violates structure constants on {name}")
+        if not np.array_equal(self.act(alg.unit), np.eye(n, dtype=np.int64)):
             raise InputError("unit does not act as the identity")
 
     def content_hash(self) -> str:
@@ -277,15 +277,13 @@ class Morphism:
             raise InputError("morphism matrix has wrong shape")
 
     def check(self):
-        p = self.map.field.p
-        for a in range(self.source.algebra.dim):
-            lhs = mulmod(self.map.a, self.source.action[a], p)
-            rhs = mulmod(self.target.action[a], self.map.a, p)
-            if not np.array_equal(lhs, rhs):
-                raise InputError(
-                    f"map does not intertwine basis element "
-                    f"{self.source.algebra.labels[a]}"
-                )
+        """Assert f rho_m(g) = rho_n(g) f for every generator g (``_generators``),
+        one batched product a side; exact, as in ``ModuleRep.check``."""
+        gens, f, p = _generators(self.source.algebra), self.map.a, self.map.field.p
+        lhs, rhs = mulmod(f, self.source._combine(gens), p), mulmod(self.target._combine(gens), f, p)
+        bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+        if bad.size:
+            raise InputError(f"map does not intertwine the action of {_generator_name(self.source.algebra, bad[0])}")
 
     def is_iso(self) -> bool:
         return self.source.dim == self.target.dim and self.map.is_invertible()
@@ -464,6 +462,12 @@ def _generators(alg: Algebra) -> np.ndarray:
     if "generators" not in alg.memo:
         alg.memo["generators"] = np.column_stack(alg.idempotents + [alg.arrows().a])
     return alg.memo["generators"]
+
+
+def _generator_name(alg: Algebra, g: int) -> str:
+    """Generator g of ``_generators``: idempotent i or arrow j."""
+    nv = len(alg.idempotents)
+    return f"idempotent {g}" if g < nv else f"arrow {g - nv}"
 
 
 def _side_by_side(m: ModuleRep, acts: np.ndarray) -> PrimeMatrix:
@@ -728,18 +732,15 @@ def tensor_over_algebra(x_right: ModuleRep, y: ModuleRep, left: tuple[Algebra, n
     ``left`` supplies (B, matrices) for a left B-action on x that commutes
     with the right A-action; the quotient inherits it.
     """
-    a_op = x_right.algebra
-    a = opposite(a_op)
+    a = opposite(x_right.algebra)
     if y.algebra is not a and y.algebra.content_hash() != a.content_hash():
         raise InputError("tensor factors are not over matching algebras")
     field = a.field
     p = field.p
-    dx, dy = x_right.dim, y.dim
-    big = dx * dy
-    eye_y = np.eye(dy, dtype=np.int64)
-    rels = [_kron_difference(rx, ry, p) for rx, ry in zip(x_right.action, y.action)]
-    relmat = PrimeMatrix(field, np.hstack(rels) if rels else np.zeros((big, 0), dtype=np.int64))
-    proj, sec = complement_projection(relmat)
+    eye_y, gens = np.eye(y.dim, dtype=np.int64), _generators(a)
+    # R(x, ab, y) = R(xa, b, y) + R(x, a, by): the generators' relations span all
+    rels = [_kron_difference(rx, ry, p) for rx, ry in zip(x_right._combine(gens), y._combine(gens))]
+    proj, sec = complement_projection(PrimeMatrix(field, np.hstack(rels)))
     b_alg, left_action = left
     action = np.zeros((b_alg.dim, proj.rows, proj.rows), dtype=np.int64)
     for bi in range(b_alg.dim):

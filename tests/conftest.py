@@ -8,7 +8,8 @@ from quivalg.algebra import (
     column_span_basis,
     tensor_product,
 )
-from quivalg.linalg import PrimeField, PrimeMatrix, mulmod, nullspace
+from quivalg.errors import InputError
+from quivalg.linalg import PrimeField, PrimeMatrix, complement_projection, mulmod, nullspace
 from quivalg.modules import ModuleRep, Morphism, quotient_module, submodule
 
 FIELD = PrimeField(32003)
@@ -80,6 +81,50 @@ def multiply(a, x, y):
     ``mulmod``, so exact at every prime the field allows."""
     p = a.field.p
     return mulmod(a.left_mult(x), np.asarray(y, dtype=np.int64) % p, p)
+
+
+def accepts(check):
+    """Whether check() returns rather than raising InputError."""
+    try:
+        check()
+    except InputError:
+        return False
+    return True
+
+
+def dense_module_check(m):
+    """Whether m's action is a module action, read over every pair of basis
+    elements: rho(a) rho(b) = rho(ab) for all d^2 pairs, and rho(1) = I.  The
+    reference for ``ModuleRep.check``; exact in int64 for p up to 32003."""
+    alg, p, act = m.algebra, m.algebra.field.p, m.action
+    lhs = np.einsum("aij,bjk->abik", act, act) % p
+    rhs = np.einsum("abc,cik->abik", alg.mult, act) % p
+    unit = np.einsum("a,aij->ij", alg.unit, act) % p
+    return np.array_equal(lhs, rhs) and np.array_equal(unit, np.eye(m.dim, dtype=np.int64))
+
+
+def dense_intertwines(f):
+    """Whether the morphism f intertwines the action of every basis element,
+    one basis element at a time: the reference for ``Morphism.check``."""
+    p, a = f.map.field.p, f.map.a
+    return all(np.array_equal(a @ s % p, t @ a % p) for s, t in zip(f.source.action, f.target.action))
+
+
+def dense_tensor_quotient(x_right, y):
+    """Projection and section of x (x)_A y from one relation block
+    rho_x(b) (x) I - I (x) rho_y(b) per basis element b, built with np.kron:
+    the reference for ``tensor_over_algebra``."""
+    p, eye_x, eye_y = y.algebra.field.p, np.eye(x_right.dim, dtype=np.int64), np.eye(y.dim, dtype=np.int64)
+    rels = [(np.kron(s, eye_y) - np.kron(eye_x, t)) % p for s, t in zip(x_right.action, y.action)]
+    return complement_projection(PrimeMatrix(y.algebra.field, np.hstack(rels)))
+
+
+def tensor_quotient(x_right, y):
+    """Projection and section of x (x)_A y from ``tensor_over_algebra``, the
+    ground field acting on x by scalars."""
+    ground = corpus.load_entry("k", y.algebra.field.p).algebra
+    res = modules.tensor_over_algebra(x_right, y, left=(ground, np.eye(x_right.dim, dtype=np.int64)[None]))
+    return res.proj, res.sec
 
 
 def cyclic_nakayama(n, p):

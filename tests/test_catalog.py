@@ -88,6 +88,46 @@ mult 0 0 0 1
         load(text)
 
 
+# k[x]/(x^2) as a table-mode algebra, basis e, x
+DUAL_NUMBERS_TABLE = """quivalg-algebra 1
+field 32003
+mode table
+
+[table]
+dim 2
+labels e x
+unit 1 0
+mult 0 0 0 1
+mult 0 1 1 1
+mult 1 0 1 1
+
+[idempotent]
+1 0
+"""
+
+
+@pytest.mark.parametrize("lines", ["", "action 0 []\naction 1 []\n"])
+def test_table_mode_zero_module_loads_with_or_without_empty_actions(lines):
+    # "[]" is the 0 x 0 matrix, as "arrow a []" is in quiver mode
+    loaded = load(DUAL_NUMBERS_TABLE + "\n[module Z]\n" + lines)
+    assert loaded.modules["Z"].dim == 0
+    assert loaded.modules["Z"].action.shape == (2, 0, 0)
+
+
+def test_table_mode_empty_action_of_a_nonzero_module_is_refused():
+    text = DUAL_NUMBERS_TABLE + "\n[module M]\naction 0 [1,0;0,1]\naction 1 []\n"
+    with pytest.raises(InputError, match=r"module 'M': action 1 has shape \(0, 0\)"):
+        load(text)
+
+
+def test_table_mode_module_refusal_names_the_generator_and_basis_element():
+    # x acts by an idempotent matrix X: x.x = 0 must act by 0, but X X = X
+    text = DUAL_NUMBERS_TABLE + "\n[module BAD]\naction 0 [1,0;0,1]\naction 1 [0,0;1,1]\n"
+    with pytest.raises(InputError, match="module 'BAD' rejected: action violates structure constants "
+                       "on arrow 0 and basis element x"):
+        load(text)
+
+
 def test_quiver_module_builds():
     text = corpus.fixture_text("ka2") + """
 [module N]

@@ -8,6 +8,7 @@ import pytest
 import quivalg.algebra
 import quivalg.linalg
 import quivalg.modules
+from quivalg import corpus
 from quivalg.algebra import QuiverPresentation, build_from_quiver, column_span_basis, enveloping, tensor_product
 from quivalg.errors import InputError, UnsupportedFieldError
 from quivalg.homology import gen_cogen, minimal_gen_cogen, minimal_resolution
@@ -33,15 +34,20 @@ from quivalg.modules import (
 
 from conftest import (
     FIELD,
+    accepts,
     cokernel,
     cyclic_nakayama,
+    dense_intertwines,
+    dense_module_check,
     dense_sum,
+    dense_tensor_quotient,
     hom_member,
     identity_morphism,
     image,
     rad_module,
     soc,
     soc_multiplicities,
+    tensor_quotient,
 )
 from test_algebra import PRESENTATIONS, rebased
 
@@ -360,6 +366,93 @@ def test_module_check_near_the_largest_prime_never_rejects_a_valid_module():
             ModuleRep(k2, action).check()
         except UnsupportedFieldError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# linearity tests read the generators, and agree with per-basis references
+
+
+def corrupted_copies(m, rng):
+    """Per basis element b of the algebra, (b, m with one entry of its
+    action at b changed by a nonzero amount)."""
+    p = m.algebra.field.p
+    for b in range(m.algebra.dim):
+        action = m.action.copy()
+        i, j = rng.integers(0, m.dim, size=2)
+        action[b, i, j] = (action[b, i, j] + rng.integers(1, p)) % p
+        yield b, ModuleRep(m.algebra, action)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_module_check_agrees_with_the_pairwise_reference(p):
+    # every standard module of every corpus algebra, and copies with one
+    # entry corrupted at each basis element, paths of length >= 2 included
+    rng = np.random.default_rng(p)
+    refused, refused_long = 0, 0
+    for entry in corpus.ENTRIES:
+        alg = corpus.load_entry(entry.name, p).algebra
+        std = standard_modules(alg)
+        lengths = alg.basis_path_lengths or [0] * alg.dim
+        for m in [std.regular, std.coregular] + std.projectives + std.injectives + std.simples:
+            assert accepts(m.check) and dense_module_check(m), entry.name
+            for b, bad in corrupted_copies(m, rng):
+                verdict = dense_module_check(bad)
+                assert accepts(bad.check) == verdict, (entry.name, b)
+                refused += not verdict
+                refused_long += not verdict and lengths[b] >= 2
+    assert refused > 100 and refused_long > 10
+
+
+def test_morphism_check_agrees_with_the_per_basis_reference(corpus_algebras):
+    # Hom basis maps, the same maps with one entry corrupted, and random maps
+    rng = np.random.default_rng(3)
+    refused = 0
+    for h in corpus_hom_spaces(corpus_algebras):
+        p, shape = h.matrix.field.p, (h.target.dim, h.source.dim)
+        maps = list(h.maps()) + [rng.integers(0, p, size=shape)]
+        if h.dim and all(shape):
+            bad = h.maps()[0].copy()
+            bad[tuple(rng.integers(0, shape))] += 1
+            maps.append(bad % p)
+        for f in maps:
+            mor = Morphism(h.source, h.target, PrimeMatrix(h.matrix.field, f))
+            verdict = dense_intertwines(mor)
+            assert accepts(mor.check) == verdict
+            refused += not verdict
+    assert refused > 100
+
+
+def test_tensor_relations_from_the_generators_span_the_per_basis_relations(corpus_algebras):
+    # x (x)_A y for x the dual of a standard module (a right module) and y a
+    # standard module: the same projection and section, byte for byte
+    pairs = 0
+    for a in corpus_algebras.values():
+        std = standard_modules(a)
+        mods = [m for m in [std.regular, std.coregular] + std.projectives + std.simples if m.dim <= 6]
+        for x, y in itertools.product(mods, repeat=2):
+            got, want = tensor_quotient(dualize(x), y), dense_tensor_quotient(dualize(x), y)
+            for g, w in zip(got, want):
+                assert g.a.shape == w.a.shape and g.a.tobytes() == w.a.tobytes()
+            pairs += 1
+    assert pairs > 200
+
+
+def test_linearity_tests_read_the_generators(KA3, monkeypatch):
+    # the module check, the morphism check and the tensor relations each
+    # read the idempotents and arrows (_generators), not every basis element
+    reads = []
+    real = quivalg.modules._generators
+    monkeypatch.setattr(quivalg.modules, "_generators", lambda alg: reads.append(alg) or real(alg))
+    std = standard_modules(KA3)
+    tests = {
+        "ModuleRep.check": std.regular.check,
+        "Morphism.check": identity_morphism(DirectSum(KA3, [std.regular, std.coregular])).check,
+        "tensor_over_algebra": lambda: tensor_quotient(dualize(std.regular), std.simples[0]),
+    }
+    for name, run in tests.items():
+        reads.clear()
+        run()
+        assert reads, name
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from quivalg.linalg import PrimeMatrix
 from quivalg.modules import (
     DirectSum,
     HomSpace,
+    ModuleRep,
     Morphism,
     dualize,
     kernel,
@@ -24,7 +25,16 @@ from quivalg.modules import (
     top_multiplicities,
 )
 
-from conftest import cokernel, hom_member, image
+from conftest import (
+    accepts,
+    cokernel,
+    dense_intertwines,
+    dense_module_check,
+    dense_tensor_quotient,
+    hom_member,
+    image,
+    tensor_quotient,
+)
 
 
 def random_modules(alg, rng, count=6, max_dim=8):
@@ -70,6 +80,31 @@ def test_random_module_properties(corpus_algebras):
             eta = Morphism(nk.module, nk.hom_route, nk.eta)
             eta.check()
             assert eta.is_iso(), name
+
+
+def test_linearity_tests_agree_with_per_basis_references(corpus_algebras):
+    # random modules as one more input to the differential tests of
+    # ModuleRep.check, Morphism.check and tensor_over_algebra (test_modules)
+    rng, nrng = random.Random(20261021), np.random.default_rng(20261021)
+    refused = 0
+    for name, alg in corpus_algebras.items():
+        p, mods = alg.field.p, random_modules(alg, rng, count=3, max_dim=6)
+        for m in mods:
+            assert accepts(m.check) and dense_module_check(m), name
+            action = m.action.copy()
+            b, i, j = nrng.integers(alg.dim), *nrng.integers(0, m.dim, size=2)
+            action[b, i, j] += 1
+            bad = ModuleRep(alg, action)
+            assert accepts(bad.check) == dense_module_check(bad), name
+            refused += not dense_module_check(bad)
+            for n in mods:
+                h = HomSpace(m, n)
+                for f in list(h.maps()) + [nrng.integers(0, p, size=(n.dim, m.dim))]:
+                    mor = Morphism(m, n, PrimeMatrix(alg.field, f))
+                    assert accepts(mor.check) == dense_intertwines(mor), name
+                for g, w in zip(tensor_quotient(dualize(m), n), dense_tensor_quotient(dualize(m), n)):
+                    assert g.a.shape == w.a.shape and g.a.tobytes() == w.a.tobytes(), name
+    assert refused > 5
 
 
 def test_random_ext_agreement(corpus_algebras):
