@@ -9,13 +9,16 @@ and dominant dimension resolve a dual module.  Ext, projective dimension
 and dominant dimension read the vertex lists and the images, never a
 term's action or a dense map.  A module's memo keeps its resolution as far
 as it was asked for, with its deepest syzygy only: a deeper request adds
-only the missing covers, and no syzygy is built past the last term.  One
-syzygy is alive at a time: each is dropped before the next kernel is built.
-A syzygy is a ``Submodule`` of its term, read through that term, so its
-top and cover never build its action.
+only the missing covers, and no syzygy is built past the last term.  Each
+cover's matrix is built once, when its kernel is taken, and is not kept.
+One syzygy is alive at a time: each is dropped before the next kernel is
+built.  A syzygy is a ``Submodule`` of its term, read through that term, so
+its top and cover never build its action.
 End algebras take a ``DirectSum``, one idempotent per summand (minimal
 approximations, which read End(m) the same way, live in ``modules``).
-Ext dimensions are cohomology ranks of the induced hom complex.
+Ext dimensions are cohomology ranks of the induced hom complex; into a
+semisimple target every coboundary is zero, so Ext^i is read off the i-th
+vertex list and m is resolved only to the cutoff.
 Dominant dimension is reported as evidence: an exact value below the
 cutoff, an at-least-cutoff marker, or infinity certified by
 self-injectivity.  Truncation is never silently treated as a final answer.
@@ -30,7 +33,7 @@ import numpy as np
 
 from .algebra import Algebra, opposite
 from .errors import InputError, InternalCheckError
-from .linalg import PrimeMatrix, coordinates, mulmod, nullspace
+from .linalg import PrimeMatrix, mulmod, nullspace
 from .linalg import rref  # noqa: F401  (unused here; read by test_tracer_replaces_every_binding_and_restores_it)
 from .modules import (
     DirectSum,
@@ -170,40 +173,36 @@ class _Resolved:
     asked for, kept as where the generators of each term go (Green, Solberg
     and Zacharia, Trans. AMS 353, 2001): per degree the term, its vertex
     list and the generator images, and the deepest syzygy taken, with its
-    inclusion.  Within one ``extend`` each cover's matrix passes to the step
-    that takes its kernel; none is kept after the call, so a later, deeper
-    request rebuilds the last cover once, onto the kept syzygy (or the
-    module) from the images read in its coordinates.  It holds no reference
-    to the module, so methods that need it take it as an argument.
+    inclusion.  The last cover's generator images are also kept in the
+    coordinates of the module it covers (the kept syzygy, or the module),
+    so its matrix is built once, when its kernel is taken, and no cover
+    matrix is kept at rest.  It holds no reference to the module, so methods
+    that need it take it as an argument.
     """
 
     def __init__(self):
         self.terms: list[DirectSum] = []
         self.summands: list[list[int]] = []
         self.images: list[np.ndarray] = []
-        self.cover: Optional[PrimeMatrix] = None  # during extend, until its kernel is taken
+        self.lifts: Optional[np.ndarray] = None  # the last cover's images, in the covered module
         self.syzygy: Optional[tuple[ModuleRep, Morphism]] = None  # the deepest taken, with its inclusion
 
     def deepest_syzygy(self, m: ModuleRep) -> tuple[ModuleRep, Morphism]:
         """The kernel of the deepest cover in the last term, with its
-        inclusion, taken once, after the previous syzygy and the cover's
-        matrix are dropped."""
+        inclusion, taken once: the cover's matrix is built onto the kept
+        syzygy (or m), which is dropped before the kernel is taken."""
         if self.syzygy is None or self.syzygy[1].target is not self.terms[-1]:
-            if self.cover is None:  # onto the kept syzygy, or m, from the images in its coordinates
-                target, inc = self.syzygy or (m, None)
-                gens = self.images[-1] if inc is None else coordinates(inc.map).read(self.images[-1])
-                self.cover = generator_map(target, self.summands[-1], gens)
-                del target, inc
-            basis, self.cover, self.syzygy = nullspace(self.cover), None, None
+            cover = generator_map(m if self.syzygy is None else self.syzygy[0], self.summands[-1], self.lifts)
+            self.syzygy = None
+            basis = nullspace(cover)
+            del cover
             self.syzygy = submodule(self.terms[-1], basis)
         return self.syzygy
 
     def extend(self, m: ModuleRep, depth: int) -> None:
-        """Cover until terms[depth] exists, from the deepest syzygy on; the
-        last cover's matrix is not kept."""
+        """Cover until terms[depth] exists, from the deepest syzygy on."""
         while len(self.terms) <= depth:
             self._cover_next(m)
-        self.cover = None
 
     def _cover_next(self, m: ModuleRep) -> None:
         """Cover m, or the deepest syzygy once a term exists; no cover or
@@ -217,7 +216,7 @@ class _Resolved:
             self.images.append(mulmod(inc.map.a, cov.generators, m.algebra.field.p))
         self.terms.append(cov.projective)
         self.summands.append(cov.summands)
-        self.cover = cov.morphism.map
+        self.lifts = cov.generators
 
     def dense_maps(self, m: ModuleRep, terms: list[ModuleRep]) -> list[Morphism]:
         targets = [m] + terms
@@ -252,6 +251,13 @@ def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
     u_st.e_{v_t}, that matrix on all of n^(summands of P_i) has the rank of
     delta_i, so ranks are taken in module coordinates, with no basis of any
     e_v.n.
+
+    If every arrow acts as zero on n, then rad n = X.n = 0 and n is
+    semisimple.  Every map P_i -> n then kills rad P_i, which holds the
+    image of the minimal resolution's d_{i+1}, so every delta_i is zero and
+    Ext^i(m, n) = Hom(P_i, n): the sum of the e_v ranks over the i-th vertex
+    list (the Betti numbers of Green, Solberg and Zacharia, Trans. AMS 353,
+    2001).  m is then resolved only to ``cutoff`` and no delta_i is built.
     """
     if m.algebra.content_hash() != n.algebra.content_hash():
         raise InputError("Ext needs modules over the same algebra")
@@ -259,18 +265,21 @@ def ext_dims(m: ModuleRep, n: ModuleRep, cutoff: int) -> ExtTable:
         raise InputError("cutoff must be nonnegative")
     a = m.algebra
     p = a.field.p
+    idem = n._combine(np.column_stack(a.idempotents))
+    cell = [PrimeMatrix(a.field, x).rank() for x in idem]
+    if not n._combine(a.arrows().a).any():  # n is semisimple
+        res = minimal_resolution(m, cutoff)
+        return ExtTable([sum(cell[v] for v in summ) for summ in res.term_summands])
     res = minimal_resolution(m, cutoff + 1)
     std = standard_modules(a)
     pdim = [b.cols for b in std.proj_bases]
-    idem = np.stack([n.act(e) for e in a.idempotents])
-    cell = [PrimeMatrix(a.field, x).rank() for x in idem]
 
     hom_dims = [sum(cell[v] for v in summ) for summ in res.term_summands]
     ranks = []
     for i in range(cutoff + 1):
         src = res.term_summands[i]
         tgt = res.term_summands[i + 1]
-        if not src or not tgt or n.dim == 0:
+        if not src or not tgt:
             ranks.append(0)
             continue
         u = res.images[i + 1]

@@ -101,18 +101,23 @@ class ModuleRep:
 
     def _combine(self, x: np.ndarray) -> np.ndarray:
         """The actions of the algebra elements with coordinates the columns
-        of x, r x dim x dim: one product if the action has at most _BLOCK
-        entries, else a sum over each element's nonzero coordinates, one
-        action matrix at a time."""
+        of x, r x dim x dim: a sum of products over blocks of basis
+        elements with at most _BLOCK action entries each, reduced mod p
+        between blocks; one product if the action has at most _BLOCK
+        entries."""
         p, n = self.algebra.field.p, self.dim
         x = np.asarray(x, dtype=np.int64) % p
-        if self.action.size <= _BLOCK:
-            return mulmod(x.T, self.action.reshape(len(x), n * n), p).reshape(x.shape[1], n, n)
-        out = np.zeros((x.shape[1], n, n), dtype=np.int64)
-        for a, j in zip(*np.nonzero(x)):
-            out[j] += x[a, j] * self.action[a]  # below p + (p-1)^2 < 2^63
-            out[j] %= p
-        return out
+        step = max(1, _BLOCK // max(1, n * n))
+
+        def part(a: int) -> np.ndarray:
+            block = self.action[a : a + step]
+            return mulmod(x[a : a + step].T, block.reshape(len(block), n * n), p)
+
+        out = part(0)
+        for a in range(step, len(x), step):
+            out += part(a)
+            out %= p
+        return out.reshape(x.shape[1], n, n)
 
     def _generator_action(self) -> np.ndarray:
         """The actions of the idempotents, then the arrows (``_generators``)."""
@@ -171,8 +176,9 @@ class ModuleRep:
 
 class DirectSum(ModuleRep):
     """Direct sum of ``summands``, kept as the list: summand s has the
-    coordinates ``offsets[s]`` to ``offsets[s + 1]``.  ``action``, the block
-    action, is built when first read."""
+    coordinates ``offsets[s]`` to ``offsets[s + 1]``.  Reads (``_combine``,
+    ``moved``) go through each distinct summand object once; ``action``, the
+    block action, is built when first read."""
 
     def __init__(self, algebra: Algebra, summands: list[ModuleRep]):
         for m in summands:
@@ -192,6 +198,25 @@ class DirectSum(ModuleRep):
             action[:, offs[s] : offs[s + 1], offs[s] : offs[s + 1]] = m.action
         return action
 
+    def _slots(self) -> list[list[int]]:
+        """The slots of each distinct nonzero summand object, in order."""
+        slots_of: dict[int, list[int]] = {}
+        for s, m in enumerate(self.summands):
+            if m.dim:
+                slots_of.setdefault(id(m), []).append(s)
+        return list(slots_of.values())
+
+    def _combine(self, x: np.ndarray) -> np.ndarray:
+        """As ``ModuleRep._combine``, with one read per distinct summand
+        object, placed on the diagonal block of every slot it fills."""
+        offs = self.offsets
+        out = np.zeros((x.shape[1], self.dim, self.dim), dtype=np.int64)
+        for slots in self._slots():
+            acts = self.summands[slots[0]]._combine(x)
+            for s in slots:
+                out[:, offs[s] : offs[s + 1], offs[s] : offs[s + 1]] = acts
+        return out
+
     def moved(self, basis: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
         """As ``ModuleRep.moved``, with one read per distinct summand
         object: its moved copies of the rows of basis on every slot it
@@ -199,11 +224,7 @@ class DirectSum(ModuleRep):
         k = basis.shape[1]
         r = self.algebra.dim if x is None else x.shape[1]
         out = np.empty((self.dim, r, k), dtype=np.int64)
-        slots_of: dict[int, list[int]] = {}
-        for s, m in enumerate(self.summands):
-            if m.dim:
-                slots_of.setdefault(id(m), []).append(s)
-        for slots in slots_of.values():
+        for slots in self._slots():
             block = self.summands[slots[0]]
             rows = np.concatenate([np.arange(self.offsets[s], self.offsets[s + 1]) for s in slots])
             side = basis[rows].reshape(len(slots), block.dim, k).transpose(1, 0, 2).reshape(block.dim, -1)
@@ -560,16 +581,18 @@ def standard_modules(a: Algebra) -> StandardModules:
 class Cover:
     """A projective cover P -> m, with the vertex index of each
     indecomposable summand of P and the images of their generators: column
-    s is where the generator e_v of the s-th summand P(v) goes.  The
+    s is where the generator e_v of the s-th summand P(v) goes.  The matrix
+    of the map (``morphism``) is built from the images when first read.  The
     injective envelope of m is the dual of the cover of D(m)."""
 
-    morphism: Morphism
+    projective: DirectSum
+    target: ModuleRep
     summands: list[int]
     generators: np.ndarray
 
-    @property
-    def projective(self) -> ModuleRep:
-        return self.morphism.source
+    @functools.cached_property
+    def morphism(self) -> Morphism:
+        return Morphism(self.projective, self.target, generator_map(self.target, self.summands, self.generators))
 
 
 def generator_map(target: ModuleRep, vertices: list[int], images: np.ndarray) -> PrimeMatrix:
@@ -599,8 +622,7 @@ def projective_cover(m: ModuleRep) -> Cover:
     lifts = _top_lifts(m)
     vertex_of = [i for i, lift in enumerate(lifts) for _ in range(lift.shape[1])]
     big = DirectSum(alg, [standard_modules(alg).projectives[v] for v in vertex_of])
-    images = np.hstack(lifts)
-    return Cover(Morphism(big, m, generator_map(m, vertex_of, images)), vertex_of, images)
+    return Cover(big, m, vertex_of, np.hstack(lifts))
 
 
 # ---------------------------------------------------------------------------

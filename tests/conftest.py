@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quivalg import corpus, modules
+from quivalg import corpus, homology, modules
 from quivalg.algebra import (
     QuiverPresentation,
     build_from_quiver,
@@ -125,6 +125,31 @@ def tensor_quotient(x_right, y):
     ground = corpus.load_entry("k", y.algebra.field.p).algebra
     res = modules.tensor_over_algebra(x_right, y, left=(ground, np.eye(x_right.dim, dtype=np.int64)[None]))
     return res.proj, res.sec
+
+
+def semisimple_targets(a):
+    """Each simple, a sum of simples with a repeated summand, and the zero
+    module: the semisimple targets of the Ext tests."""
+    simples = modules.standard_modules(a).simples
+    return simples + [modules.DirectSum(a, simples + simples[:1]), modules.zero_module(a)]
+
+
+def hom_complex_ext_dims(m, n, cutoff):
+    """dim Ext^i(m, n) for i <= cutoff from the hom complex of the minimal
+    resolution P of a fresh copy of m to depth cutoff + 1: each Hom(P_i, n)
+    a ``HomSpace``, each delta_i the precomposition with d_(i+1), read in the
+    next ``HomSpace`` and ranked.  The reference for ``ext_dims``, which
+    reads Ext into a semisimple target off the vertex lists."""
+    res = homology.minimal_resolution(ModuleRep(m.algebra, m.action), cutoff + 1)
+    homs = [modules.HomSpace(t, n) for t in res.terms]
+    ranks = []
+    for i in range(cutoff + 1):
+        if not homs[i].dim or not homs[i + 1].dim:
+            ranks.append(0)
+            continue
+        delta = homs[i + 1].read(homs[i].precompose(res.maps[i + 1].map.a))
+        ranks.append(PrimeMatrix(m.algebra.field, delta).rank())
+    return [homs[i].dim - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cutoff + 1)]
 
 
 def cyclic_nakayama(n, p):

@@ -51,7 +51,7 @@ from quivalg.modules import (
     top_multiplicities,
 )
 
-from conftest import dense_sum, identity_morphism, quiver, rad_module
+from conftest import dense_sum, hom_complex_ext_dims, identity_morphism, quiver, rad_module, semisimple_targets
 from test_algebra import rebased
 from test_random_modules import random_modules
 
@@ -181,7 +181,7 @@ def test_resolutions_equal_the_dense_route(corpus_loaded):
 
 def test_ext_pd_and_domdim_never_build_a_term_action(monkeypatch):
     # nor a dense differential: those are built only when Resolution.maps is
-    # read (a deeper request rebuilds only the last cover, onto its syzygy)
+    # read
     dense_maps = []
     real = quivalg.homology._Resolved.dense_maps
     monkeypatch.setattr(quivalg.homology._Resolved, "dense_maps", lambda *args: dense_maps.append(None) or real(*args))
@@ -241,14 +241,30 @@ def count_calls(monkeypatch, name):
 def test_no_syzygy_is_built_past_the_last_term(K2, corpus_loaded, monkeypatch):
     # the resolution takes each kernel as a submodule of the last term
     kernels = count_calls(monkeypatch, "submodule")
-    # Ext^0..Ext^3 read the terms P_0..P_4: one kernel below each of P_0..P_3
     a = tensor_product(tensor_product(K2, K2), K2)
-    s = standard_modules(a).simples[0]
-    assert ext_dims(s, s, 3).dims == [1, 3, 6, 10]
+    std = standard_modules(a)
+    # into the regular module Ext^0..Ext^3 read the terms P_0..P_4: one
+    # kernel below each of P_0..P_3 (the algebra is self-injective)
+    s = ModuleRep(a, std.simples[0].action)
+    assert ext_dims(s, std.regular, 3).dims == [1, 0, 0, 0]
     assert len(kernels) == 4
+    # into a semisimple target Ext^i is read off P_i: P_0..P_3, three kernels
+    del kernels[:]
+    s = ModuleRep(a, std.simples[0].action)
+    assert ext_dims(s, s, 3).dims == [1, 3, 6, 10]
+    assert len(kernels) == 3
     for name, loaded in corpus_loaded.items():
-        for m in standard_module_list(loaded.algebra):
-            m = ModuleRep(loaded.algebra, m.action)
+        a = loaded.algebra
+        std = standard_modules(a)
+        # Ext to degree 4 from a fresh module: P_0..P_4 into a semisimple
+        # target, P_0..P_5 into the regular module unless it is semisimple
+        targets = [(n, 0) for n in semisimple_targets(a)] + [(std.regular, a.arrows().cols > 0)]
+        for m in standard_module_list(a):
+            for n, extra in targets:
+                del kernels[:]
+                ext_dims(ModuleRep(a, m.action), n, 4)
+                assert len(kernels) == 4 + extra, (name, n)
+            m = ModuleRep(a, m.action)
             del kernels[:]
             pd_bounded(m, 4)
             assert len(kernels) == 4, name
@@ -327,38 +343,71 @@ def held_modules(obj):
 
 def test_the_memo_keeps_one_syzygy(K2):
     a = tensor_product(tensor_product(K2, K2), K2)
-    s = ModuleRep(a, standard_modules(a).simples[0].action)
-    assert ext_dims(s, s, 9).dims == [(i + 1) * (i + 2) // 2 for i in range(10)]
-    state = s.memo["resolution"]
-    assert len(state.terms) == 11
-    # every other module it holds is a term, a sum of P(v)
-    syzygies = [x for x in held_modules(state).values() if not isinstance(x, DirectSum)]
-    assert len(syzygies) == 1
-    # the deepest, the kernel of P_9 -> P_8: dim P_9 - dim P_8 + ... - dim P_0 + dim S
-    assert syzygies[0].dim == sum((-1) ** (9 - j) * state.terms[j].dim for j in range(10)) + s.dim
+    std = standard_modules(a)
+    # into the regular module Ext^0..Ext^9 read P_0..P_10; into the simple
+    # target, P_0..P_9
+    cases = [(std.regular, 11, [1] + [0] * 9), (std.simples[0], 10, [(i + 1) * (i + 2) // 2 for i in range(10)])]
+    for n, terms, dims in cases:
+        s = ModuleRep(a, std.simples[0].action)
+        assert ext_dims(s, n, 9).dims == dims
+        state = s.memo["resolution"]
+        assert len(state.terms) == terms
+        # every other module it holds is a term, a sum of P(v)
+        syzygies = [x for x in held_modules(state).values() if not isinstance(x, DirectSum)]
+        assert len(syzygies) == 1
+        # the deepest, the kernel of P_k -> P_(k-1): dim P_k - dim P_(k-1) + ... +- dim P_0 -+ dim S
+        k = terms - 2
+        assert syzygies[0].dim == sum((-1) ** (k - j) * state.terms[j].dim for j in range(k + 1)) + (-1) ** (k + 1) * s.dim
 
 
-def test_a_deeper_request_rebuilds_the_last_cover_once(K2, corpus_loaded, monkeypatch):
-    # no cover matrix is kept at rest: a deeper request rebuilds the last
-    # cover once, onto the kept syzygy, and then holds the images, the
-    # syzygy and the Ext of a fresh request
+def test_a_deeper_request_builds_each_cover_matrix_once(K2, corpus_loaded, monkeypatch):
+    # each cover matrix is built once, when its kernel is taken, and none is
+    # kept at rest: a resolution to depth d builds d of them, whether it is
+    # asked for at once or first to a smaller depth, and then holds the
+    # images, the syzygy and the Ext of a fresh request
     k2_3 = tensor_product(tensor_product(K2, K2), K2)
     cases = [ModuleRep(k2_3, standard_modules(k2_3).simples[0].action)]
     cases += [m for _, m in resolution_test_modules(corpus_loaded)]
-    rebuilt = count_calls(monkeypatch, "generator_map")
+    built = []
+    for module in (quivalg.modules, quivalg.homology):  # covers and kernels
+        real = module.generator_map
+
+        def counted(*args, real=real):
+            out = real(*args)
+            built.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(module, "generator_map", counted)
+
+    def depth_built(m, depth):
+        minimal_resolution(m, depth)
+        assert not [ref for ref in built if ref() is not None]  # none kept at rest
+        return len(built)
+
     for m in cases:
         fresh, grown = (ModuleRep(m.algebra, m.action) for _ in range(2))
-        want = ext_dims(fresh, fresh, 6).dims
-        assert not rebuilt  # one request rebuilds nothing
-        ext_dims(grown, grown, 2)
-        assert grown.memo["resolution"].cover is None
-        assert ext_dims(grown, grown, 6).dims == want
-        assert len(rebuilt) == 1
-        del rebuilt[:]
+        assert depth_built(fresh, 6) == 6
+        del built[:]
+        assert depth_built(grown, 2) == 2
+        assert depth_built(grown, 6) == 6  # nothing rebuilt
+        del built[:]
         got, fresh_state = grown.memo["resolution"], fresh.memo["resolution"]
-        assert len(got.images) == len(fresh_state.images) == 8
+        assert len(got.images) == len(fresh_state.images) == 7
         assert all(np.array_equal(x, y) for x, y in zip(got.images, fresh_state.images))
         assert got.syzygy[1].map == fresh_state.syzygy[1].map
+        # Ext reads depth cutoff + 1, or cutoff into a semisimple target
+        std = standard_modules(m.algebra)
+        for n in (std.regular, std.simples[0]):
+            depth = 6 + (rad_module(n)[0].dim > 0)
+            fresh, grown = (ModuleRep(m.algebra, m.action) for _ in range(2))
+            want = ext_dims(fresh, n, 6).dims
+            assert len(built) == depth
+            del built[:]
+            ext_dims(grown, n, 2)
+            assert ext_dims(grown, n, 6).dims == want
+            assert len(built) == depth
+            assert not [ref for ref in built if ref() is not None]
+            del built[:]
 
 
 def test_one_syzygy_is_alive_at_a_time(K2, monkeypatch):
@@ -554,6 +603,19 @@ def test_ext_tables_are_pinned(corpus_loaded):
         tables = [ext_dims(m, n, 4).dims for m in mods for n in mods]
         got[name] = hashlib.sha256(json.dumps(tables).encode()).hexdigest()
     assert got == EXT_TABLES_SHA256
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_ext_into_a_semisimple_target_equals_the_hom_complex(p):
+    # into a semisimple target Ext^i is read off the vertex list of P_i; the
+    # reference ranks the hom complex of the resolution to depth 6, and is
+    # itself held to ext_dims on the regular and coregular targets
+    for entry in corpus.ENTRIES:
+        a = corpus.load_entry(entry.name, p).algebra
+        std = standard_modules(a)
+        for m in standard_module_list(a):
+            for n in semisimple_targets(a) + [std.regular, std.coregular]:
+                assert ext_dims(m, n, 5).dims == hom_complex_ext_dims(m, n, 5), (entry.name, m, n)
 
 
 def forbid_everywhere(monkeypatch, real):

@@ -11,7 +11,7 @@ import quivalg.modules
 from quivalg import corpus
 from quivalg.algebra import QuiverPresentation, build_from_quiver, column_span_basis, enveloping, tensor_product
 from quivalg.errors import InputError, UnsupportedFieldError
-from quivalg.homology import gen_cogen, minimal_gen_cogen, minimal_resolution
+from quivalg.homology import ext_dims, gen_cogen, minimal_gen_cogen, minimal_resolution
 from quivalg.linalg import PrimeField, PrimeMatrix, complement_projection, coordinates, mulmod, nullspace
 from quivalg.modules import (
     DirectSum,
@@ -1012,6 +1012,59 @@ def test_direct_sum_moved_is_the_dense_product(corpus_algebras):
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
             assert "action" not in s.__dict__, name
+
+
+def test_direct_sum_combine_is_the_block_action_combine(corpus_algebras, KA3):
+    # one read per distinct summand object, placed on the diagonal: a sum's
+    # reads, linearity checks and Ext into it build no block action
+    rng = np.random.default_rng(12)
+    for name, a in corpus_algebras.items():
+        gens = quivalg.modules._generators(a)
+        for mods in direct_sum_cases(a):
+            s, dense = DirectSum(a, mods), dense_sum(a, mods)
+            x = rng.integers(0, a.field.p, size=(a.dim, 3))
+            for got, want in [(s._combine(x), dense._combine(x)), (s.act(x[:, 0]), dense.act(x[:, 0]))]:
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+            assert s._generator_action().tobytes() == dense._combine(gens).tobytes(), name
+            assert "action" not in s.__dict__, name
+    std = standard_modules(KA3)
+    s = DirectSum(KA3, [std.regular, std.coregular])
+    identity_morphism(s).check()
+    assert "action" not in s.__dict__
+    s = DirectSum(KA3, std.simples + std.simples[:1])
+    for m in std.projectives + std.injectives + std.simples:
+        assert ext_dims(m, s, 4).dims == ext_dims(m, dense_sum(KA3, s.summands), 4).dims
+    assert "action" not in s.__dict__
+
+
+def test_combine_in_blocks_is_the_one_product():
+    # the regular module of kA12 in a random basis has 78^3 action entries,
+    # above 2^16: its reads sum products over blocks of basis elements, and
+    # must equal one product of the whole action with dense coordinates
+    verts = tuple(str(i) for i in range(1, 13))
+    arrows = tuple((f"a{i}", str(i), str(i + 1)) for i in range(1, 12))
+    rng = np.random.default_rng(12)
+    a = rebased(build_from_quiver(QuiverPresentation(verts, arrows, (), 11), FIELD), rng)
+    m, p = regular_module(a), a.field.p
+    assert m.action.size > 2**16
+    x = rng.integers(0, p, size=(a.dim, 40))
+    want = mulmod(x.T, m.action.reshape(a.dim, -1), p).reshape(40, m.dim, m.dim)
+    assert m._combine(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 2**31 - 1])
+def test_combine_with_one_basis_element_per_block(monkeypatch, p):
+    # every block one basis element: the sum of products, reduced between
+    # blocks, is exact at the largest modulus a field accepts
+    rng = np.random.default_rng(p)
+    a = rebased(build_from_quiver(PRESENTATIONS["aus"], PrimeField(p)), rng)
+    mods = standard_modules(a)
+    cases = [mods.regular, mods.coregular] + mods.projectives + mods.injectives
+    x = rng.integers(0, p, size=(a.dim, 5))
+    want = [m._combine(x) for m in cases]
+    monkeypatch.setattr(quivalg.modules, "_BLOCK", 1)
+    assert [m._combine(x).tobytes() for m in cases] == [w.tobytes() for w in want]
 
 
 # sha256 over the shape and bytes of the action of the minimal

@@ -31,8 +31,10 @@ from conftest import (
     dense_intertwines,
     dense_module_check,
     dense_tensor_quotient,
+    hom_complex_ext_dims,
     hom_member,
     image,
+    semisimple_targets,
     tensor_quotient,
 )
 
@@ -114,6 +116,16 @@ def test_random_ext_agreement(corpus_algebras):
         for m in mods:
             for n in mods:
                 assert bar_ext_oracle(m, n, 3).dims == ext_dims(m, n, 3).dims, name
+
+
+def test_ext_into_semisimple_targets_equals_the_hom_complex(corpus_algebras):
+    # random modules as one more input to the differential test of Ext into
+    # a semisimple target (test_homology), read off the vertex lists
+    rng = random.Random(20261022)
+    for name, alg in corpus_algebras.items():
+        for m in random_modules(alg, rng, count=3, max_dim=6):
+            for n in semisimple_targets(alg):
+                assert ext_dims(m, n, 5).dims == hom_complex_ext_dims(m, n, 5), name
 
 
 def test_ext_additive_in_first_argument(corpus_algebras):
